@@ -9,6 +9,7 @@ usage error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -31,7 +32,7 @@ from .analysis import (
 )
 from .config import ConfigError, load_run
 from .model import ModelError, ingest_market_data
-from .pde import PDEConfig, SolverError, solve
+from .pde import SolverError, solve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,6 +89,8 @@ def _phi_grid(args):
     if not (0.0 < args.phi_min < args.phi_max):
         raise ConfigError(
             f"need 0 < phi_min < phi_max, got ({args.phi_min}, {args.phi_max})")
+    if args.n_points < 1:
+        raise ConfigError(f"need --n-points >= 1, got {args.n_points}")
     return np.linspace(args.phi_min, args.phi_max, args.n_points)
 
 
@@ -146,17 +149,26 @@ def cmd_weights_path(args) -> int:
     return EXIT_OK
 
 
-def _slice_indices(tau_values, slices):
-    if slices:
-        wanted = [float(s) for s in slices.split(",")]
-    else:
+def _slice_taus(slices):
+    """The tau values of --slices, or None for the default five."""
+    if not slices:
+        return None
+    try:
+        return [float(s) for s in slices.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--slices expects comma-separated numbers, got {slices!r}") from None
+
+
+def _slice_indices(tau_values, wanted):
+    if wanted is None:
         wanted = list(np.linspace(0.0, tau_values[-1], 5))
     return sorted({int(np.argmin(np.abs(tau_values - t))) for t in wanted})
 
 
-def _emit_slices(out, model, sol, slices):
+def _emit_slices(out, model, sol, wanted):
     outputs = []
-    for k in _slice_indices(sol.tau_values, slices):
+    for k in _slice_indices(sol.tau_values, wanted):
         tau = sol.tau_values[k]
         phi_row = sol.phi[k]
         theta = np.empty((len(phi_row), model.n))
@@ -190,11 +202,12 @@ def cmd_solve(args) -> int:
     doc, model, utility, pde_cfg, checks = load_run(args.config)
     if utility is None or pde_cfg is None:
         raise ConfigError("solve needs both a utility and a pde section")
+    wanted = _slice_taus(args.slices)
     out = _out_dir(args)
     t0 = time.perf_counter()
     sol = solve(model, utility, pde_cfg)
     solve_time = time.perf_counter() - t0
-    outputs = _emit_slices(out, model, sol, args.slices)
+    outputs = _emit_slices(out, model, sol, wanted)
     extra = {"diagnostics": _diag_summary(sol)}
     if args.verify:
         reports = _verification_bundle(model, utility, pde_cfg, sol, checks)
@@ -222,13 +235,11 @@ def _verification_bundle(model, utility, pde_cfg, sol, checks):
     coarse = energy_estimate_report(sol, model)
     reports.append(coarse)
 
-    fine_cfg = PDEConfig(
-        grid=type(pde_cfg.grid)(pde_cfg.grid.x_min, pde_cfg.grid.x_max,
-                                2 * pde_cfg.grid.n_cells),
-        t_final=pde_cfg.t_final, n_steps=2 * pde_cfg.n_steps,
-        picard_tol=pde_cfg.picard_tol, picard_max=pde_cfg.picard_max,
-        cutoff_m=pde_cfg.cutoff_m, boundary=pde_cfg.boundary,
-        dirichlet_values=pde_cfg.dirichlet_values, upwind=pde_cfg.upwind,
+    fine_cfg = dataclasses.replace(
+        pde_cfg,
+        grid=dataclasses.replace(pde_cfg.grid,
+                                 n_cells=2 * pde_cfg.grid.n_cells),
+        n_steps=2 * pde_cfg.n_steps,
     )
     fine = energy_estimate_report(solve(model, utility, fine_cfg), model)
     ratio_c = coarse.context["ratio"]

@@ -3,10 +3,12 @@
     d_tau phi - d_xx alpha(x, phi) = - d_x ( w(alpha(x, phi)) phi )
 
 on a truncated 1-d domain. Time stepping is implicit Euler; each step runs
-Picard sweeps in which alpha is linearized around the previous iterate with
-its exact envelope slope and the advective coefficient w(alpha) is frozen,
-so every sweep is one tridiagonal solve. The converged iterate satisfies the
-fully implicit nonlinear step independent of the linearization slope.
+Newton sweeps on the exact nonlinear step residual. A sweep linearizes alpha
+around the previous iterate with its exact envelope slope and each advective
+face flux w(alpha) phi through both the face velocity and the upwinded value
+(upwind choice frozen), then solves one tridiagonal system for the
+correction. The sweeps stop once the correction is below the tolerance, so
+the converged iterate satisfies the fully implicit nonlinear step.
 
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation.
@@ -14,9 +16,7 @@ the scheme integrates the unclipped equation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -173,128 +173,127 @@ def cutoff_level(model: PortfolioModel, utility: UtilitySpec,
     return CutoffBounds(m=m, lam=lambda_bound(model, grid), horizon=t_horizon)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RICCATI_HJB_THREADS", "1")))
-    except ValueError:
-        return 1
+class _Geometry:
+    """Per-run constants of the sweep, built once per solve or step: cell
+    centers, the ghost-extended x, the boundary map ghost = offset + sign *
+    edge value (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the time step
+    and the clamp range of the advective coefficient."""
+
+    __slots__ = ("n", "dx", "dtau", "centers", "xe", "sign", "offsets",
+                 "clamp")
+
+    def __init__(self, config: PDEConfig, cutoff: CutoffBounds | None):
+        grid = config.grid
+        self.n, self.dx, self.dtau = grid.n_cells, grid.dx, config.dtau
+        self.centers = grid.centers
+        self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
+                                  [self.centers[-1] + self.dx]])
+        if config.boundary == "neumann":
+            self.sign, self.offsets = 1.0, (0.0, 0.0)
+        else:
+            gl, gr = config.dirichlet_values
+            self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
+        self.clamp = ((-np.inf, np.inf) if cutoff is None
+                      else (cutoff.lower, cutoff.upper))
+
+    def extend(self, values):
+        """Attach ghost values per the boundary condition."""
+        out = np.empty(self.n + 2)
+        out[1:-1] = values
+        out[0] = self.offsets[0] + self.sign * values[0]
+        out[-1] = self.offsets[1] + self.sign * values[-1]
+        return out
 
 
-def _eval_alpha(model, x, phi, threads):
-    # only the generic simplex path loops per cell; fan it out if asked
-    if threads > 1 and model.decision_set.kind == "simplex" and model.n > 2:
-        idx = np.array_split(np.arange(len(x)), threads)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda ii: alpha_field(model, x[ii], phi[ii]), idx))
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
-    return alpha_field(model, x, phi)
+def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
+    """One Newton sweep: solve the linearized step for the correction.
 
+    The step residual at phi_iter is exact; its Jacobian linearizes alpha
+    with the envelope slope and each advective face flux v * phi_upwind
+    through both the upwinded value and the face velocity, with the upwind
+    choice frozen. The clamp of the advective coefficient passes the slope
+    on where lower <= alpha <= upper and 0 outside.
 
-def _extend(values, config):
-    """Attach ghost values per the boundary condition."""
-    if config.boundary == "neumann":
-        left, right = values[0], values[-1]
-    else:
-        gl, gr = config.dirichlet_values
-        left = 2.0 * gl - values[0]
-        right = 2.0 * gr - values[-1]
-    return np.concatenate([[left], values, [right]])
-
-
-def _sweep(model, config, cutoff, phi_prev, phi_iter, tau_next, threads):
-    """One Picard sweep: assemble and solve the linearized tridiagonal step.
-
-    Returns (u, alpha_interior, fluxes) where fluxes are the total face
-    fluxes (alpha gradient minus advective flux) at the two domain ends,
-    evaluated on u with the frozen coefficients, so the discrete balance
+    Returns (delta, alpha_interior, fluxes) with phi_iter + delta the new
+    iterate and fluxes the linearized total face fluxes (alpha gradient
+    minus advective flux) at the two domain ends, so the discrete balance
     sum(u - phi_prev) dx = dtau (G_right - G_left + integral of source)
     holds to solver precision.
     """
-    grid = config.grid
-    n, dx, dtau = grid.n_cells, grid.dx, config.dtau
-    xe = np.concatenate([[grid.centers[0] - dx], grid.centers,
-                         [grid.centers[-1] + dx]])
-    we = _extend(phi_iter, config)
-    ae, se = _eval_alpha(model, xe, we, threads)
-    wc = np.clip(ae, cutoff.lower, cutoff.upper) if cutoff is not None else ae
-    ce = ae - se * we  # constant part of the linearized alpha
+    dx, dtau, sign = geom.dx, geom.dtau, geom.sign
+    pe = geom.extend(phi_iter)
+    ae, se = alpha_field(model, geom.xe, pe)
+    lo, hi = geom.clamp
+    if lo <= ae.min() and ae.max() <= hi:
+        wc, dw = ae, se
+    else:
+        wc = np.clip(ae, lo, hi)
+        dw = np.where((ae >= lo) & (ae <= hi), se, 0.0)
 
-    diag = np.full(n, 1.0 / dtau)
-    sub = np.zeros(n)        # coefficient of u_{i-1}, stored at i
-    sup = np.zeros(n)        # coefficient of u_{i+1}, stored at i
-    j = np.arange(1, n + 1)  # extended index of interior cells
-
-    # diffusion: -(se u)_{j+1}/dx^2 + 2 (se u)_j/dx^2 - (se u)_{j-1}/dx^2
-    diag += 2.0 * se[j] / dx**2
-    sup -= se[j + 1] / dx**2
-    sub -= se[j - 1] / dx**2
-
-    # advective divergence, on the left-hand side
+    # face j+1/2 between extended cells j and j+1, j = 0..n: advective flux
+    # and its derivatives a (by phi_j) and b (by phi_{j+1})
     if config.upwind:
-        v = 0.5 * (wc[:-1] + wc[1:])              # face velocities, len n+1
-        up_hi = np.where(v >= 0.0, 1.0, 0.0)      # face j+1/2 takes u_j if v>=0
-        # face j+1/2 (right face of cell i): + F/dx
-        diag += v[j] * up_hi[j] / dx
-        sup += v[j] * (1.0 - up_hi[j]) / dx
-        # face j-1/2 (left face): - F/dx
-        diag -= v[j - 1] * (1.0 - up_hi[j - 1]) / dx
-        sub -= v[j - 1] * up_hi[j - 1] / dx
+        v = 0.5 * (wc[:-1] + wc[1:])
+        up = v >= 0.0
+        pu = np.where(up, pe[:-1], pe[1:])
+        adv = v * pu
+        half_pu = 0.5 * pu
+        a = np.where(up, v, 0.0) + dw[:-1] * half_pu
+        b = np.where(up, 0.0, v) + dw[1:] * half_pu
     else:
-        sup += wc[j + 1] / (2.0 * dx)
-        sub -= wc[j - 1] / (2.0 * dx)
-        # u_j terms of the two faces cancel
+        q = wc * pe
+        g = 0.5 * (wc + dw * pe)
+        adv = 0.5 * (q[:-1] + q[1:])
+        a, b = g[:-1], g[1:]
 
-    rhs = phi_prev / dtau + (ce[j + 1] - 2.0 * ce[j] + ce[j - 1]) / dx**2
-    src = None
-    if config.mms_source is not None:
-        src = np.asarray(config.mms_source(grid.centers, tau_next), dtype=float)
-        rhs = rhs + src
+    # total face flux G = d_x alpha - advective flux and its derivatives:
+    # dG/dphi_j = -k_left, dG/dphi_{j+1} = k_right
+    flux = (ae[1:] - ae[:-1]) / dx - adv
+    sdx = se / dx
+    k_left = sdx[:-1] + a
+    k_right = sdx[1:] - b
 
-    # fold the ghost unknowns into the boundary rows
-    if config.boundary == "neumann":
-        diag[0] += sub[0]
-        diag[-1] += sup[-1]
-    else:
-        gl, gr = config.dirichlet_values
-        rhs[0] -= sub[0] * 2.0 * gl
-        diag[0] -= sub[0]
-        rhs[-1] -= sup[-1] * 2.0 * gr
-        diag[-1] -= sup[-1]
+    rhs = (flux[1:] - flux[:-1]) / dx - (phi_iter - phi_prev) / dtau
+    if src is not None:
+        rhs += src
+    diag = 1.0 / dtau + (k_left[1:] + k_right[:-1]) / dx
+    # fold the ghost corrections (sign * edge correction) into the end rows
+    diag[0] -= sign * k_left[0] / dx
+    diag[-1] -= sign * k_right[-1] / dx
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
+    ab = np.zeros((3, geom.n))
+    ab[0, 1:] = -k_right[1:-1] / dx    # coefficient of delta_{i+1} in row i
     ab[1] = diag
-    ab[2, :-1] = sub[1:]
+    ab[2, :-1] = -k_left[1:-1] / dx    # coefficient of delta_{i-1} in row i+1
     try:
-        u = solve_banded((1, 1), ab, rhs)
+        delta = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                             check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"tridiagonal solve failed at tau={tau_next:.6g}: {exc}; "
             f"diag range [{diag.min():.3e}, {diag.max():.3e}]"
         ) from None
-    if not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(delta)):
         raise SolverError(f"non-finite update at tau={tau_next:.6g}")
 
-    ue = _extend(u, config)
-    abar = ce + se * ue
-    if config.upwind:
-        v = 0.5 * (wc[:-1] + wc[1:])
-        adv = np.where(v >= 0.0, v * ue[:-1], v * ue[1:])
-    else:
-        adv = 0.5 * (wc[:-1] * ue[:-1] + wc[1:] * ue[1:])
-    total_flux = np.diff(abar)[[0, -1]] / dx - adv[[0, -1]]
-    src_int = float(np.sum(src) * dx) if src is not None else 0.0
-    return u, ae[1:-1], (float(total_flux[0]), float(total_flux[1]), src_int)
+    d0, d1 = delta[0], delta[-1]
+    g_left = flux[0] + (k_right[0] - sign * k_left[0]) * d0
+    g_right = flux[-1] + (sign * k_right[-1] - k_left[-1]) * d1
+    return delta, ae[1:-1], (float(g_left), float(g_right))
 
 
-def _advance(model, config, cutoff, phi_prev, tau_next, step_index, threads):
-    phi_iter = phi_prev.copy()
+def _advance(model, config, geom, phi_prev, tau_next, step_index):
+    src = None
+    src_int = 0.0
+    if config.mms_source is not None:
+        src = np.asarray(config.mms_source(geom.centers, tau_next), dtype=float)
+        src_int = float(np.sum(src) * geom.dx)
+    phi_iter = phi_prev
     for it in range(1, config.picard_max + 1):
-        u, a_int, fluxes = _sweep(model, config, cutoff, phi_prev, phi_iter,
-                                  tau_next, threads)
-        residual = float(np.max(np.abs(u - phi_iter)))
-        phi_iter = u
+        delta, a_int, fluxes = _sweep(model, config, geom, phi_prev,
+                                      phi_iter, src, tau_next)
+        phi_iter = phi_iter + delta
+        residual = float(np.max(np.abs(delta)))
         if residual <= config.picard_tol:
             diag = StepDiagnostics(
                 picard_iterations=it,
@@ -303,7 +302,7 @@ def _advance(model, config, cutoff, phi_prev, tau_next, step_index, threads):
                 alpha_max=float(a_int.max()),
                 flux_left=fluxes[0],
                 flux_right=fluxes[1],
-                source_integral=fluxes[2],
+                source_integral=src_int,
             )
             return phi_iter, diag
     raise PicardError(step_index, residual, config.picard_tol)
@@ -322,15 +321,9 @@ def step(state, model: PortfolioModel, config: PDEConfig,
         return state.copy()
     cfg = config
     if dtau != config.dtau:
-        cfg = PDEConfig(
-            grid=config.grid, t_final=dtau, n_steps=1,
-            picard_tol=config.picard_tol, picard_max=config.picard_max,
-            cutoff_m=config.cutoff_m, mms_source=config.mms_source,
-            boundary=config.boundary, dirichlet_values=config.dirichlet_values,
-            upwind=config.upwind,
-        )
-    cutoff = _resolve_cutoff(model, config, state)
-    phi_next, _ = _advance(model, cfg, cutoff, state, tau + dtau, 0, _threads())
+        cfg = replace(config, t_final=dtau, n_steps=1)
+    geom = _Geometry(cfg, _resolve_cutoff(model, config, state))
+    phi_next, _ = _advance(model, cfg, geom, state, tau + dtau, 0)
     return phi_next
 
 
@@ -352,15 +345,15 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     grid = config.grid
     phi0 = phi0_profile(utility, grid)
     cutoff = _resolve_cutoff(model, config, phi0)
-    threads = _threads()
+    geom = _Geometry(config, cutoff)
 
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))
     phi[0] = phi0
     diags = []
     for k in range(config.n_steps):
-        phi[k + 1], d = _advance(model, config, cutoff, phi[k],
-                                 float(tau[k + 1]), k, threads)
+        phi[k + 1], d = _advance(model, config, geom, phi[k],
+                                 float(tau[k + 1]), k)
         diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
                          diagnostics=tuple(diags), cutoff=cutoff)

@@ -18,7 +18,7 @@ from riccati_hjb import (
     weights_path,
 )
 from riccati_hjb.alpha import exhaustive_alpha, near_breakpoint
-from conftest import MU_S, MU_B, two_asset_sigma
+from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
 def grid_search_oracle(model, phi, step=1e-6):

@@ -22,7 +22,7 @@ from riccati_hjb import (
 )
 from riccati_hjb.alpha import closed_form_n2
 from riccati_hjb.pde import CutoffBounds
-from conftest import two_asset_sigma
+from two_asset_data import two_asset_sigma
 
 
 def decaying_sample(rng, n=400, width=20.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riccati_hjb.cli import main
-from conftest import MU_S, MU_B, two_asset_sigma
+from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
 def write_config(path, *, utility=None, pde=None, model_extra=None,
@@ -98,6 +98,15 @@ class TestAlphaCurve:
                      "--out", str(tmp_path / "x"),
                      "--phi-min", "5", "--phi-max", "1"]) == 2
 
+    @pytest.mark.parametrize("n_points", ["0", "-3"])
+    def test_bad_n_points_exits_usage(self, tmp_path, config_path, capsys,
+                                      n_points):
+        assert main(["alpha-curve", "--config", str(config_path),
+                     "--out", str(tmp_path / "x"),
+                     "--n-points", n_points]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--n-points" in err
+
     def test_gnuplot_script_emitted_and_listed(self, tmp_path, config_path):
         out = tmp_path / "gp"
         assert main(["alpha-curve", "--config", str(config_path),
@@ -171,6 +180,12 @@ class TestSolve:
             outs.append(out)
         for f in sorted(outs[0].glob("slice_*.csv")):
             assert f.read_bytes() == (outs[1] / f.name).read_bytes()
+
+    def test_bad_slices_exits_usage(self, tmp_path, config_path, capsys):
+        assert main(["solve", "--config", str(config_path),
+                     "--out", str(tmp_path / "x"), "--slices", "0,abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--slices" in err
 
     def test_missing_sections(self, tmp_path):
         cfg = write_config(tmp_path / "bare.json")  # model only

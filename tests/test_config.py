@@ -11,7 +11,7 @@ from riccati_hjb.config import (
     build_checks,
     load_document,
 )
-from conftest import MU_S, MU_B, VOL_S, VOL_B, CORR, two_asset_sigma
+from two_asset_data import MU_S, MU_B, VOL_S, VOL_B, CORR, two_asset_sigma
 
 
 def base_doc():

@@ -18,7 +18,7 @@ from riccati_hjb import (
     ingest_market_data,
     phi0_profile,
 )
-from conftest import MU_S, MU_B, two_asset_sigma
+from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 MU_CSV = f"mean_return\n{MU_S}\n{MU_B}\n"
 
