@@ -18,7 +18,6 @@ from .alpha import (
     AlphaResult,
     ClosedFormN2,
     LipschitzBounds,
-    alpha_discrete,
     alpha_field,
     closed_form_n2,
     envelope_gradient_x,

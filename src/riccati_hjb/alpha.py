@@ -2,9 +2,10 @@
 risk-adjusted objective -mu(x,theta) + (phi/2) sigma(theta)^2, together with
 its minimizer path, slope bounds and the two-asset closed form.
 
-For the simplex the minimization is a strictly convex QP solved with a primal
-active-set method (exact KKT solves on the working set); finite menus reduce
-to a minimum over affine functions of phi. All operations are pure.
+`alpha_field` is the one vectorized evaluator: the minimizing weights depend
+on rho (phi, or phi + 1 under the log-wealth drift) alone, and one formula
+turns them into alpha, shifted by an x-only inflow term. `solve_alpha`, the
+scalar active-set QP, is its oracle. All operations are pure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "LipschitzBounds",
     "ClosedFormN2",
     "solve_alpha",
-    "alpha_discrete",
     "closed_form_n2",
     "lipschitz_bounds",
     "envelope_gradient_x",
@@ -33,7 +33,6 @@ __all__ = [
     "alpha_field",
     "kkt_residual",
     "exhaustive_alpha",
-    "near_breakpoint",
 ]
 
 _ACTIVE_TOL = 1e-12      # weights below this count as zero
@@ -64,12 +63,10 @@ class AlphaResult:
 @dataclass(frozen=True)
 class LipschitzBounds:
     """Slope bounds of alpha in phi: omega = min of sigma(theta)^2/2 over the
-    decision set, big_l = max; l0 bounds |d sigma^2/dx| (zero here since the
-    covariance does not depend on x)."""
+    decision set, big_l = max."""
 
     omega: float
     big_l: float
-    l0: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.omega <= self.big_l):
@@ -78,7 +75,7 @@ class LipschitzBounds:
             )
 
 
-def _phi_eff(model: PortfolioModel, phi: float) -> float:
+def _phi_eff(model: PortfolioModel, phi):
     # log-wealth drift contributes an extra sigma^2/2, shifting the effective
     # risk-aversion weight of the quadratic term by one
     return phi + 1.0 if model.drift_mode == DRIFT_LOG_WEALTH else phi
@@ -106,12 +103,22 @@ def _solve_working_set(rho: float, sigma: np.ndarray, mu: np.ndarray, free):
     return theta, float(sol[k])
 
 
-def _vertex_minimum(model: PortfolioModel, phi_eff: float):
-    vals = -model.mu + 0.5 * phi_eff * np.diag(model.sigma)
-    i = int(np.argmin(vals))
-    theta = np.zeros(model.n)
-    theta[i] = 1.0
-    return float(vals[i]), theta
+def _menu_lines(model: PortfolioModel):
+    """(points, slopes, intercepts) of the lines rho -> intercept + rho * slope,
+    one per menu fund or, for the simplex, per vertex. Their lower envelope is
+    alpha without the inflow shift: on a menu for every rho, on the simplex
+    for rho <= 0, where the objective is concave."""
+    if model.decision_set.kind == "discrete":
+        pts = model.decision_set.points
+        return pts, 0.5 * model.variance(pts), -(pts @ model.mu)
+    return np.eye(model.n), 0.5 * np.diag(model.sigma), -model.mu
+
+
+def _lowest_line(model: PortfolioModel, rho):
+    """Weights of the lowest line at rho, a scalar (shape (n,)) or a 1-d
+    array (shape (N, n)); ties break to the lowest index."""
+    pts, slopes, intercepts = _menu_lines(model)
+    return pts[np.argmin(intercepts + np.multiply.outer(rho, slopes), axis=-1)]
 
 
 def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
@@ -152,12 +159,9 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
     raise AlphaEngineError("active-set iteration did not converge")
 
 
-def exhaustive_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
-    """Certify the QP by enumerating every support set (exponential in n)."""
-    rho = _phi_eff(model, phi)
-    if rho <= 0:
-        val, theta = _vertex_minimum(model, rho)
-        return _result(model, x, theta, val + _constant_term(model, x))
+def _enumerate_supports(model: PortfolioModel, rho: float) -> np.ndarray:
+    """Weights of the best feasible working-set solution over every support
+    set, rho > 0 (exponential in n)."""
     best_val, best_theta = np.inf, None
     n = model.n
     for k in range(1, n + 1):
@@ -171,62 +175,55 @@ def exhaustive_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult
             val = float(-model.mu @ theta + 0.5 * rho * model.variance(theta))
             if val < best_val - 1e-15:
                 best_val, best_theta = val, np.maximum(theta, 0.0)
-    return _result(model, x, best_theta, best_val + _constant_term(model, x))
+    return best_theta
 
 
-def _result(model: PortfolioModel, x, theta: np.ndarray, value: float) -> AlphaResult:
-    active = tuple(int(i) for i in np.flatnonzero(theta > _ACTIVE_TOL))
+def exhaustive_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
+    """Certify the QP by enumerating every support set (exponential in n)."""
+    rho = _phi_eff(model, phi)
+    if rho <= 0:
+        return _result(model, x, rho, _lowest_line(model, rho))
+    return _result(model, x, rho, _enumerate_supports(model, rho))
+
+
+def _simplex_minimizer(model: PortfolioModel, rho: float) -> np.ndarray:
+    """Minimizing simplex weights at rho > 0: the active-set QP, with
+    support enumeration as the fallback for n <= 3."""
+    try:
+        theta, _ = _active_set_qp(model.sigma, model.mu, rho)
+    except AlphaEngineError:
+        if model.n > 3:
+            raise
+        theta = _enumerate_supports(model, rho)
+    return theta
+
+
+def _result(model: PortfolioModel, x, rho: float, theta: np.ndarray) -> AlphaResult:
+    var = model.variance(theta)
     return AlphaResult(
-        value=value,
+        value=float(-model.mu @ theta + 0.5 * rho * var) + _constant_term(model, x),
         theta_hat=theta,
-        dvalue_dphi=0.5 * model.variance(theta),
-        active_set=active,
+        dvalue_dphi=0.5 * var,
+        active_set=tuple(int(i) for i in np.flatnonzero(theta > _ACTIVE_TOL)),
     )
 
 
 def solve_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
-    """Global minimizer of the risk-adjusted objective at (x, phi).
+    """Global minimizer of the risk-adjusted objective at (x, phi): the scalar
+    oracle that `alpha_field` is certified against.
 
     Simplex sets run the active-set QP (with exhaustive enumeration as a
     fallback certifier for n <= 3); discrete sets take the exact minimum over
-    the menu. For non-convex effective weights (phi at or below the convexity
-    threshold) the minimum is attained at a vertex and computed directly.
+    the menu's lines. For non-convex effective weights (phi at or below the
+    convexity threshold) the minimum is attained at a vertex and computed
+    directly.
     """
-    if model.decision_set.kind == "discrete":
-        return alpha_discrete(model, x, phi)
     rho = _phi_eff(model, phi)
-    shift = _constant_term(model, x)
-    if rho <= 0:
-        val, theta = _vertex_minimum(model, rho)
-        return _result(model, x, theta, val + shift)
-    if model.n == 1:
-        theta = np.ones(1)
-        val = float(-model.mu[0] + 0.5 * rho * model.sigma[0, 0])
-        return _result(model, x, theta, val + shift)
-    try:
-        theta, _ = _active_set_qp(model.sigma, model.mu, rho)
-    except AlphaEngineError:
-        if model.n <= 3:
-            return exhaustive_alpha(model, x, phi)
-        raise
-    val = float(-model.mu @ theta + 0.5 * rho * model.variance(theta))
-    return _result(model, x, theta, val + shift)
-
-
-def alpha_discrete(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
-    """Minimum over a finite menu: each fund contributes the affine function
-    E_i phi + D_i with slope E_i = theta_i'Sigma theta_i / 2. Ties break to
-    the lowest index."""
-    if model.decision_set.kind != "discrete":
-        raise AlphaEngineError("alpha_discrete needs a discrete decision set")
-    pts = model.decision_set.points
-    slopes = 0.5 * model.variance(pts)
-    intercepts = -(pts @ model.mu)
-    if model.drift_mode == DRIFT_LOG_WEALTH:
-        intercepts = intercepts + slopes  # the -sigma^2/2 drift term
-    vals = intercepts + phi * slopes + _constant_term(model, x)
-    i = int(np.argmin(vals))
-    return _result(model, x, pts[i].copy(), float(vals[i]))
+    if model.decision_set.kind == "discrete" or rho <= 0:
+        theta = _lowest_line(model, rho)
+    else:
+        theta = _simplex_minimizer(model, rho)
+    return _result(model, x, rho, theta)
 
 
 def kkt_residual(model: PortfolioModel, x: float, phi: float,
@@ -237,12 +234,10 @@ def kkt_residual(model: PortfolioModel, x: float, phi: float,
     rho = _phi_eff(model, phi)
     viol = abs(theta.sum() - 1.0)
     viol = max(viol, float(-theta.min()) if theta.min() < 0 else 0.0)
-    if model.decision_set.kind == "discrete":
-        # menu optimality: no fund strictly better
-        best = alpha_discrete(model, x, phi).value
-        return max(viol, result.value - best)
-    if rho <= 0:
-        best, _ = _vertex_minimum(model, rho)
+    if model.decision_set.kind == "discrete" or rho <= 0:
+        # no menu fund (or simplex vertex) strictly better
+        _, slopes, intercepts = _menu_lines(model)
+        best = float(np.min(intercepts + rho * slopes))
         return max(viol, result.value - (best + _constant_term(model, x)))
     grad = rho * (model.sigma @ theta) - model.mu
     support = theta > _ACTIVE_TOL
@@ -259,15 +254,16 @@ def lipschitz_bounds(model: PortfolioModel) -> LipschitzBounds:
     """omega/L = min/max of sigma(theta)^2 / 2 over the decision set.
 
     The minimum over the simplex is itself a convex QP; the maximum of a
-    convex function over a polytope sits at a vertex.
+    convex function over a polytope sits at a vertex, so both menus and the
+    simplex take it over the slopes of their lines.
     """
+    _, slopes, _ = _menu_lines(model)
     if model.decision_set.kind == "discrete":
-        v = 0.5 * model.variance(model.decision_set.points)
-        return LipschitzBounds(float(v.min()), float(v.max()))
-    theta, _ = _active_set_qp(model.sigma, np.zeros(model.n), 1.0)
-    omega = 0.5 * model.variance(theta)
-    big_l = 0.5 * float(np.max(np.diag(model.sigma)))
-    return LipschitzBounds(float(omega), big_l)
+        omega = slopes.min()
+    else:
+        theta, _ = _active_set_qp(model.sigma, np.zeros(model.n), 1.0)
+        omega = 0.5 * model.variance(theta)
+    return LipschitzBounds(float(omega), float(slopes.max()))
 
 
 def envelope_gradient_x(model: PortfolioModel, x: float, phi: float):
@@ -320,6 +316,18 @@ class ClosedFormN2:
         return out if out.ndim else float(out)
 
 
+def _n2_weight_line(model: PortfolioModel):
+    """(a, b, q) of the interior two-asset weight theta_1 = a + b / rho, with
+    q = S11 - 2 S12 + S22 the variance of the direction (1, -1)."""
+    s = model.sigma
+    q = float(s[0, 0] - 2.0 * s[0, 1] + s[1, 1])
+    if q <= 0:
+        raise AlphaEngineError("degenerate covariance: S11 - 2 S12 + S22 <= 0")
+    a = float((s[1, 1] - s[0, 1]) / q)   # asymptotic (minimum-variance) weight
+    b = float(model.mu[0] - model.mu[1]) / q
+    return a, b, q
+
+
 def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
     """Derive the two-asset piecewise coefficients from the interior KKT
     solution theta1(phi) = ((mu1-mu2)/phi + S22 - S12) / (S11 - 2 S12 + S22).
@@ -332,12 +340,8 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
     if model.drift_mode == DRIFT_LOG_WEALTH or model.inflow is not None:
         raise AlphaEngineError("closed form needs the simple drift convention")
     s = model.sigma
-    q = float(s[0, 0] - 2.0 * s[0, 1] + s[1, 1])
-    if q <= 0:
-        raise AlphaEngineError("degenerate covariance: S11 - 2 S12 + S22 <= 0")
+    a, b, q = _n2_weight_line(model)
     m = float(model.mu[0] - model.mu[1])
-    a = float((s[1, 1] - s[0, 1]) / q)   # asymptotic (minimum-variance) weight
-    b = m / q
     a_const = float(-model.mu[1] - m * a)
     b_const = 0.5 * m * m / q
     c_const = 0.5 * float(np.linalg.det(s)) / q
@@ -373,15 +377,6 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
                         e_minus, d_minus, e_plus, d_plus)
 
 
-def near_breakpoint(model: PortfolioModel, x: float, phi: float,
-                    window: float = 1e-3) -> bool:
-    """True when the QP active set changes within [phi - window, phi + window].
-    The second derivative of alpha is discontinuous exactly there."""
-    lo = solve_alpha(model, x, max(phi - window, 1e-12)).active_set
-    hi = solve_alpha(model, x, phi + window).active_set
-    return lo != hi
-
-
 # --- vectorized evaluation and weight paths ---------------------------------
 
 def weights_path(model: PortfolioModel, phi_grid, x: float = 0.0):
@@ -390,73 +385,53 @@ def weights_path(model: PortfolioModel, phi_grid, x: float = 0.0):
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or np.any(np.diff(phi_grid) <= 0) or phi_grid[0] <= 0:
         raise AlphaEngineError("phi grid must be strictly increasing and positive")
-    theta = np.empty((phi_grid.size, model.n))
-    alpha = np.empty(phi_grid.size)
-    dalpha = np.empty(phi_grid.size)
-    for i, phi in enumerate(phi_grid):
-        r = solve_alpha(model, x, float(phi))
-        theta[i] = r.theta_hat
-        alpha[i] = r.value
-        dalpha[i] = r.dvalue_dphi
+    alpha, dalpha, theta = alpha_field(model, x, phi_grid)
     return {"phi": phi_grid, "theta": theta, "alpha": alpha, "dalpha_dphi": dalpha}
 
 
-def alpha_field(model: PortfolioModel, x, phi):
-    """Vectorized alpha and its phi-slope over broadcastable (x, phi) arrays.
+def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
+    """Exact minimizing weights at each effective weight rho, shape (N, n):
+    the lowest fund line on a menu; on the simplex all ones for one asset,
+    the clipped interior line for two, the per-point QP for more, and the
+    lowest vertex wherever rho <= 0."""
+    if model.decision_set.kind == "discrete":
+        return _lowest_line(model, rho)
+    if model.n == 1:
+        return np.ones((rho.size, 1))
+    convex = rho > 0
+    if model.n == 2:
+        a, b, _ = _n2_weight_line(model)
+        theta = np.empty((rho.size, 2))
+        # rho = 0 or a tiny rho gives inf or nan here: clipped, or replaced
+        # by a vertex below
+        with np.errstate(all="ignore"):
+            np.clip(a + b / rho, 0.0, 1.0, out=theta[:, 0])
+        np.subtract(1.0, theta[:, 0], out=theta[:, 1])
+    else:
+        theta = np.empty((rho.size, model.n))
+        for k in np.flatnonzero(convex):
+            theta[k] = _simplex_minimizer(model, float(rho[k]))
+    if not convex.all():
+        theta[~convex] = _lowest_line(model, rho[~convex])
+    return theta
 
-    Discrete menus and one- or two-asset simplex models evaluate in closed
-    form; larger simplex models fall back to the per-point QP. Used by the
-    PDE stepper, where the two-asset path is certified against the QP by the
-    closed-form equivalence check.
+
+def alpha_field(model: PortfolioModel, x, phi):
+    """Vectorized (alpha, dalpha_dphi, theta) over broadcastable (x, phi)
+    arrays; theta carries a trailing axis of length n.
+
+    The weights are the exact minimizers at rho; alpha = -theta'mu +
+    (rho/2) theta'Sigma theta - inflow(x), and its phi-slope is
+    theta'Sigma theta / 2 by the envelope theorem.
     """
     xb, pb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(phi, dtype=float))
-    shape = xb.shape
-    xf, pf = xb.ravel(), pb.ravel()
-    ds = model.decision_set
-
-    if ds.kind == "discrete":
-        slopes = 0.5 * model.variance(ds.points)
-        intercepts = -(ds.points @ model.mu)
-        if model.drift_mode == DRIFT_LOG_WEALTH:
-            intercepts = intercepts + slopes  # the -sigma^2/2 drift term
-        vals = intercepts[None, :] + pf[:, None] * slopes[None, :]
-        i = np.argmin(vals, axis=1)
-        alpha = vals[np.arange(len(pf)), i]
-        slope = slopes[i]
-        if model.inflow is not None:
-            alpha = alpha - model.inflow.term(xf)
-        return alpha.reshape(shape), slope.reshape(shape)
-
-    rho = pf + 1.0 if model.drift_mode == DRIFT_LOG_WEALTH else pf.copy()
-    if ds.n == 1:
-        var = np.full_like(pf, model.sigma[0, 0])
-        alpha = -model.mu[0] + 0.5 * rho * var
-        slope = 0.5 * var
-    elif ds.n == 2:
-        s = model.sigma
-        q = float(s[0, 0] - 2.0 * s[0, 1] + s[1, 1])
-        a = (s[1, 1] - s[0, 1]) / q
-        b = float(model.mu[0] - model.mu[1]) / q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            th1 = np.clip(a + b / rho, 0.0, 1.0)
-        # non-convex weights (rho <= 0): the minimum sits at a vertex
-        v0 = -model.mu[0] + 0.5 * rho * s[0, 0]
-        v1 = -model.mu[1] + 0.5 * rho * s[1, 1]
-        th1 = np.where(rho > 0, th1, np.where(v0 <= v1, 1.0, 0.0))
-        th2 = 1.0 - th1
-        var = th1 * th1 * s[0, 0] + 2.0 * th1 * th2 * s[0, 1] + th2 * th2 * s[1, 1]
-        alpha = -(model.mu[0] * th1 + model.mu[1] * th2) + 0.5 * rho * var
-        slope = 0.5 * var
-    else:
-        alpha = np.empty_like(pf)
-        slope = np.empty_like(pf)
-        for k in range(len(pf)):
-            r = solve_alpha(model, float(xf[k]), float(pf[k]))
-            alpha[k] = r.value
-            slope[k] = r.dvalue_dphi
-        return alpha.reshape(shape), slope.reshape(shape)
-
+    rho = _phi_eff(model, pb.ravel())
+    theta = _weights(model, rho)
+    var = ((theta @ model.sigma) * theta).sum(1)
+    alpha = -(theta @ model.mu) + 0.5 * rho * var
     if model.inflow is not None:
-        alpha = alpha - model.inflow.term(xf)
-    return alpha.reshape(shape), slope.reshape(shape)
+        alpha -= model.inflow.term(xb.ravel())
+    shape = pb.shape
+    return (alpha.reshape(shape), (0.5 * var).reshape(shape),
+            theta.reshape(shape + (model.n,)))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alpha import alpha_field, lipschitz_bounds, solve_alpha
+# solve_alpha is unused here, but the traced benchmark wraps it as a boundary
+from .alpha import alpha_field, lipschitz_bounds, solve_alpha  # noqa: F401
 from .model import PortfolioModel
 from .pde import CutoffBounds, SolutionField, lambda_bound
 
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 _SPACE_DIM = 1  # spatial dimension of the PDE runs
+MIN_PAIR_GAP = 1e-6  # smallest |phi1 - phi2| of a sampled monotonicity pair
 
 
 @dataclass(frozen=True)
@@ -136,19 +138,16 @@ def monotonicity_certificate(model: PortfolioModel, phi_samples=None,
         while have < n_pairs:
             a = rng.uniform(lo, hi, size=n_pairs - have)
             b = rng.uniform(lo, hi, size=n_pairs - have)
-            ok = np.abs(a - b) >= 1e-6  # keep the quotient well conditioned
+            # keep the quotient well conditioned
+            ok = np.abs(a - b) >= MIN_PAIR_GAP
             k = int(ok.sum())
             p1[have:have + k] = a[ok]
             p2[have:have + k] = b[ok]
             have += k
-    min_ratio, max_ratio = np.inf, -np.inf
-    for x in xs:
-        for a, b in zip(p1, p2):
-            va = solve_alpha(model, float(x), float(a)).value
-            vb = solve_alpha(model, float(x), float(b)).value
-            r = (va - vb) / (a - b)
-            min_ratio = min(min_ratio, r)
-            max_ratio = max(max_ratio, r)
+    va, _, _ = alpha_field(model, xs[:, None], p1)
+    vb, _, _ = alpha_field(model, xs[:, None], p2)
+    ratios = (va - vb) / (p1 - p2)
+    min_ratio, max_ratio = float(ratios.min()), float(ratios.max())
     if tolerance is None:
         tolerance = 1e-10 * max(1.0, bounds.big_l)
     worst = max(0.0, bounds.omega - min_ratio, max_ratio - bounds.big_l)
@@ -223,11 +222,11 @@ def contraction_budget(model: PortfolioModel, field_or_bounds,
     if isinstance(field_or_bounds, SolutionField):
         sol = field_or_bounds
         centers = sol.grid.centers
-        a0, _ = alpha_field(model, centers, sol.phi[0])
+        a0, _, _ = alpha_field(model, centers, sol.phi[0])
         cut = CutoffBounds(m=float(np.max(np.abs(a0))),
                            lam=lambda_bound(model, sol.grid),
                            horizon=sol.t_final)
-        h, _ = alpha_field(model, centers, np.zeros_like(centers))
+        h, _, _ = alpha_field(model, centers, np.zeros_like(centers))
         h_max = float(np.max(np.abs(h)))
     else:
         cut = field_or_bounds
@@ -257,7 +256,7 @@ def energy_estimate_report(solution: SolutionField, model: PortfolioModel,
     l2_sq = np.array([sobolev_norm(row, dx, 0.0) ** 2 for row in solution.phi])
     lhs = float(np.max(hm1_sq) + np.trapezoid(l2_sq, solution.tau_values))
 
-    h, _ = alpha_field(model, centers, np.zeros_like(centers))
+    h, _, _ = alpha_field(model, centers, np.zeros_like(centers))
     he = np.concatenate([[h[0]], h, [h[-1]]])  # mirror, matching the scheme
     d2h = (he[2:] - 2.0 * he[1:-1] + he[:-2]) / dx**2
     rhs_data = float(hm1_sq[0] + solution.t_final * np.sum(d2h**2) * dx)
@@ -293,7 +292,7 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
     at every stored step, with psi_min/max the signed extremes of
     alpha(x, phi0) capped at zero and lam the drift-gradient bound."""
     centers = solution.grid.centers
-    a0, _ = alpha_field(model, centers, solution.phi[0])
+    a0, _, _ = alpha_field(model, centers, solution.phi[0])
     psi_up = max(0.0, float(np.max(a0)))
     psi_lo = min(0.0, float(np.min(a0)))
     lam = lambda_bound(model, solution.grid)
@@ -301,7 +300,7 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
     worst = 0.0
     where = {"step": 0, "cell": 0, "side": "none"}
     for k, tau in enumerate(solution.tau_values):
-        a, _ = alpha_field(model, centers, solution.phi[k])
+        a, _, _ = alpha_field(model, centers, solution.phi[k])
         growth = float(np.exp(lam * tau))
         low_gap = psi_lo * growth - a          # positive = violation
         high_gap = a - psi_up * growth

@@ -16,15 +16,19 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .alpha import (
+# solve_alpha is unused here, but the traced benchmark wraps it as a boundary
+from .alpha import (  # noqa: F401
     AlphaEngineError,
+    alpha_field,
     closed_form_n2,
     solve_alpha,
     weights_path,
 )
 from .analysis import (
+    CheckReport,
     contraction_budget,
     energy_estimate_report,
     maximum_principle_report,
@@ -52,7 +56,8 @@ def _write_csv(path: Path, header, rows):
 def _manifest(out_dir: Path, doc, outputs, timings, extra=None):
     man = {
         "config": doc,
-        "versions": {"riccati_hjb": __version__, "numpy": np.__version__},
+        "versions": {"riccati_hjb": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "timings_s": timings,
         "outputs": sorted(outputs),
     }
@@ -171,12 +176,7 @@ def _emit_slices(out, model, sol, wanted):
     for k in _slice_indices(sol.tau_values, wanted):
         tau = sol.tau_values[k]
         phi_row = sol.phi[k]
-        theta = np.empty((len(phi_row), model.n))
-        alpha = np.empty(len(phi_row))
-        for i, (x, p) in enumerate(zip(sol.grid.centers, phi_row)):
-            r = solve_alpha(model, float(x), float(p))
-            theta[i] = r.theta_hat
-            alpha[i] = r.value
+        alpha, _, theta = alpha_field(model, sol.grid.centers, phi_row)
         header = ["x", "phi", "alpha"] + [f"theta_{i + 1}" for i in range(model.n)]
         rows = np.column_stack([sol.grid.centers, phi_row, alpha, theta])
         name = f"slice_tau_{tau:.6g}.csv"
@@ -244,7 +244,6 @@ def _verification_bundle(model, utility, pde_cfg, sol, checks):
     fine = energy_estimate_report(solve(model, utility, fine_cfg), model)
     ratio_c = coarse.context["ratio"]
     ratio_f = fine.context["ratio"]
-    from .analysis import CheckReport
     reports.append(CheckReport(
         check_name="energy-refinement",
         bound_lhs=float(ratio_f),
@@ -274,6 +273,8 @@ def cmd_verify(args) -> int:
     if utility is None or pde_cfg is None:
         raise ConfigError("verify needs both a utility and a pde section")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"need --seed >= 0, got {args.seed}")
         checks["seed"] = args.seed
     out = _out_dir(args)
     t0 = time.perf_counter()

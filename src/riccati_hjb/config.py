@@ -4,10 +4,12 @@ pde / checks. Builders raise ConfigError with the offending key path."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import MIN_PAIR_GAP
 from .model import (
     ArctanUtility,
     DaraUtility,
@@ -164,14 +166,41 @@ def build_pde(doc: dict) -> PDEConfig:
         raise ConfigError(f"pde: {exc}") from None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def build_checks(doc: dict) -> dict:
     sec = doc.get("checks", {})
-    return {
-        "seed": int(sec.get("seed", 42)),
-        "n_pairs": int(sec.get("n_pairs", 1000)),
-        "phi_range": tuple(float(v) for v in sec.get("phi_range", (0.1, 50.0))),
-        "tolerance": float(sec.get("tolerance", 1e-8)),
-    }
+    if not isinstance(sec, dict):
+        raise ConfigError(f"checks: expected an object, got {sec!r}")
+    seed = sec.get("seed", 42)
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"checks.seed: expected an integer >= 0, got {seed!r}")
+    n_pairs = sec.get("n_pairs", 1000)
+    if not (_is_int(n_pairs) and n_pairs >= 1):
+        raise ConfigError(
+            f"checks.n_pairs: expected an integer >= 1, got {n_pairs!r}")
+    # at least twice the certificate's minimum pair gap wide, so that at
+    # least a quarter of the sampled pairs qualify and the sampling ends
+    lo_hi = sec.get("phi_range", (0.1, 50.0))
+    if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+            and all(_is_finite(v) for v in lo_hi)
+            and 0 < lo_hi[0] <= lo_hi[1] - 2 * MIN_PAIR_GAP):
+        raise ConfigError(f"checks.phi_range: expected [lo, hi] with 0 < lo "
+                          f"and hi - lo >= {2 * MIN_PAIR_GAP:g}, got {lo_hi!r}")
+    tolerance = sec.get("tolerance", 1e-8)
+    if not (_is_finite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"checks.tolerance: expected a finite number >= 0, "
+                          f"got {tolerance!r}")
+    return {"seed": seed, "n_pairs": n_pairs,
+            "phi_range": (float(lo_hi[0]), float(lo_hi[1])),
+            "tolerance": float(tolerance)}
 
 
 def load_run(path):

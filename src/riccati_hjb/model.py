@@ -186,16 +186,6 @@ class PortfolioModel:
             return float(th @ self.sigma @ th)
         return np.einsum("ij,jk,ik->i", th, self.sigma, th)
 
-    def inflow_term(self, x):
-        if self.inflow is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self.inflow.term(x)
-
-    def inflow_term_dx(self, x):
-        if self.inflow is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self.inflow.term_dx(x)
-
 
 def drift(model: PortfolioModel, x, theta):
     """Drift mu(x, theta) of the wealth process under the model convention."""

@@ -168,7 +168,7 @@ def cutoff_level(model: PortfolioModel, utility: UtilitySpec,
     """M = sup over the grid of |alpha(x, phi0(x))|, with the growth rate
     lam = sup p(x); the clamp levels are +-M e^{lam T}."""
     phi0 = phi0_profile(utility, grid)
-    a0, _ = alpha_field(model, grid.centers, phi0)
+    a0, _, _ = alpha_field(model, grid.centers, phi0)
     m = float(np.max(np.abs(a0)))
     return CutoffBounds(m=m, lam=lambda_bound(model, grid), horizon=t_horizon)
 
@@ -222,7 +222,7 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     """
     dx, dtau, sign = geom.dx, geom.dtau, geom.sign
     pe = geom.extend(phi_iter)
-    ae, se = alpha_field(model, geom.xe, pe)
+    ae, se, _ = alpha_field(model, geom.xe, pe)
     lo, hi = geom.clamp
     if lo <= ae.min() and ae.max() <= hi:
         wc, dw = ae, se
@@ -332,7 +332,7 @@ def _resolve_cutoff(model, config, phi0):
         return None
     lam = lambda_bound(model, config.grid)
     if config.cutoff_m == "auto":
-        a0, _ = alpha_field(model, config.grid.centers, phi0)
+        a0, _, _ = alpha_field(model, config.grid.centers, phi0)
         m = float(np.max(np.abs(a0)))
     else:
         m = float(config.cutoff_m)

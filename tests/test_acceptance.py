@@ -28,7 +28,6 @@ from riccati_hjb import (
     solve,
     solve_alpha,
 )
-from riccati_hjb.alpha import alpha_discrete
 
 
 def report(num, ok, desc, detail=""):
@@ -187,8 +186,8 @@ def test_criterion_10_menu_geometry(paper_model, fund_menu_model):
     for i, theta in enumerate(pts):
         menu_one = PortfolioModel(fund_menu_model.mu, fund_menu_model.sigma,
                                   DecisionSet.discrete([theta]))
-        v1 = alpha_discrete(menu_one, 0.0, 1.0).value
-        v2 = alpha_discrete(menu_one, 0.0, 3.0).value
+        v1 = solve_alpha(menu_one, 0.0, 1.0).value
+        v2 = solve_alpha(menu_one, 0.0, 3.0).value
         slope = (v2 - v1) / 2.0
         intercept = v1 - slope * 1.0
         worst = max(worst,
@@ -196,7 +195,7 @@ def test_criterion_10_menu_geometry(paper_model, fund_menu_model):
                     abs(intercept - (-(fund_menu_model.mu @ theta))))
     dominated = True
     for phi in np.linspace(0.2, 40.0, 211):
-        a_menu = alpha_discrete(fund_menu_model, 0.0, float(phi)).value
+        a_menu = solve_alpha(fund_menu_model, 0.0, float(phi)).value
         a_full = solve_alpha(paper_model, 0.0, float(phi)).value
         dominated &= a_menu >= a_full - 1e-12
     report(10, worst <= 1e-14 and dominated,

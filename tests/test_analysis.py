@@ -19,8 +19,10 @@ from riccati_hjb import (
     monotonicity_certificate,
     sobolev_norm,
     solve,
+    solve_alpha,
 )
 from riccati_hjb.alpha import closed_form_n2
+from riccati_hjb.model import InflowProfile
 from riccati_hjb.pde import CutoffBounds
 from two_asset_data import two_asset_sigma
 
@@ -117,6 +119,33 @@ class TestMonotonicityCertificate:
             np.linspace(bp + 1e-6, bp + 0.5, 25)])
         rep = monotonicity_certificate(paper_model, phi_samples=samples)
         assert rep.passed
+
+    @pytest.mark.parametrize("which", ["two_asset", "menu", "three_asset_inflow"])
+    def test_matches_scalar_loop(self, paper_model, fund_menu_model, which):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(3, 3))
+        model, xs = {
+            "two_asset": (paper_model, [0.0]),
+            "menu": (fund_menu_model, [0.0]),
+            "three_asset_inflow": (PortfolioModel(
+                rng.normal(0.05, 0.1, 3), g @ g.T + 0.05 * np.eye(3),
+                DecisionSet.simplex(3), inflow=InflowProfile(0.2, 1.0, 2.0)),
+                [-0.5, 0.3, 1.2]),
+        }[which]
+        n_pairs, seed, (lo, hi) = 300, 9, (0.1, 50.0)
+        rep = monotonicity_certificate(model, x_samples=xs, n_pairs=n_pairs,
+                                       seed=seed, phi_range=(lo, hi))
+        # the certificate's seeded pair sampling, then one scalar QP per value
+        pairs_rng = np.random.default_rng(seed)
+        pairs = []
+        while len(pairs) < n_pairs:
+            a = pairs_rng.uniform(lo, hi, size=n_pairs - len(pairs))
+            b = pairs_rng.uniform(lo, hi, size=n_pairs - len(pairs))
+            pairs += [(p, q) for p, q in zip(a, b) if abs(p - q) >= 1e-6]
+        ratios = [(solve_alpha(model, x, p).value - solve_alpha(model, x, q).value)
+                  / (p - q) for x in xs for p, q in pairs]
+        assert rep.context["min_ratio"] == pytest.approx(min(ratios), abs=1e-12)
+        assert rep.context["max_ratio"] == pytest.approx(max(ratios), abs=1e-12)
 
     def test_deterministic_given_seed(self, paper_model):
         a = monotonicity_certificate(paper_model, n_pairs=50, seed=7)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -153,6 +154,7 @@ class TestSolve:
         assert main(["solve", "--config", str(config_path), "--out", str(out),
                      "--slices", "0,0.5,1"]) == 0
         man = json.loads((out / "manifest.json").read_text())
+        assert man["versions"]["scipy"] == scipy.__version__
         slices = [f for f in man["outputs"] if f.startswith("slice_tau_")]
         assert len(slices) == 3
         rows = np.loadtxt(out / slices[0], delimiter=",", skiprows=1)
@@ -214,6 +216,25 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
         payload = json.loads((out / "verify.json").read_text())
         assert not payload["checks"]["maximum-principle"]["passed"]
+
+    @pytest.mark.parametrize("checks", [
+        {"phi_range": [1.0, 1.0]}, {"phi_range": [1.0]}, {"n_pairs": "abc"},
+        {"n_pairs": 0}, {"tolerance": -1.0}, {"seed": 2.5}])
+    def test_malformed_checks_exit_config(self, tmp_path, capsys, checks):
+        cfg = write_config(tmp_path / "bad.json", utility=DARA_UTIL,
+                           pde=SMALL_PDE, checks=checks)
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"checks.{next(iter(checks))}" in err
+        assert not out.exists()  # rejected before the solve
+
+    def test_negative_seed_exit_config(self, tmp_path, config_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(config_path), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),

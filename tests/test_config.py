@@ -138,6 +138,28 @@ class TestChecksAndDocument:
         assert checks == {"seed": 42, "n_pairs": 1000,
                           "phi_range": (0.1, 50.0), "tolerance": 1e-8}
 
+    def test_checks_values_kept(self):
+        checks = build_checks({"checks": {"seed": 7, "n_pairs": 3,
+                                          "phi_range": [0.5, 2],
+                                          "tolerance": 0}})
+        assert checks == {"seed": 7, "n_pairs": 3, "phi_range": (0.5, 2.0),
+                          "tolerance": 0.0}
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_pairs", 0), ("n_pairs", -3), ("n_pairs", "abc"), ("n_pairs", 10.5),
+        ("n_pairs", True),
+        ("phi_range", [1.0, 1.0]), ("phi_range", [1.0]), ("phi_range", [2.0, 1.0]),
+        ("phi_range", [0.0, 1.0]), ("phi_range", [1.0, 1.0 + 1e-6]),
+        ("phi_range", [1.0, float("inf")]), ("phi_range", [float("nan"), 1.0]),
+        ("phi_range", ["a", "b"]), ("phi_range", 5.0),
+        ("tolerance", -1e-9), ("tolerance", float("nan")), ("tolerance", "abc"),
+        ("tolerance", None),
+        ("seed", "abc"), ("seed", 1.5), ("seed", -1),
+    ])
+    def test_malformed_checks_name_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"checks.{key}"):
+            build_checks({"checks": {key: value}})
+
     def test_document_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_document(tmp_path / "missing.json")
