@@ -37,6 +37,10 @@ __all__ = [
 
 _ACTIVE_TOL = 1e-12      # weights below this count as zero
 _KKT_TOL = 1e-10
+# below the smallest normal float rho * Sigma underflows and the working-set
+# system turns singular; the quadratic term is below rounding there, so the
+# lowest vertex is the minimizer to rounding, as for rho <= 0
+_RHO_TINY = np.finfo(float).tiny
 
 
 class AlphaEngineError(RuntimeError):
@@ -216,10 +220,10 @@ def solve_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
     fallback certifier for n <= 3); discrete sets take the exact minimum over
     the menu's lines. For non-convex effective weights (phi at or below the
     convexity threshold) the minimum is attained at a vertex and computed
-    directly.
+    directly, as it is for a positive rho below the smallest normal float.
     """
     rho = _phi_eff(model, phi)
-    if model.decision_set.kind == "discrete" or rho <= 0:
+    if model.decision_set.kind == "discrete" or rho < _RHO_TINY:
         theta = _lowest_line(model, rho)
     else:
         theta = _simplex_minimizer(model, rho)
@@ -393,12 +397,12 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     """Exact minimizing weights at each effective weight rho, shape (N, n):
     the lowest fund line on a menu; on the simplex all ones for one asset,
     the clipped interior line for two, the per-point QP for more, and the
-    lowest vertex wherever rho <= 0."""
+    lowest vertex wherever rho <= 0 or rho is subnormal."""
     if model.decision_set.kind == "discrete":
         return _lowest_line(model, rho)
     if model.n == 1:
         return np.ones((rho.size, 1))
-    convex = rho > 0
+    convex = rho >= _RHO_TINY
     if model.n == 2:
         a, b, _ = _n2_weight_line(model)
         theta = np.empty((rho.size, 2))

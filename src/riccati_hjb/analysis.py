@@ -292,25 +292,22 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
     at every stored step, with psi_min/max the signed extremes of
     alpha(x, phi0) capped at zero and lam the drift-gradient bound."""
     centers = solution.grid.centers
-    a0, _, _ = alpha_field(model, centers, solution.phi[0])
-    psi_up = max(0.0, float(np.max(a0)))
-    psi_lo = min(0.0, float(np.min(a0)))
+    a, _, _ = alpha_field(model, centers, solution.phi)
+    psi_up = max(0.0, float(np.max(a[0])))
+    psi_lo = min(0.0, float(np.min(a[0])))
     lam = lambda_bound(model, solution.grid)
-
-    worst = 0.0
+    growth = np.exp(lam * solution.tau_values)[:, None]
+    # gaps (step, side, cell), positive = violation; the flat argmax is the
+    # first worst entry in step, then lower-before-upper, then cell order
+    gaps = np.stack([psi_lo * growth - a, a - psi_up * growth], axis=1)
+    k, side, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    worst = max(0.0, float(gaps[k, side, i]))
     where = {"step": 0, "cell": 0, "side": "none"}
-    for k, tau in enumerate(solution.tau_values):
-        a, _, _ = alpha_field(model, centers, solution.phi[k])
-        growth = float(np.exp(lam * tau))
-        low_gap = psi_lo * growth - a          # positive = violation
-        high_gap = a - psi_up * growth
-        for gap, side in ((low_gap, "lower"), (high_gap, "upper")):
-            i = int(np.argmax(gap))
-            if gap[i] > worst:
-                worst = float(gap[i])
-                where = {"step": k, "cell": i, "side": side,
-                         "tau": float(tau), "x": float(centers[i]),
-                         "alpha": float(a[i])}
+    if worst > 0.0:
+        where = {"step": int(k), "cell": int(i),
+                 "side": ("lower", "upper")[side],
+                 "tau": float(solution.tau_values[k]),
+                 "x": float(centers[i]), "alpha": float(a[k, i])}
     return CheckReport(
         check_name="maximum-principle",
         bound_lhs=worst,

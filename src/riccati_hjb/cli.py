@@ -186,8 +186,11 @@ def _emit_slices(out, model, sol, wanted):
 
 
 def _diag_summary(sol):
+    sweeps = [d.picard_iterations for d in sol.diagnostics]
     return {
-        "max_picard_iterations": max(d.picard_iterations for d in sol.diagnostics),
+        "max_picard_iterations": max(sweeps),
+        "total_sweeps": sum(sweeps),
+        "mean_sweeps_per_step": sum(sweeps) / len(sweeps),
         "max_residual": max(d.residual for d in sol.diagnostics),
         "alpha_range": [min(d.alpha_min for d in sol.diagnostics),
                         max(d.alpha_max for d in sol.diagnostics)],

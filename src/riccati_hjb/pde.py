@@ -10,6 +10,16 @@ face flux w(alpha) phi through both the face velocity and the upwinded value
 correction. The sweeps stop once the correction is below the tolerance, so
 the converged iterate satisfies the fully implicit nonlinear step.
 
+`solve` starts each step's sweeps from the quadratic extrapolation in time
+of the levels already computed (linear at the second step, the initial
+profile at the first). On a smooth trajectory that start is O(dtau^3) from
+the answer instead of O(dtau), which saves about one sweep per step; the
+stop rule is unchanged, so the converged step agrees to the sweep
+tolerance. `step`, which has no history, starts from its state. The
+tridiagonal system goes straight to LAPACK gtsv, the routine behind scipy's
+banded solver for one band on each side, without the wrapper's validation
+and band-matrix packing.
+
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation.
 """
@@ -20,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .alpha import alpha_field
 from .model import PortfolioModel, SpatialGrid, UtilitySpec, phi0_profile
@@ -205,6 +215,17 @@ class _Geometry:
         return out
 
 
+# scipy's name is kept: perfbench's traced run wraps pde.solve_banded
+def solve_banded(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    (lower, diag, upper) by LAPACK gtsv. lower, upper and rhs are
+    overwritten; diag is kept. Raises LinAlgError on a zero pivot."""
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, True, False, True, True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     """One Newton sweep: solve the linearized step for the correction.
 
@@ -261,13 +282,11 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     diag[0] -= sign * k_left[0] / dx
     diag[-1] -= sign * k_right[-1] / dx
 
-    ab = np.zeros((3, geom.n))
-    ab[0, 1:] = -k_right[1:-1] / dx    # coefficient of delta_{i+1} in row i
-    ab[1] = diag
-    ab[2, :-1] = -k_left[1:-1] / dx    # coefficient of delta_{i-1} in row i+1
+    # row i couples delta_{i-1} by -k_left[i] / dx, delta_{i+1} by
+    # -k_right[i+1] / dx
     try:
-        delta = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
-                             check_finite=False)
+        delta = solve_banded(-k_left[1:-1] / dx, diag, -k_right[1:-1] / dx,
+                             rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"tridiagonal solve failed at tau={tau_next:.6g}: {exc}; "
@@ -282,13 +301,14 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     return delta, ae[1:-1], (float(g_left), float(g_right))
 
 
-def _advance(model, config, geom, phi_prev, tau_next, step_index):
+def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
+    """Newton sweeps of one implicit step from phi_prev, starting at start."""
     src = None
     src_int = 0.0
     if config.mms_source is not None:
         src = np.asarray(config.mms_source(geom.centers, tau_next), dtype=float)
         src_int = float(np.sum(src) * geom.dx)
-    phi_iter = phi_prev
+    phi_iter = start
     for it in range(1, config.picard_max + 1):
         delta, a_int, fluxes = _sweep(model, config, geom, phi_prev,
                                       phi_iter, src, tau_next)
@@ -323,7 +343,7 @@ def step(state, model: PortfolioModel, config: PDEConfig,
     if dtau != config.dtau:
         cfg = replace(config, t_final=dtau, n_steps=1)
     geom = _Geometry(cfg, _resolve_cutoff(model, config, state))
-    phi_next, _ = _advance(model, cfg, geom, state, tau + dtau, 0)
+    phi_next, _ = _advance(model, cfg, geom, state, state, tau + dtau, 0)
     return phi_next
 
 
@@ -352,7 +372,13 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     phi[0] = phi0
     diags = []
     for k in range(config.n_steps):
-        phi[k + 1], d = _advance(model, config, geom, phi[k],
+        if k >= 2:
+            start = 3.0 * (phi[k] - phi[k - 1]) + phi[k - 2]
+        elif k == 1:
+            start = 2.0 * phi[1] - phi[0]
+        else:
+            start = phi[0]
+        phi[k + 1], d = _advance(model, config, geom, phi[k], start,
                                  float(tau[k + 1]), k)
         diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,

@@ -425,6 +425,38 @@ class TestAlphaField:
             assert a[i] == pytest.approx(r.value, abs=1e-14)
 
 
+SUBNORMAL_PHIS = [5e-324, 1e-320, 1e-310]
+
+
+class TestSubnormalRho:
+    # rho * Sigma underflows below the smallest normal float, which once
+    # made the working-set system singular; the lowest vertex is the
+    # minimizer there to rounding
+
+    @pytest.mark.parametrize("phi", SUBNORMAL_PHIS)
+    def test_two_asset_scalar(self, paper_model, phi):
+        r = solve_alpha(paper_model, 0.0, phi)
+        assert np.array_equal(r.theta_hat, [1.0, 0.0])  # the higher mean
+        assert r.value == pytest.approx(-MU_S, abs=1e-15)
+        assert kkt_residual(paper_model, 0.0, phi, r) <= 1e-10
+
+    @pytest.mark.parametrize("phi", SUBNORMAL_PHIS)
+    def test_three_asset_field(self, phi):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(3, 3))
+        model = PortfolioModel(np.array([0.05, 0.09, 0.07]),
+                               g @ g.T + 0.05 * np.eye(3),
+                               DecisionSet.simplex(3))
+        phis = np.array([phi, 0.5, phi])
+        a, s, theta = alpha_field(model, 0.0, phis)
+        for i in (0, 2):
+            assert np.array_equal(theta[i], [0.0, 1.0, 0.0])
+            r = AlphaResult(value=float(a[i]), theta_hat=theta[i],
+                            dvalue_dphi=float(s[i]), active_set=())
+            assert kkt_residual(model, 0.0, phi, r) <= 1e-10
+            assert a[i] == solve_alpha(model, 0.0, phi).value
+
+
 @st.composite
 def field_models(draw):
     """A random simplex (n = 1..5) or fund-menu model in either drift mode,
@@ -448,11 +480,9 @@ def field_models(draw):
 
 
 # both signs of phi, weighted towards rho near 0 in either drift mode, where
-# the weights leave the vertex; subnormal phi is left out because the scalar
-# QP oracle cannot solve its working-set system there (rho * Sigma
-# underflows to a singular matrix)
-PHIS = st.one_of(st.floats(-20.0, 80.0, allow_subnormal=False),
-                 st.floats(-1.5, 1.5, allow_subnormal=False))
+# the weights leave the vertex, and towards subnormal phi
+PHIS = st.one_of(st.floats(-20.0, 80.0), st.floats(-1.5, 1.5),
+                 st.floats(-1e-300, 1e-300))
 
 
 class TestAlphaFieldProperties:

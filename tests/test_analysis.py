@@ -12,6 +12,7 @@ from riccati_hjb import (
     PortfolioModel,
     SpatialGrid,
     TabulatedPhi0,
+    alpha_field,
     contraction_budget,
     energy_estimate_report,
     lipschitz_bounds,
@@ -23,7 +24,7 @@ from riccati_hjb import (
 )
 from riccati_hjb.alpha import closed_form_n2
 from riccati_hjb.model import InflowProfile
-from riccati_hjb.pde import CutoffBounds
+from riccati_hjb.pde import CutoffBounds, lambda_bound
 from two_asset_data import two_asset_sigma
 
 
@@ -283,3 +284,50 @@ class TestMaximumPrincipleReport:
         a = maximum_principle_report(sol, paper_model)
         b = maximum_principle_report(sol, paper_model)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("which", ["dirichlet_lower", "dirichlet_upper",
+                                       "inflow"])
+    def test_matches_step_loop(self, paper_model, singleton_model, which):
+        grid = SpatialGrid(-8, 8, 100)
+        dara = DaraUtility(9.0, 6.0, 2.0, 8.0)
+        # a wall pinned below the initial range breaks the lower bound; one
+        # that lifts alpha above 0 (from -0.02 at phi = 2) the upper one
+        model, util, kw = {
+            "dirichlet_lower": (paper_model, dara, dict(
+                boundary="dirichlet", dirichlet_values=(6.0, 0.5))),
+            "dirichlet_upper": (singleton_model, TabulatedPhi0(
+                grid.centers, np.full(100, 2.0), truncation_gamma=None),
+                dict(boundary="dirichlet", dirichlet_values=(5.0, 2.0),
+                     upwind=True)),
+            "inflow": (PortfolioModel(
+                paper_model.mu, paper_model.sigma, DecisionSet.simplex(2),
+                inflow=InflowProfile(1.0, 1.0, 2.0)), dara, dict(upwind=True)),
+        }[which]
+        cfg = PDEConfig(grid=grid, t_final=4.0, n_steps=40, **kw)
+        sol = solve(model, util, cfg)
+        rep = maximum_principle_report(sol, model)
+        assert rep.passed == (which == "inflow")
+
+        # one alpha evaluation per stored step; the first strict maximum in
+        # step order, lower side before upper, then cell order
+        a0, _, _ = alpha_field(model, grid.centers, sol.phi[0])
+        psi_up, psi_lo = max(0.0, a0.max()), min(0.0, a0.min())
+        lam = lambda_bound(model, grid)
+        worst, where = 0.0, {"step": 0, "cell": 0, "side": "none"}
+        for k, tau in enumerate(sol.tau_values):
+            a, _, _ = alpha_field(model, grid.centers, sol.phi[k])
+            growth = np.exp(lam * sol.tau_values)[k]
+            for gap, side in ((psi_lo * growth - a, "lower"),
+                              (a - psi_up * growth, "upper")):
+                i = int(np.argmax(gap))
+                if gap[i] > worst:
+                    worst = float(gap[i])
+                    where = {"step": k, "cell": i, "side": side,
+                             "tau": float(tau), "x": float(grid.centers[i]),
+                             "alpha": float(a[i])}
+        assert rep.worst_violation == worst
+        assert rep.context["worst_location"] == where
+        assert rep.context["psi_lower"] == psi_lo
+        assert rep.context["psi_upper"] == psi_up
+        if which != "inflow":
+            assert where["side"] == which.split("_")[1]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy
 
+from riccati_hjb import solve
+from riccati_hjb.config import load_run
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
@@ -159,6 +161,13 @@ class TestSolve:
         assert len(slices) == 3
         rows = np.loadtxt(out / slices[0], delimiter=",", skiprows=1)
         assert rows.shape == (80, 5)  # x, phi, alpha, theta_1, theta_2
+        # the stepper's work, as the same solve reports it step by step
+        _, model, utility, pde_cfg, _ = load_run(config_path)
+        sweeps = [d.picard_iterations
+                  for d in solve(model, utility, pde_cfg).diagnostics]
+        diag = man["diagnostics"]
+        assert diag["total_sweeps"] == sum(sweeps)
+        assert diag["mean_sweeps_per_step"] == sum(sweeps) / SMALL_PDE["n_steps"]
 
     def test_constant_profile_slices_flat(self, tmp_path):
         cfg = write_config(

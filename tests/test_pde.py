@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from riccati_hjb import (
     ArctanUtility,
@@ -9,6 +10,7 @@ from riccati_hjb import (
     PDEConfig,
     PicardError,
     PortfolioModel,
+    SolverError,
     SpatialGrid,
     TabulatedPhi0,
     closed_form_n2,
@@ -20,6 +22,7 @@ from riccati_hjb import (
     solve,
     step,
 )
+from riccati_hjb import pde
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
@@ -282,19 +285,70 @@ class TestConservation:
 
 class TestNewtonSweeps:
     # a frozen advective coefficient needs 4.27 sweeps per step on the
-    # shipped 400x400 stocks/bonds DARA run; an exact Jacobian needs about 3
-    # there, with the centered flux (whose overshoot engages the auto clamp)
-    # and with every cell clamped
+    # shipped 400x400 stocks/bonds DARA run and an exact Jacobian started
+    # from the previous level about 3; started from the quadratic
+    # extrapolation of the earlier levels it needs about 2.1 there, with the
+    # centered flux (whose overshoot engages the auto clamp), with every
+    # cell clamped and with Dirichlet walls
     @pytest.mark.parametrize("kw", [
         dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True),
         dict(upwind=False),
         dict(upwind=True, cutoff_m=0.03),
-    ], ids=["shipped", "central", "clamped"])
+        dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True,
+             boundary="dirichlet", dirichlet_values=(9.0, 6.0)),
+    ], ids=["shipped", "central", "clamped", "dirichlet"])
     def test_sweeps_per_step(self, paper_model, kw):
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         sol = solve(paper_model, util, paper_cfg(**kw))
         sweeps = [d.picard_iterations for d in sol.diagnostics]
-        assert np.mean(sweeps) <= 3.3
+        assert np.mean(sweeps) <= 2.3
+
+    def test_extrapolated_start_keeps_the_step(self, paper_model):
+        # step() starts every step from the previous level, solve() from the
+        # extrapolated one: both must land on the same implicit steps
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = paper_cfg(n_cells=400, n_steps=400, t_final=10.0, upwind=True,
+                        cutoff_m=None)
+        sol = solve(paper_model, util, cfg)
+        state = sol.phi[0]
+        worst = 0.0
+        for k in range(cfg.n_steps):
+            state = step(state, paper_model, cfg, tau=float(sol.tau_values[k]))
+            worst = max(worst, float(np.max(np.abs(state - sol.phi[k + 1]))))
+        assert worst <= 1e-9
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n", [8, 57, 400])
+    def test_matches_scipy_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        lower, upper = rng.normal(size=(2, n - 1))
+        diag = 2.0 + np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
+        diag *= rng.choice([-1.0, 1.0], size=n)
+        rhs = rng.normal(size=n)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        mine = pde.solve_banded(lower.copy(), diag.copy(), upper.copy(),
+                                rhs.copy())
+        assert np.array_equal(mine, ref)
+
+    def test_singular_system_is_solver_error(self, singleton_model):
+        # a constant state whose advective coefficient is clamped to zero
+        # and no time derivative leave the mirror-BC diffusion operator,
+        # whose constant null vector gives an exactly zero last pivot
+        grid = SpatialGrid(-4.0, 4.0, 16)
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=4)
+        geom = pde._Geometry(cfg, pde.CutoffBounds(m=0.0, lam=0.0,
+                                                   horizon=1.0))
+        geom.dtau = np.inf
+        phi = np.full(16, 2.0)
+        k = 0.5 * 0.04 / grid.dx**2   # alpha slope sigma^2 / 2 over dx^2
+        with pytest.raises(SolverError, match="tridiagonal solve") as exc:
+            pde._sweep(singleton_model, cfg, geom, phi, phi, None, 0.5)
+        # the reported range is that of the assembled diagonal, which the
+        # solve leaves in place
+        assert f"diag range [{k:.3e}, {2 * k:.3e}]" in str(exc.value)
 
 
 class TestManufacturedSolution:
