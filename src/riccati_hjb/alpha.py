@@ -322,14 +322,20 @@ class ClosedFormN2:
 
 def _n2_weight_line(model: PortfolioModel):
     """(a, b, q) of the interior two-asset weight theta_1 = a + b / rho, with
-    q = S11 - 2 S12 + S22 the variance of the direction (1, -1)."""
+    q = S11 - 2 S12 + S22 the variance of the direction (1, -1). Derived once
+    per model and kept in its instance dict: the model is immutable."""
+    line = model.__dict__.get("_n2_weight_line")
+    if line is not None:
+        return line
     s = model.sigma
     q = float(s[0, 0] - 2.0 * s[0, 1] + s[1, 1])
     if q <= 0:
         raise AlphaEngineError("degenerate covariance: S11 - 2 S12 + S22 <= 0")
     a = float((s[1, 1] - s[0, 1]) / q)   # asymptotic (minimum-variance) weight
     b = float(model.mu[0] - model.mu[1]) / q
-    return a, b, q
+    # a frozen dataclass refuses setattr; its instance dict takes the memo
+    model.__dict__["_n2_weight_line"] = line = (a, b, q)
+    return line
 
 
 def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
@@ -402,20 +408,32 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
         return _lowest_line(model, rho)
     if model.n == 1:
         return np.ones((rho.size, 1))
-    convex = rho >= _RHO_TINY
+    # None when every rho is convex, the common case, else the mask
+    convex = (None if rho.min(initial=np.inf) >= _RHO_TINY
+              else rho >= _RHO_TINY)
     if model.n == 2:
         a, b, _ = _n2_weight_line(model)
+        if convex is None:
+            t1 = b / rho
+        else:
+            # rho = 0 or a tiny rho gives inf or nan here: replaced by a
+            # vertex below
+            with np.errstate(all="ignore"):
+                t1 = b / rho
+        # clipped to [0, 1] in place, on a contiguous array (faster than
+        # ufuncs on a column of theta)
+        t1 += a
+        np.minimum(t1, 1.0, out=t1)
+        np.maximum(t1, 0.0, out=t1)
         theta = np.empty((rho.size, 2))
-        # rho = 0 or a tiny rho gives inf or nan here: clipped, or replaced
-        # by a vertex below
-        with np.errstate(all="ignore"):
-            np.clip(a + b / rho, 0.0, 1.0, out=theta[:, 0])
-        np.subtract(1.0, theta[:, 0], out=theta[:, 1])
+        theta[:, 0] = t1
+        np.subtract(1.0, t1, out=theta[:, 1])
     else:
         theta = np.empty((rho.size, model.n))
-        for k in np.flatnonzero(convex):
+        for k in (range(rho.size) if convex is None
+                  else np.flatnonzero(convex)):
             theta[k] = _simplex_minimizer(model, float(rho[k]))
-    if not convex.all():
+    if convex is not None:
         theta[~convex] = _lowest_line(model, rho[~convex])
     return theta
 
@@ -428,14 +446,21 @@ def alpha_field(model: PortfolioModel, x, phi):
     (rho/2) theta'Sigma theta - inflow(x), and its phi-slope is
     theta'Sigma theta / 2 by the envelope theorem.
     """
-    xb, pb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(phi, dtype=float))
-    rho = _phi_eff(model, pb.ravel())
+    x = np.asarray(x, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if x.shape != phi.shape:
+        x, phi = np.broadcast_arrays(x, phi)
+    rho = _phi_eff(model, phi.ravel())
     theta = _weights(model, rho)
-    var = ((theta @ model.sigma) * theta).sum(1)
-    alpha = -(theta @ model.mu) + 0.5 * rho * var
+    # row sums as a product with ones cost a fraction of sum(axis=1), and
+    # ndarray.dot less than @ on arrays this small
+    var = (theta.dot(model.sigma) * theta).dot(np.ones(model.n))
+    alpha = rho * var
+    alpha *= 0.5
+    alpha -= theta.dot(model.mu)
     if model.inflow is not None:
-        alpha -= model.inflow.term(xb.ravel())
-    shape = pb.shape
-    return (alpha.reshape(shape), (0.5 * var).reshape(shape),
+        alpha -= model.inflow.term(x.ravel())
+    var *= 0.5
+    shape = phi.shape
+    return (alpha.reshape(shape), var.reshape(shape),
             theta.reshape(shape + (model.n,)))

@@ -213,8 +213,10 @@ def cmd_solve(args) -> int:
     outputs = _emit_slices(out, model, sol, wanted)
     extra = {"diagnostics": _diag_summary(sol)}
     if args.verify:
-        reports = _verification_bundle(model, utility, pde_cfg, sol, checks)
+        reports, info = _verification_bundle(model, utility, pde_cfg, sol,
+                                             checks)
         extra["checks"] = {r.check_name: r.to_dict() for r in reports}
+        extra["info"] = info
     if args.gnuplot:
         gp = out / "slices.gp"
         gp.write_text("set datafile separator ','\n" + "\n".join(
@@ -255,20 +257,16 @@ def _verification_bundle(model, utility, pde_cfg, sol, checks):
         context={"ratio_coarse": ratio_c, "ratio_fine": ratio_f},
     ))
 
+    # informational: t0 > 0 holds by construction, so there is no bound to
+    # check, and horizons of many contraction windows are normal
     budget = contraction_budget(model, sol)
-    reports.append(CheckReport(
-        check_name="contraction-budget",
-        bound_lhs=0.0 if budget.t0 > 0 else np.inf,
-        bound_rhs=0.0,
-        tolerance=0.0,
-        context={
-            "omega": budget.omega, "beta": budget.beta,
-            "beta_tilde": budget.beta_tilde, "t0": budget.t0,
-            "horizon": budget.horizon, "windows": budget.windows(),
-            "horizon_exceeds_t0": budget.horizon > budget.t0,
-        },
-    ))
-    return reports
+    info = {"contraction-budget": {
+        "omega": budget.omega, "beta": budget.beta,
+        "beta_tilde": budget.beta_tilde, "t0": budget.t0,
+        "horizon": budget.horizon, "windows": budget.windows(),
+        "horizon_exceeds_t0": budget.horizon > budget.t0,
+    }}
+    return reports, info
 
 
 def cmd_verify(args) -> int:
@@ -282,10 +280,11 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
     sol = solve(model, utility, pde_cfg)
-    reports = _verification_bundle(model, utility, pde_cfg, sol, checks)
+    reports, info = _verification_bundle(model, utility, pde_cfg, sol, checks)
     payload = {
         "passed": all(r.passed for r in reports),
         "checks": {r.check_name: r.to_dict() for r in reports},
+        "info": info,
     }
     path = out / "verify.json"
     path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
@@ -294,6 +293,9 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check_name}: "
               f"worst violation {r.worst_violation:.3e} "
               f"(tol {r.tolerance:.1e})")
+    budget = info["contraction-budget"]
+    print(f"INFO contraction-budget: t0 {budget['t0']:.3e}, "
+          f"horizon {budget['horizon']:.6g}, windows {budget['windows']}")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 

@@ -18,7 +18,11 @@ stop rule is unchanged, so the converged step agrees to the sweep
 tolerance. `step`, which has no history, starts from its state. The
 tridiagonal system goes straight to LAPACK gtsv, the routine behind scipy's
 banded solver for one band on each side, without the wrapper's validation
-and band-matrix packing.
+and band-matrix packing. A sweep is bound by numpy's per-call overhead on
+arrays of n + 2 values, so it builds its temporaries in place, multiplies
+by the reciprocals of dx and dtau, and leaves the check for a non-finite
+correction to the max |delta| of the stop rule, which is nan or inf exactly
+when delta has such an entry.
 
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation.
@@ -26,6 +30,7 @@ the scheme integrates the unclipped equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -186,15 +191,17 @@ def cutoff_level(model: PortfolioModel, utility: UtilitySpec,
 class _Geometry:
     """Per-run constants of the sweep, built once per solve or step: cell
     centers, the ghost-extended x, the boundary map ghost = offset + sign *
-    edge value (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the time step
-    and the clamp range of the advective coefficient."""
+    edge value (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals
+    of the cell width and the time step, and the clamp range of the
+    advective coefficient."""
 
-    __slots__ = ("n", "dx", "dtau", "centers", "xe", "sign", "offsets",
-                 "clamp")
+    __slots__ = ("n", "dx", "inv_dx", "inv_dtau", "centers", "xe", "sign",
+                 "offsets", "clamp")
 
     def __init__(self, config: PDEConfig, cutoff: CutoffBounds | None):
         grid = config.grid
-        self.n, self.dx, self.dtau = grid.n_cells, grid.dx, config.dtau
+        self.n, self.dx = grid.n_cells, grid.dx
+        self.inv_dx, self.inv_dtau = 1.0 / grid.dx, 1.0 / config.dtau
         self.centers = grid.centers
         self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
                                   [self.centers[-1] + self.dx]])
@@ -210,8 +217,8 @@ class _Geometry:
         """Attach ghost values per the boundary condition."""
         out = np.empty(self.n + 2)
         out[1:-1] = values
-        out[0] = self.offsets[0] + self.sign * values[0]
-        out[-1] = self.offsets[1] + self.sign * values[-1]
+        out[0] = self.offsets[0] + self.sign * float(values[0])
+        out[-1] = self.offsets[1] + self.sign * float(values[-1])
         return out
 
 
@@ -241,7 +248,7 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     sum(u - phi_prev) dx = dtau (G_right - G_left + integral of source)
     holds to solver precision.
     """
-    dx, dtau, sign = geom.dx, geom.dtau, geom.sign
+    inv_dx, sign = geom.inv_dx, geom.sign
     pe = geom.extend(phi_iter)
     ae, se, _ = alpha_field(model, geom.xe, pe)
     lo, hi = geom.clamp
@@ -254,51 +261,67 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     # face j+1/2 between extended cells j and j+1, j = 0..n: advective flux
     # and its derivatives a (by phi_j) and b (by phi_{j+1})
     if config.upwind:
-        v = 0.5 * (wc[:-1] + wc[1:])
-        up = v >= 0.0
-        pu = np.where(up, pe[:-1], pe[1:])
+        v = wc[:-1] + wc[1:]
+        v *= 0.5
+        # velocity parts upwinded from the left (>= 0) and the right (< 0)
+        v_left = np.maximum(v, 0.0)
+        v_right = v - v_left
+        pu = np.where(v >= 0.0, pe[:-1], pe[1:])
         adv = v * pu
-        half_pu = 0.5 * pu
-        a = np.where(up, v, 0.0) + dw[:-1] * half_pu
-        b = np.where(up, 0.0, v) + dw[1:] * half_pu
+        pu *= 0.5   # a and b take half the upwinded value
+        a = dw[:-1] * pu
+        a += v_left
+        b = dw[1:] * pu
+        b += v_right
     else:
         q = wc * pe
-        g = 0.5 * (wc + dw * pe)
-        adv = 0.5 * (q[:-1] + q[1:])
+        adv = q[:-1] + q[1:]
+        adv *= 0.5
+        g = dw * pe
+        g += wc
+        g *= 0.5
         a, b = g[:-1], g[1:]
 
     # total face flux G = d_x alpha - advective flux and its derivatives:
     # dG/dphi_j = -k_left, dG/dphi_{j+1} = k_right
-    flux = (ae[1:] - ae[:-1]) / dx - adv
-    sdx = se / dx
+    flux = ae[1:] - ae[:-1]
+    flux *= inv_dx
+    flux -= adv
+    sdx = np.multiply(se, inv_dx, out=se)  # se (and dw) are not read again
     k_left = sdx[:-1] + a
     k_right = sdx[1:] - b
 
-    rhs = (flux[1:] - flux[:-1]) / dx - (phi_iter - phi_prev) / dtau
+    rhs = flux[1:] - flux[:-1]
+    rhs *= inv_dx
+    rate = phi_iter - phi_prev
+    rate *= geom.inv_dtau
+    rhs -= rate
     if src is not None:
         rhs += src
-    diag = 1.0 / dtau + (k_left[1:] + k_right[:-1]) / dx
-    # fold the ghost corrections (sign * edge correction) into the end rows
-    diag[0] -= sign * k_left[0] / dx
-    diag[-1] -= sign * k_right[-1] / dx
+    diag = k_left[1:] + k_right[:-1]
+    diag *= inv_dx
+    diag += geom.inv_dtau
+    # fold the ghost corrections (sign * edge correction) into the end rows;
+    # kl0, kr0 belong to the first face, kln, krn to the last
+    kl0, kln = float(k_left[0]), float(k_left[-1])
+    kr0, krn = float(k_right[0]), float(k_right[-1])
+    diag[0] -= sign * kl0 * inv_dx
+    diag[-1] -= sign * krn * inv_dx
 
     # row i couples delta_{i-1} by -k_left[i] / dx, delta_{i+1} by
     # -k_right[i+1] / dx
     try:
-        delta = solve_banded(-k_left[1:-1] / dx, diag, -k_right[1:-1] / dx,
-                             rhs)
+        delta = solve_banded(k_left[1:-1] * -inv_dx, diag,
+                             k_right[1:-1] * -inv_dx, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"tridiagonal solve failed at tau={tau_next:.6g}: {exc}; "
             f"diag range [{diag.min():.3e}, {diag.max():.3e}]"
         ) from None
-    if not np.all(np.isfinite(delta)):
-        raise SolverError(f"non-finite update at tau={tau_next:.6g}")
 
-    d0, d1 = delta[0], delta[-1]
-    g_left = flux[0] + (k_right[0] - sign * k_left[0]) * d0
-    g_right = flux[-1] + (sign * k_right[-1] - k_left[-1]) * d1
-    return delta, ae[1:-1], (float(g_left), float(g_right))
+    g_left = float(flux[0]) + (kr0 - sign * kl0) * float(delta[0])
+    g_right = float(flux[-1]) + (sign * krn - kln) * float(delta[-1])
+    return delta, ae[1:-1], (g_left, g_right)
 
 
 def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
@@ -313,7 +336,10 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
         delta, a_int, fluxes = _sweep(model, config, geom, phi_prev,
                                       phi_iter, src, tau_next)
         phi_iter = phi_iter + delta
-        residual = float(np.max(np.abs(delta)))
+        # nan or inf in delta makes its max |delta| nan or inf
+        residual = float(np.abs(delta, out=delta).max())
+        if not math.isfinite(residual):
+            raise SolverError(f"non-finite update at tau={tau_next:.6g}")
         if residual <= config.picard_tol:
             diag = StepDiagnostics(
                 picard_iterations=it,

@@ -389,6 +389,19 @@ class TestAlphaField:
             assert a[i] == pytest.approx(r.value, abs=1e-14)
             assert s[i] == pytest.approx(r.dvalue_dphi, abs=1e-14)
 
+    def test_matches_qp_across_both_breakpoints(self, finite_breakpoints_model):
+        # theta_1 = -0.2 + 2 / rho: clipped to 1 below phi = 5/3 and to 0
+        # above phi = 10, interior in between
+        model = finite_breakpoints_model
+        phis = np.linspace(0.5, 30.0, 60)
+        a, s, theta = alpha_field(model, 0.0, phis)
+        assert theta[0, 0] == 1.0 and theta[-1, 0] == 0.0
+        for i in range(len(phis)):
+            r = solve_alpha(model, 0.0, float(phis[i]))
+            assert a[i] == pytest.approx(r.value, rel=1e-12, abs=1e-12)
+            assert s[i] == pytest.approx(r.dvalue_dphi, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(theta[i], r.theta_hat, atol=1e-12)
+
     def test_matches_qp_menu_and_nlarge(self, fund_menu_model):
         rng = np.random.default_rng(11)
         g = rng.normal(size=(4, 4))

@@ -253,6 +253,42 @@ class TestEnergyEstimate:
             DecisionSet.simplex(2)))
         assert rep.context["rhs_data"] > no_inflow.context["rhs_data"]
 
+    @pytest.mark.parametrize("run", ["shipped", "single_asset"])
+    def test_matches_per_row_loop(self, paper_model, singleton_model, run):
+        # the report takes both norms of every level from one batched FFT;
+        # the reference is one sobolev_norm call per level and order
+        if run == "shipped":
+            model = paper_model
+            util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+            cfg = PDEConfig(grid=SpatialGrid(-8, 8, 400), t_final=10.0,
+                            n_steps=400, upwind=True)
+        else:
+            model = singleton_model
+            util = DaraUtility(3.0, 1.0, 0.5, truncation_gamma=8.0)
+            cfg = PDEConfig(grid=SpatialGrid(-4, 4, 64), t_final=1.0,
+                            n_steps=20)
+        sol = solve(model, util, cfg)
+        rep = energy_estimate_report(sol, model)
+
+        dx = cfg.grid.dx
+        hm1 = np.array([sobolev_norm(r, dx, -1.0) ** 2 for r in sol.phi])
+        l2 = np.array([sobolev_norm(r, dx, 0.0) ** 2 for r in sol.phi])
+        int_l2 = float(np.trapezoid(l2, sol.tau_values))
+        h, _, _ = alpha_field(model, cfg.grid.centers,
+                              np.zeros(cfg.grid.n_cells))
+        he = np.concatenate([[h[0]], h, [h[-1]]])
+        d2h = (he[2:] - 2.0 * he[1:-1] + he[:-2]) / dx**2
+        rhs_data = float(hm1[0] + sol.t_final * np.sum(d2h**2) * dx)
+        lhs = float(np.max(hm1)) + int_l2
+        expected = {"ratio": lhs / rhs_data,
+                    "sup_hminus1_sq": float(np.max(hm1)),
+                    "int_l2_sq": int_l2, "rhs_data": rhs_data}
+        assert rep.bound_lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        for key, value in expected.items():
+            assert rep.context[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert rep.context["n_cells"] == cfg.grid.n_cells
+        assert rep.context["n_steps"] == cfg.n_steps
+
     def test_refinement_ratio_stable(self, paper_model):
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         ratios = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy
 
-from riccati_hjb import solve
+from riccati_hjb import contraction_budget, solve
 from riccati_hjb.config import load_run
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -213,7 +213,30 @@ class TestVerify:
         assert payload["passed"]
         assert set(payload["checks"]) == {
             "monotonicity", "maximum-principle", "energy-estimate",
-            "energy-refinement", "contraction-budget"}
+            "energy-refinement"}
+        assert set(payload["info"]) == {"contraction-budget"}
+
+    def test_contraction_budget_is_info(self, tmp_path, config_path, capsys):
+        # t0 > 0 holds by construction, so the budget reports numbers and
+        # no pass/fail; `passed` covers the checks alone
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        _, model, utility, pde_cfg, _ = load_run(config_path)
+        budget = contraction_budget(model, solve(model, utility, pde_cfg))
+        info = payload["info"]["contraction-budget"]
+        assert info == {
+            "omega": budget.omega, "beta": budget.beta,
+            "beta_tilde": budget.beta_tilde, "t0": budget.t0,
+            "horizon": budget.horizon, "windows": budget.windows(),
+            "horizon_exceeds_t0": budget.horizon > budget.t0}
+        assert info["windows"] > 1   # far beyond one contraction window
+        assert payload["passed"] == all(
+            c["passed"] for c in payload["checks"].values())
+        stdout = capsys.readouterr().out
+        assert "INFO contraction-budget" in stdout
+        assert "PASS contraction-budget" not in stdout
 
     def test_adversarial_boundary_fails(self, tmp_path):
         pde = dict(SMALL_PDE)
@@ -266,6 +289,8 @@ class TestSolveVerifyInline:
                      "--verify"]) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["checks"]["maximum-principle"]["passed"]
+        assert "contraction-budget" not in man["checks"]
+        assert man["info"]["contraction-budget"]["t0"] > 0
 
 
 class TestMms:

@@ -303,6 +303,62 @@ class TestNewtonSweeps:
         sweeps = [d.picard_iterations for d in sol.diagnostics]
         assert np.mean(sweeps) <= 2.3
 
+    # Newton converges quadratically only with the exact Jacobian: from a
+    # converged level perturbed by 1e-5, |delta_2| / |delta_1|^2 measured
+    # 1.3e-4 to 5.6e-4 in every case here (the same at perturbations 1e-4
+    # and 1e-3, so it is the quadratic term, not rounding). Dropping the
+    # face-velocity slope, passing the clamp slope on outside the clamp
+    # range or dropping either upwinded velocity part makes the convergence
+    # linear, with ratios of 56 to 1900. The bound sits about 5x above the
+    # exact Jacobian's worst case.
+    NEWTON_RATIO = 3e-3
+
+    @staticmethod
+    def newton_ratio(model, util, cfg):
+        sol = solve(model, util, cfg)
+        geom = pde._Geometry(cfg, sol.cutoff)
+        prev, u = sol.phi[4], sol.phi[5]
+
+        def correction(level):
+            delta, _, _ = pde._sweep(model, cfg, geom, prev, level, None,
+                                     float(sol.tau_values[5]))
+            return delta
+
+        for _ in range(3):   # to rounding, below the run's tolerance
+            u = u + correction(u)
+        start = u + 1e-5 * np.random.default_rng(5).uniform(-1.0, 1.0, u.size)
+        delta_1 = correction(start)
+        delta_2 = correction(start + delta_1)
+        d1, d2 = np.max(np.abs(delta_1)), np.max(np.abs(delta_2))
+        assert d1 > 5e-6
+        return d2 / d1 ** 2
+
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("upwind", [False, True],
+                             ids=["central", "upwind"])
+    def test_quadratic_convergence(self, paper_model, upwind, boundary,
+                                   clamp):
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        # a level of 0.03 clips every cell (alpha spans about -0.067 to
+        # -0.057), so the advective coefficient carries no slope there
+        cfg = paper_cfg(n_cells=40, n_steps=20, t_final=2.0, upwind=upwind,
+                        boundary=boundary, dirichlet_values=(9.0, 6.0),
+                        cutoff_m=0.03 if clamp else "auto")
+        assert self.newton_ratio(paper_model, util, cfg) <= self.NEWTON_RATIO
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_quadratic_convergence_both_upwind_directions(
+            self, finite_breakpoints_model, boundary):
+        # above phi = 20 alpha turns positive here, so the face velocity
+        # changes sign (|v| >= 1.6e-3 at every face) and both upwinded
+        # parts enter the Jacobian; on the run above v < 0 everywhere
+        util = DaraUtility(30.0, 10.0, 0.0)
+        cfg = paper_cfg(n_cells=40, n_steps=20, t_final=2.0, upwind=True,
+                        boundary=boundary, dirichlet_values=(30.0, 10.0))
+        ratio = self.newton_ratio(finite_breakpoints_model, util, cfg)
+        assert ratio <= self.NEWTON_RATIO
+
     def test_extrapolated_start_keeps_the_step(self, paper_model):
         # step() starts every step from the previous level, solve() from the
         # extrapolated one: both must land on the same implicit steps
@@ -341,7 +397,7 @@ class TestTridiagonalSolve:
         cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=4)
         geom = pde._Geometry(cfg, pde.CutoffBounds(m=0.0, lam=0.0,
                                                    horizon=1.0))
-        geom.dtau = np.inf
+        geom.inv_dtau = 0.0
         phi = np.full(16, 2.0)
         k = 0.5 * 0.04 / grid.dx**2   # alpha slope sigma^2 / 2 over dx^2
         with pytest.raises(SolverError, match="tridiagonal solve") as exc:
@@ -426,6 +482,19 @@ class TestSolverErrors:
             solve(paper_model, util, cfg)
         assert err.value.step_index == 0
         assert err.value.residual > 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_update_is_solver_error(self, singleton_model, bad):
+        # a non-finite source reaches the correction through the residual;
+        # the step must stop at once, not sweep on to a PicardError
+        grid = SpatialGrid(-4.0, 4.0, 16)
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=4,
+                        mms_source=lambda x, tau: np.full_like(x, bad))
+        util = TabulatedPhi0(grid.centers, np.ones(16))
+        with pytest.raises(SolverError) as err:
+            solve(singleton_model, util, cfg)
+        assert not isinstance(err.value, PicardError)
+        assert str(err.value) == "non-finite update at tau=0.25"
 
     def test_config_validation(self):
         grid = SpatialGrid(-1.0, 1.0, 16)
