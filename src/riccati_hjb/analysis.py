@@ -232,16 +232,20 @@ def contraction_budget(model: PortfolioModel, field_or_bounds,
 
     beta bounds the Lipschitz constants of the shifted-diffusion source and
     the clamped advective flux: beta = max(L, L Phi + M e^{lam T}) with Phi
-    the a-priori solution bound (M e^{lam T} + max|h|) / omega.
+    the a-priori solution bound (M e^{lam T} + max|h|) / omega. A solution
+    field gives its run's own clamp, or the auto level M = max|alpha(x, phi0)|
+    when the run had none.
     """
     bounds = lipschitz_bounds(model)
     if isinstance(field_or_bounds, SolutionField):
         sol = field_or_bounds
         centers = sol.grid.centers
-        a0, _, _ = alpha_field(model, centers, sol.phi[0])
-        cut = CutoffBounds(m=float(np.max(np.abs(a0))),
-                           lam=lambda_bound(model, sol.grid),
-                           horizon=sol.t_final)
+        cut = sol.cutoff
+        if cut is None:
+            a0, _, _ = alpha_field(model, centers, sol.phi[0])
+            cut = CutoffBounds(m=float(np.max(np.abs(a0))),
+                               lam=lambda_bound(model, sol.grid),
+                               horizon=sol.t_final)
         h, _, _ = alpha_field(model, centers, np.zeros_like(centers))
         h_max = float(np.max(np.abs(h)))
     else:

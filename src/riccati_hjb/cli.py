@@ -191,6 +191,8 @@ def _diag_summary(sol):
         "max_picard_iterations": max(sweeps),
         "total_sweeps": sum(sweeps),
         "mean_sweeps_per_step": sum(sweeps) / len(sweeps),
+        "sweeps_per_step_counts": {
+            str(n): sweeps.count(n) for n in sorted(set(sweeps))},
         "max_residual": max(d.residual for d in sol.diagnostics),
         "alpha_range": [min(d.alpha_min for d in sol.diagnostics),
                         max(d.alpha_max for d in sol.diagnostics)],

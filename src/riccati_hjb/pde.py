@@ -10,19 +10,24 @@ face flux w(alpha) phi through both the face velocity and the upwinded value
 correction. The sweeps stop once the correction is below the tolerance, so
 the converged iterate satisfies the fully implicit nonlinear step.
 
-`solve` starts each step's sweeps from the quadratic extrapolation in time
-of the levels already computed (linear at the second step, the initial
-profile at the first). On a smooth trajectory that start is O(dtau^3) from
-the answer instead of O(dtau), which saves about one sweep per step; the
-stop rule is unchanged, so the converged step agrees to the sweep
-tolerance. `step`, which has no history, starts from its state. The
-tridiagonal system goes straight to LAPACK gtsv, the routine behind scipy's
-banded solver for one band on each side, without the wrapper's validation
-and band-matrix packing. A sweep is bound by numpy's per-call overhead on
-arrays of n + 2 values, so it builds its temporaries in place, multiplies
-by the reciprocals of dx and dtau, and leaves the check for a non-finite
-correction to the max |delta| of the stop rule, which is nan or inf exactly
-when delta has such an entry.
+`solve` starts each step's sweeps from a variable-order extrapolation in
+time, the predictor of Adams and BDF codes: one product with a constant
+matrix turns the last L <= 8 levels into the backward differences nabla^j
+of the newest, and the start is their sum cut before the smallest of them
+(max norm) among j >= 1, as an asymptotic series is truncated. On a smooth
+trajectory that start reaches order six and lands within the sweep
+tolerance on most steps, about 1.2 sweeps per step on the shipped run;
+after a kink in the history the higher differences grow instead of
+shrinking, so the cut falls back to a low order. The first two steps start
+from phi_0 and 2 phi_1 - phi_0. The stop rule is unchanged, so the
+converged step agrees to the sweep tolerance. `step`, which has no history,
+starts from its state. The tridiagonal system goes straight to LAPACK gtsv,
+the routine behind scipy's banded solver for one band on each side, without
+the wrapper's validation and band-matrix packing. A sweep is bound by
+numpy's per-call overhead on arrays of n + 2 values, so it builds its
+temporaries in place, multiplies by the reciprocals of dx and dtau, and
+leaves the check for a non-finite correction to the max |delta| of the stop
+rule, which is nan or inf exactly when delta has such an entry.
 
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation.
@@ -373,6 +378,28 @@ def step(state, model: PortfolioModel, config: PDEConfig,
     return phi_next
 
 
+_PREDICTOR_LEVELS = 8  # most stored levels the start of a step reads
+# row j takes the levels phi_{k-7..k}, oldest first, to nabla^j phi_k; a
+# history of L levels uses the first L rows and the last L columns
+_BACKWARD = np.array([[(-1) ** i * math.comb(j, i)
+                       for i in reversed(range(_PREDICTOR_LEVELS))]
+                      for j in range(_PREDICTOR_LEVELS)], dtype=float)
+
+
+def _predict(phi, k):
+    """Start of step k from the last L = min(k + 1, _PREDICTOR_LEVELS)
+    levels phi[k + 1 - L..k]: the Newton backward series sum_j nabla^j phi_k,
+    cut before its smallest term (max norm) among j >= 1, the usual
+    truncation of an asymptotic series. With at most two levels every term
+    is kept: phi_0 at the first step, 2 phi_1 - phi_0 at the second."""
+    n = min(k + 1, _PREDICTOR_LEVELS)
+    diffs = _BACKWARD[:n, -n:] @ phi[k + 1 - n:k + 1]
+    if n <= 2:
+        return diffs.sum(axis=0)
+    order = 1 + int(np.argmin(np.abs(diffs[1:]).max(axis=1)))
+    return diffs[:order].sum(axis=0)
+
+
 def _resolve_cutoff(model, config, phi0):
     if config.cutoff_m is None:
         return None
@@ -398,12 +425,7 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     phi[0] = phi0
     diags = []
     for k in range(config.n_steps):
-        if k >= 2:
-            start = 3.0 * (phi[k] - phi[k - 1]) + phi[k - 2]
-        elif k == 1:
-            start = 2.0 * phi[1] - phi[0]
-        else:
-            start = phi[0]
+        start = _predict(phi, k)
         phi[k + 1], d = _advance(model, config, geom, phi[k], start,
                                  float(tau[k + 1]), k)
         diags.append(d)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,26 @@ class TestContractionBudget:
         # horizon far beyond the contraction window for this data set
         assert budget.windows() == 1 + int(
             np.ceil((2.0 - budget.t0) / (budget.t0 / 2)))
+
+    def test_reads_the_runs_clamp(self, paper_model):
+        # a manual level of 0.03 clamps alpha (which spans about -0.067 to
+        # -0.057) and no inflow keeps it constant in time: the budget takes
+        # the clamp's upper bound 0.03, not the auto level of 0.067
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        grid = SpatialGrid(-8, 8, 80)
+        cfg = PDEConfig(grid=grid, t_final=2.0, n_steps=20, upwind=True,
+                        cutoff_m=0.03)
+        budget = contraction_budget(paper_model, solve(paper_model, util, cfg))
+        h, _, _ = alpha_field(paper_model, grid.centers, np.zeros(80))
+        h_max = float(np.max(np.abs(h)))
+        manual = contraction_budget(
+            paper_model, CutoffBounds(m=0.03, lam=0.0, horizon=2.0), h_max)
+        assert budget == manual
+        auto = contraction_budget(
+            paper_model,
+            solve(paper_model, util, dataclasses.replace(cfg, cutoff_m="auto")))
+        assert auto.beta == pytest.approx(74.1, abs=0.05)
+        assert budget.beta < auto.beta - 10.0
 
     def test_cutoffbounds_requires_h(self, singleton_model):
         with pytest.raises(ValueError, match="h_max"):

@@ -168,6 +168,9 @@ class TestSolve:
         diag = man["diagnostics"]
         assert diag["total_sweeps"] == sum(sweeps)
         assert diag["mean_sweeps_per_step"] == sum(sweeps) / SMALL_PDE["n_steps"]
+        counts = diag["sweeps_per_step_counts"]
+        assert sum(counts.values()) == SMALL_PDE["n_steps"]
+        assert counts == {str(n): sweeps.count(n) for n in set(sweeps)}
 
     def test_constant_profile_slices_flat(self, tmp_path):
         cfg = write_config(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -242,13 +244,16 @@ class TestMaximumPrincipleAndComparison:
 
 
 def assert_mass_balance(sol, cfg):
-    """sum(phi_k+1 - phi_k) dx = dtau (G_right - G_left + src) every step."""
-    dx, dtau = cfg.grid.dx, cfg.dtau
-    mass = sol.phi.sum(axis=1) * dx
+    """sum(phi_k+1 - phi_k) dx = dtau (G_right - G_left + src) every step.
+
+    The change of each cell is summed before it is scaled, so no mass of the
+    level cancels and the balance holds to rounding (about 2.5e-14 here);
+    the face-flux correction k * delta it pins is 1e-11 at convergence and
+    larger at a loose sweep tolerance."""
+    change = np.diff(sol.phi, axis=0).sum(axis=1) * (cfg.grid.dx / cfg.dtau)
     for k, d in enumerate(sol.diagnostics):
-        lhs = (mass[k + 1] - mass[k]) / dtau
         rhs = d.flux_right - d.flux_left + d.source_integral
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        assert change[k] == pytest.approx(rhs, abs=1e-12)
 
 
 class TestConservation:
@@ -263,6 +268,19 @@ class TestConservation:
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=100, n_steps=50, t_final=2.0, upwind=upwind,
                         boundary=boundary, dirichlet_values=(9.0, 6.0))
+        assert_mass_balance(solve(paper_model, util, cfg), cfg)
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("upwind", [False, True],
+                             ids=["central", "upwind"])
+    def test_mass_balance_at_loose_tolerance(self, paper_model, upwind,
+                                             boundary):
+        # the balance holds by construction of the linearized face fluxes,
+        # whatever the last correction was
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = paper_cfg(n_cells=100, n_steps=50, t_final=2.0, upwind=upwind,
+                        boundary=boundary, dirichlet_values=(9.0, 6.0),
+                        picard_tol=1e-4)
         assert_mass_balance(solve(paper_model, util, cfg), cfg)
 
     def test_mass_balance_with_clamp_engaged(self, paper_model):
@@ -285,11 +303,12 @@ class TestConservation:
 
 class TestNewtonSweeps:
     # a frozen advective coefficient needs 4.27 sweeps per step on the
-    # shipped 400x400 stocks/bonds DARA run and an exact Jacobian started
-    # from the previous level about 3; started from the quadratic
-    # extrapolation of the earlier levels it needs about 2.1 there, with the
-    # centered flux (whose overshoot engages the auto clamp), with every
-    # cell clamped and with Dirichlet walls
+    # shipped 400x400 stocks/bonds DARA run, an exact Jacobian started from
+    # the previous level about 3 and from the quadratic extrapolation about
+    # 2.07; started from the truncated backward-difference series of up to
+    # eight levels it needs 1.21 there, 1.16 with the centered flux (whose
+    # overshoot engages the auto clamp), 1.20 with every cell clamped and
+    # 1.23 with Dirichlet walls
     @pytest.mark.parametrize("kw", [
         dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True),
         dict(upwind=False),
@@ -301,7 +320,7 @@ class TestNewtonSweeps:
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         sol = solve(paper_model, util, paper_cfg(**kw))
         sweeps = [d.picard_iterations for d in sol.diagnostics]
-        assert np.mean(sweeps) <= 2.3
+        assert np.mean(sweeps) <= 1.4
 
     # Newton converges quadratically only with the exact Jacobian: from a
     # converged level perturbed by 1e-5, |delta_2| / |delta_1|^2 measured
@@ -372,6 +391,53 @@ class TestNewtonSweeps:
             state = step(state, paper_model, cfg, tau=float(sol.tau_values[k]))
             worst = max(worst, float(np.max(np.abs(state - sol.phi[k + 1]))))
         assert worst <= 1e-9
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("degree", range(7))
+    def test_polynomial_history_is_extrapolated_exactly(self, degree):
+        # levels that are a polynomial of the given degree in k: the series
+        # ends at nabla^degree, and eight levels carry it up to degree 6
+        rng = np.random.default_rng(degree)
+        coef = rng.uniform(-1.0, 1.0, size=(degree + 1, 5))
+        phi = np.polynomial.polynomial.polyval(0.1 * np.arange(14), coef).T
+        first = degree if degree <= 1 else degree + 1
+        for k in range(first, 13):
+            start = pde._predict(phi, k)
+            np.testing.assert_allclose(start, phi[k + 1], rtol=0, atol=1e-12)
+
+    def test_jump_cuts_the_series_back(self):
+        # a smooth decay plus a jump of 1 between levels 4 and 5: from level
+        # 7, nabla^1 (about 0.1) and nabla^2 (about 0.01) see only the
+        # decay and nabla^3 on carry the jump, so the series stops after the
+        # linear term
+        k = 7
+        levels = np.arange(k + 1)[:, None]
+        phi = (np.exp(-0.1 * levels) * np.linspace(1.0, 2.0, 4)
+               + np.where(levels >= 5, 1.0, 0.0))
+        start = pde._predict(phi, k)
+        np.testing.assert_allclose(start, 2.0 * phi[k] - phi[k - 1],
+                                   rtol=0, atol=1e-14)
+        assert np.max(np.abs(start - phi[k])) <= 1.0
+
+    def test_sweeps_across_models(self, paper_model, fund_menu_model,
+                                  singleton_model, inflow_model):
+        # 100 steps of 0.04 on 100 cells: a mean of 1.61 sweeps per step over
+        # these 32 runs, 2.19 from the quadratic extrapolation
+        grid = SpatialGrid(-8.0, 8.0, 100)
+        sweeps = []
+        for model, util, upwind, boundary in itertools.product(
+                (paper_model, fund_menu_model, singleton_model, inflow_model),
+                (DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0),
+                 ArctanUtility(truncation_gamma=8.0)),
+                (False, True), ("neumann", "dirichlet")):
+            ends = phi0_profile(util, grid)[[0, -1]]
+            cfg = paper_cfg(n_cells=100, n_steps=100, t_final=4.0,
+                            upwind=upwind, boundary=boundary,
+                            dirichlet_values=tuple(ends))
+            sweeps += [d.picard_iterations
+                       for d in solve(model, util, cfg).diagnostics]
+        assert np.mean(sweeps) <= 1.9
 
 
 class TestTridiagonalSolve:
