@@ -20,7 +20,6 @@ from .alpha import (
     LipschitzBounds,
     alpha_field,
     closed_form_n2,
-    envelope_gradient_x,
     kkt_residual,
     lipschitz_bounds,
     solve_alpha,
@@ -55,11 +54,9 @@ from .pde import (
     PicardError,
     SolutionField,
     SolverError,
-    cutoff_level,
     mms_convergence_study,
     singleton_mms,
     solve,
-    step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,6 @@ __all__ = [
     "solve_alpha",
     "closed_form_n2",
     "lipschitz_bounds",
-    "envelope_gradient_x",
     "weights_path",
     "alpha_field",
     "kkt_residual",
@@ -268,15 +267,6 @@ def lipschitz_bounds(model: PortfolioModel) -> LipschitzBounds:
         theta, _ = _active_set_qp(model.sigma, np.zeros(model.n), 1.0)
         omega = 0.5 * model.variance(theta)
     return LipschitzBounds(float(omega), float(slopes.max()))
-
-
-def envelope_gradient_x(model: PortfolioModel, x: float, phi: float):
-    """(p(x), alpha_x): the bound p(x) = max over theta of |d mu/dx| and the
-    envelope-theorem derivative of alpha in x. Both vanish without inflow."""
-    if model.inflow is None:
-        return 0.0, 0.0
-    dmu = float(model.inflow.term_dx(x))  # theta-independent
-    return abs(dmu), -dmu
 
 
 # --- two-asset closed form ---------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 # solve_alpha is unused here, but the traced benchmark wraps it as a boundary
 from .alpha import alpha_field, lipschitz_bounds, solve_alpha  # noqa: F401
 from .model import PortfolioModel
-from .pde import CutoffBounds, SolutionField, lambda_bound
+from .pde import SolutionField
 
 __all__ = [
     "CheckReport",
@@ -215,54 +215,41 @@ class ContractionBudget:
             phi_bound=phi_bound, horizon=horizon,
         )
 
-    def windows(self, t_total: float | None = None) -> int:
+    def windows(self) -> int:
         """Continuation windows needed to cover the horizon: the first window
         spans t0, every later restart extends coverage by t0/2."""
-        t = self.horizon if t_total is None else t_total
-        if not t > 0:
+        if not self.horizon > 0:
             return 0
-        if t <= self.t0:
+        if self.horizon <= self.t0:
             return 1
-        return 1 + int(math.ceil((t - self.t0) / (self.t0 / 2.0)))
+        return 1 + int(math.ceil((self.horizon - self.t0) / (self.t0 / 2.0)))
 
 
-def contraction_budget(model: PortfolioModel, field_or_bounds,
-                       h_max: float | None = None) -> ContractionBudget:
+def contraction_budget(model: PortfolioModel,
+                       solution: SolutionField) -> ContractionBudget:
     """Conservative contraction constants for a run.
 
     beta bounds the Lipschitz constants of the shifted-diffusion source and
     the clamped advective flux: beta = max(L, L Phi + M e^{lam T}) with Phi
-    the a-priori solution bound (M e^{lam T} + max|h|) / omega. A solution
-    field gives its run's own clamp, or the auto level M = max|alpha(x, phi0)|
-    when the run had none.
+    the a-priori solution bound (M e^{lam T} + max|h|) / omega, and M, lam
+    and T the run's own (its clamp level, or the auto level
+    M = max|alpha(x, phi0)| when the run had no clamp).
     """
     bounds = lipschitz_bounds(model)
-    if isinstance(field_or_bounds, SolutionField):
-        sol = field_or_bounds
-        centers = sol.grid.centers
-        cut = sol.cutoff
-        if cut is None:
-            a0, _, _ = alpha_field(model, centers, sol.phi[0])
-            cut = CutoffBounds(m=float(np.max(np.abs(a0))),
-                               lam=lambda_bound(model, sol.grid),
-                               horizon=sol.t_final)
-        h, _, _ = alpha_field(model, centers, np.zeros_like(centers))
-        h_max = float(np.max(np.abs(h)))
-    else:
-        cut = field_or_bounds
-        if h_max is None:
-            raise ValueError("h_max is required when passing CutoffBounds")
-    me_lt = cut.upper
-    phi_bound = (me_lt + h_max) / bounds.omega
+    centers = solution.grid.centers
+    h, _, _ = alpha_field(model, centers, np.zeros_like(centers))
+    me_lt = solution.bounds.upper
+    phi_bound = (me_lt + float(np.max(np.abs(h)))) / bounds.omega
     beta = max(bounds.big_l, bounds.big_l * phi_bound + me_lt)
     return ContractionBudget.from_constants(
-        bounds.omega, beta, phi_bound=phi_bound, horizon=cut.horizon)
+        bounds.omega, beta, phi_bound=phi_bound,
+        horizon=solution.bounds.horizon)
 
 
 # --- energy estimate -----------------------------------------------------------
 
-def energy_estimate_report(solution: SolutionField, model: PortfolioModel,
-                           utility=None) -> CheckReport:
+def energy_estimate_report(solution: SolutionField,
+                           model: PortfolioModel) -> CheckReport:
     """Energy diagnostic: LHS = sup_tau |phi|_{H^-1}^2 + int_0^T |phi|_{L2}^2.
 
     The estimate's constant is not pinned down analytically, so the check
@@ -306,15 +293,15 @@ def energy_estimate_report(solution: SolutionField, model: PortfolioModel,
 # --- pointwise a-priori bounds ---------------------------------------------------
 
 def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
-                             utility=None, tol: float = 1e-8) -> CheckReport:
+                             tol: float = 1e-8) -> CheckReport:
     """Verify psi_min e^{lam tau} <= alpha(x, phi(x,tau)) <= psi_max e^{lam tau}
     at every stored step, with psi_min/max the signed extremes of
-    alpha(x, phi0) capped at zero and lam the drift-gradient bound."""
+    alpha(x, phi0) capped at zero and lam the run's drift-gradient bound."""
     centers = solution.grid.centers
     a, _, _ = alpha_field(model, centers, solution.phi)
     psi_up = max(0.0, float(np.max(a[0])))
     psi_lo = min(0.0, float(np.min(a[0])))
-    lam = lambda_bound(model, solution.grid)
+    lam = solution.bounds.lam
     growth = np.exp(lam * solution.tau_values)[:, None]
     # gaps (step, side, cell), positive = violation; the flat argmax is the
     # first worst entry in step, then lower-before-upper, then cell order

@@ -99,16 +99,22 @@ def _phi_grid(args):
     return np.linspace(args.phi_min, args.phi_max, args.n_points)
 
 
-def cmd_alpha_curve(args) -> int:
-    doc, model, _, _, _ = load_run(args.config)
-    out = _out_dir(args)
-    grid = _phi_grid(args)
-    t0 = time.perf_counter()
+def _path_table(model, grid):
+    """Header and rows of the weight path over the phi grid."""
     path_data = weights_path(model, grid)
     header = ["phi", "alpha", "dalpha_dphi"] + [
         f"theta_{i + 1}" for i in range(model.n)]
     rows = np.column_stack([path_data["phi"], path_data["alpha"],
                             path_data["dalpha_dphi"], path_data["theta"]])
+    return header, rows
+
+
+def cmd_alpha_curve(args) -> int:
+    doc, model, _, _, _ = load_run(args.config)
+    out = _out_dir(args)
+    grid = _phi_grid(args)
+    t0 = time.perf_counter()
+    header, rows = _path_table(model, grid)
     extra = {}
     try:
         cf = closed_form_n2(model)
@@ -141,11 +147,7 @@ def cmd_weights_path(args) -> int:
     out = _out_dir(args)
     grid = _phi_grid(args)
     t0 = time.perf_counter()
-    path_data = weights_path(model, grid)
-    header = ["phi", "alpha", "dalpha_dphi"] + [
-        f"theta_{i + 1}" for i in range(model.n)]
-    rows = np.column_stack([path_data["phi"], path_data["alpha"],
-                            path_data["dalpha_dphi"], path_data["theta"]])
+    header, rows = _path_table(model, grid)
     csv_path = out / "weights_path.csv"
     _write_csv(csv_path, header, rows)
     _manifest(out, doc, [csv_path.name],

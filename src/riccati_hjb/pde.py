@@ -20,23 +20,25 @@ tolerance on most steps, about 1.2 sweeps per step on the shipped run;
 after a kink in the history the higher differences grow instead of
 shrinking, so the cut falls back to a low order. The first two steps start
 from phi_0 and 2 phi_1 - phi_0. The stop rule is unchanged, so the
-converged step agrees to the sweep tolerance. `step`, which has no history,
-starts from its state. The tridiagonal system goes straight to LAPACK gtsv,
-the routine behind scipy's banded solver for one band on each side, without
-the wrapper's validation and band-matrix packing. A sweep is bound by
-numpy's per-call overhead on arrays of n + 2 values, so it builds its
-temporaries in place, multiplies by the reciprocals of dx and dtau, and
-leaves the check for a non-finite correction to the max |delta| of the stop
-rule, which is nan or inf exactly when delta has such an entry.
+converged step agrees to the sweep tolerance. The tridiagonal system goes
+straight to LAPACK gtsv, the routine behind scipy's banded solver for one
+band on each side, without the wrapper's validation and band-matrix
+packing. A sweep is bound by numpy's per-call overhead on arrays of n + 2
+values, so it builds its temporaries in place, multiplies by the
+reciprocals of dx and dtau, and leaves the check for a non-finite
+correction to the max |delta| of the stop rule, which is nan or inf exactly
+when delta has such an entry.
 
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
-the scheme integrates the unclipped equation.
+the scheme integrates the unclipped equation. `solve` works out M, lambda
+and T once per run and the solution carries them, clamped or not, for the
+a-priori checks to read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,9 +54,7 @@ __all__ = [
     "CutoffBounds",
     "StepDiagnostics",
     "SolutionField",
-    "cutoff_level",
     "lambda_bound",
-    "step",
     "solve",
     "singleton_mms",
     "mms_convergence_study",
@@ -109,7 +109,8 @@ class PDEConfig:
 
 @dataclass(frozen=True)
 class CutoffBounds:
-    """Clamp levels for the advective coefficient: +-m e^{lam * horizon}."""
+    """A run's a-priori constants: the level m, the growth rate lam and the
+    horizon, which give the clamp levels +-m e^{lam * horizon}."""
 
     m: float
     lam: float
@@ -137,13 +138,15 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """phi on the space-time grid plus per-step solver diagnostics."""
+    """phi on the space-time grid plus per-step solver diagnostics and the
+    run's a-priori constants, which the clamp used if `clamped`."""
 
     phi: np.ndarray                 # (n_steps+1, n_cells)
     tau_values: np.ndarray
     grid: SpatialGrid
     diagnostics: tuple
-    cutoff: CutoffBounds | None
+    bounds: CutoffBounds
+    clamped: bool
 
     def __post_init__(self):
         for name in ("phi", "tau_values"):
@@ -154,6 +157,11 @@ class SolutionField:
     @property
     def t_final(self) -> float:
         return float(self.tau_values[-1])
+
+    @property
+    def cutoff(self) -> CutoffBounds | None:
+        """The clamp range, None for an unclamped run."""
+        return self.bounds if self.clamped else None
 
     @property
     def cutoff_excess(self) -> float:
@@ -183,22 +191,12 @@ def lambda_bound(model: PortfolioModel, grid: SpatialGrid) -> float:
     return float(np.max(np.abs(model.inflow.term_dx(xs))))
 
 
-def cutoff_level(model: PortfolioModel, utility: UtilitySpec,
-                 grid: SpatialGrid, t_horizon: float) -> CutoffBounds:
-    """M = sup over the grid of |alpha(x, phi0(x))|, with the growth rate
-    lam = sup p(x); the clamp levels are +-M e^{lam T}."""
-    phi0 = phi0_profile(utility, grid)
-    a0, _, _ = alpha_field(model, grid.centers, phi0)
-    m = float(np.max(np.abs(a0)))
-    return CutoffBounds(m=m, lam=lambda_bound(model, grid), horizon=t_horizon)
-
-
 class _Geometry:
-    """Per-run constants of the sweep, built once per solve or step: cell
-    centers, the ghost-extended x, the boundary map ghost = offset + sign *
-    edge value (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals
-    of the cell width and the time step, and the clamp range of the
-    advective coefficient."""
+    """Per-run constants of the sweep, built once per solve: cell centers,
+    the ghost-extended x, the boundary map ghost = offset + sign * edge value
+    (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals of the cell
+    width and the time step, and the clamp range of the advective
+    coefficient."""
 
     __slots__ = ("n", "dx", "inv_dx", "inv_dtau", "centers", "xe", "sign",
                  "offsets", "clamp")
@@ -359,25 +357,6 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
     raise PicardError(step_index, residual, config.picard_tol)
 
 
-def step(state, model: PortfolioModel, config: PDEConfig,
-         dtau: float | None = None, tau: float = 0.0):
-    """One implicit Euler step from the given level. dtau defaults to the
-    configured step; dtau = 0 returns the state unchanged."""
-    state = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(state)):
-        raise SolverError("step requires a finite state")
-    if dtau is None:
-        dtau = config.dtau
-    if dtau == 0.0:
-        return state.copy()
-    cfg = config
-    if dtau != config.dtau:
-        cfg = replace(config, t_final=dtau, n_steps=1)
-    geom = _Geometry(cfg, _resolve_cutoff(model, config, state))
-    phi_next, _ = _advance(model, cfg, geom, state, state, tau + dtau, 0)
-    return phi_next
-
-
 _PREDICTOR_LEVELS = 8  # most stored levels the start of a step reads
 # row j takes the levels phi_{k-7..k}, oldest first, to nabla^j phi_k; a
 # history of L levels uses the first L rows and the last L columns
@@ -401,15 +380,15 @@ def _predict(phi, k):
 
 
 def _resolve_cutoff(model, config, phi0):
-    if config.cutoff_m is None:
-        return None
-    lam = lambda_bound(model, config.grid)
-    if config.cutoff_m == "auto":
+    """The run's M, lambda and T: M is the manual level, else (unclamped
+    runs too) M = max |alpha(x, phi0)|; lambda = sup p(x); T = t_final."""
+    if config.cutoff_m is None or config.cutoff_m == "auto":
         a0, _, _ = alpha_field(model, config.grid.centers, phi0)
         m = float(np.max(np.abs(a0)))
     else:
         m = float(config.cutoff_m)
-    return CutoffBounds(m=m, lam=lam, horizon=config.t_final)
+    return CutoffBounds(m=m, lam=lambda_bound(model, config.grid),
+                        horizon=config.t_final)
 
 
 def solve(model: PortfolioModel, utility: UtilitySpec,
@@ -417,8 +396,9 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     """Integrate the Cauchy problem from phi0 = -u''/u' to t_final."""
     grid = config.grid
     phi0 = phi0_profile(utility, grid)
-    cutoff = _resolve_cutoff(model, config, phi0)
-    geom = _Geometry(config, cutoff)
+    bounds = _resolve_cutoff(model, config, phi0)
+    clamped = config.cutoff_m is not None
+    geom = _Geometry(config, bounds if clamped else None)
 
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))
@@ -430,7 +410,8 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
                                  float(tau[k + 1]), k)
         diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
-                         diagnostics=tuple(diags), cutoff=cutoff)
+                         diagnostics=tuple(diags), bounds=bounds,
+                         clamped=clamped)
 
 
 # --- manufactured-solution verification -------------------------------------

@@ -10,14 +10,15 @@ from riccati_hjb import (
     PortfolioModel,
     alpha_field,
     closed_form_n2,
-    envelope_gradient_x,
     InflowProfile,
+    SpatialGrid,
     kkt_residual,
     lipschitz_bounds,
     solve_alpha,
     weights_path,
 )
 from riccati_hjb.alpha import exhaustive_alpha
+from riccati_hjb.pde import lambda_bound
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
@@ -240,23 +241,33 @@ class TestLipschitzBounds:
 
 
 class TestEnvelopeGradientX:
+    # alpha_x = -d mu / dx = -inflow.term_dx(x) by the envelope theorem (the
+    # inflow term does not depend on theta), and lambda_bound takes the sup
+    # of p(x) = |d mu / dx|
     def test_no_inflow(self, paper_model):
-        assert envelope_gradient_x(paper_model, 0.3, 5.0) == (0.0, 0.0)
+        assert lambda_bound(paper_model, SpatialGrid(-2.0, 2.0, 16)) == 0.0
 
     def test_zero_rate(self):
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
                                DecisionSet.simplex(2),
                                inflow=InflowProfile(0.0, 1.0, 2.0))
         for x in (-1.0, 0.5, 2.0):
-            assert envelope_gradient_x(model, x, 5.0) == (0.0, 0.0)
+            assert model.inflow.term_dx(x) == 0.0
+        assert lambda_bound(model, SpatialGrid(-2.0, 2.0, 16)) == 0.0
 
     def test_saturated_regime(self):
+        inflow = InflowProfile(1.0, 1.0, 2.0)
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
-                               DecisionSet.simplex(2),
-                               inflow=InflowProfile(1.0, 1.0, 2.0))
-        p, ax = envelope_gradient_x(model, np.log(3.0), 5.0)
-        assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert ax == pytest.approx(1.0 / 3.0, abs=1e-12)
+                               DecisionSet.simplex(2), inflow=inflow)
+        # beyond y_plus the term is e^{-x}, so d mu / dx = -1/3 at y = 3
+        assert inflow.term_dx(np.log(3.0)) == pytest.approx(-1.0 / 3.0,
+                                                            abs=1e-12)
+        # the sup of p(x) sits on the ramp; brute force over a fine grid
+        xs = np.linspace(-10.0, 10.0, 2_000_001)
+        sup = float(np.max(np.abs(inflow.term_dx(xs))))
+        assert sup > 1.0 / 3.0
+        assert lambda_bound(model, SpatialGrid(-2.0, 2.0, 16)) == (
+            pytest.approx(sup, rel=1e-5))
 
 
 class TestWeightsPath:

@@ -26,7 +26,7 @@ from riccati_hjb import (
 )
 from riccati_hjb.alpha import closed_form_n2
 from riccati_hjb.model import InflowProfile
-from riccati_hjb.pde import CutoffBounds, lambda_bound
+from riccati_hjb.pde import lambda_bound
 from two_asset_data import two_asset_sigma
 
 
@@ -176,8 +176,10 @@ class TestContractionBudget:
         grid = SpatialGrid(-4.0, 4.0, 64)
         phi0 = np.full(64, 2.0)
         big_m = abs(-m + omega * 2.0)
-        cut = CutoffBounds(m=big_m, lam=0.0, horizon=1.0)
-        budget = contraction_budget(singleton_model, cut, h_max=m)
+        util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=1)
+        budget = contraction_budget(singleton_model,
+                                    solve(singleton_model, util, cfg))
         phi_bound = (big_m + m) / omega
         beta = max(omega, omega * phi_bound + big_m)
         assert budget.beta == pytest.approx(beta, rel=1e-15)
@@ -214,10 +216,14 @@ class TestContractionBudget:
         cfg = PDEConfig(grid=grid, t_final=2.0, n_steps=20, upwind=True,
                         cutoff_m=0.03)
         budget = contraction_budget(paper_model, solve(paper_model, util, cfg))
+        # by hand, as in the singleton case, with M = 0.03
         h, _, _ = alpha_field(paper_model, grid.centers, np.zeros(80))
         h_max = float(np.max(np.abs(h)))
-        manual = contraction_budget(
-            paper_model, CutoffBounds(m=0.03, lam=0.0, horizon=2.0), h_max)
+        lip = lipschitz_bounds(paper_model)
+        phi_bound = (0.03 + h_max) / lip.omega
+        manual = ContractionBudget.from_constants(
+            lip.omega, max(lip.big_l, lip.big_l * phi_bound + 0.03),
+            phi_bound=phi_bound, horizon=2.0)
         assert budget == manual
         auto = contraction_budget(
             paper_model,
@@ -225,10 +231,34 @@ class TestContractionBudget:
         assert auto.beta == pytest.approx(74.1, abs=0.05)
         assert budget.beta < auto.beta - 10.0
 
-    def test_cutoffbounds_requires_h(self, singleton_model):
-        with pytest.raises(ValueError, match="h_max"):
-            contraction_budget(singleton_model,
-                               CutoffBounds(m=0.1, lam=0.0, horizon=1.0))
+    def test_unclamped_run_reports_its_auto_twin(self, paper_model):
+        # a run without a clamp carries the auto level M, lambda and T all
+        # the same, so the budget and the maximum principle's growth rate
+        # equal those of the auto-clamped twin; with inflow lambda > 0
+        model = PortfolioModel(paper_model.mu, paper_model.sigma,
+                               DecisionSet.simplex(2),
+                               inflow=InflowProfile(1.0, 1.0, 2.0))
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = PDEConfig(grid=SpatialGrid(-8, 8, 80), t_final=2.0,
+                        n_steps=20, upwind=True)
+        auto = solve(model, util, cfg)
+        free = solve(model, util, dataclasses.replace(cfg, cutoff_m=None))
+        assert free.cutoff is None and auto.cutoff is not None
+        assert free.bounds == auto.bounds
+        assert auto.bounds.lam > 0.0
+        budget = contraction_budget(model, free)
+        assert budget == contraction_budget(model, auto)
+        # by hand: M = max|alpha(x, phi0)|, Phi = (M e^{lam T} + max|h|)/omega
+        a0, _, _ = alpha_field(model, cfg.grid.centers, free.phi[0])
+        h, _, _ = alpha_field(model, cfg.grid.centers, np.zeros(80))
+        big_m = float(np.max(np.abs(a0)))
+        assert free.bounds.m == big_m
+        phi_bound = ((big_m * np.exp(free.bounds.lam * 2.0)
+                      + np.max(np.abs(h))) / lipschitz_bounds(model).omega)
+        assert budget.phi_bound == pytest.approx(phi_bound, rel=1e-14)
+        lam = [maximum_principle_report(s, model).context["lambda"]
+               for s in (free, auto)]
+        assert lam == [auto.bounds.lam] * 2
 
     def test_solution_respects_a_priori_sup_bound(self, paper_model):
         # |phi| never exceeds (M e^{lam T} + max|h|) / omega

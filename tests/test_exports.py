@@ -1,0 +1,27 @@
+import importlib
+
+import pytest
+
+import riccati_hjb
+
+MODULES = ["riccati_hjb", "riccati_hjb.alpha", "riccati_hjb.analysis",
+           "riccati_hjb.config", "riccati_hjb.model", "riccati_hjb.pde"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["step", "cutoff_level",
+                                  "envelope_gradient_x"])
+def test_removed_entry_points_are_gone(name):
+    # a run's M, lambda and T come from solve alone, and one-step solves
+    # replace the separate stepper
+    assert name not in riccati_hjb.__all__
+    assert not hasattr(riccati_hjb, name)
+    for module in MODULES[1:]:
+        assert not hasattr(importlib.import_module(module), name)
