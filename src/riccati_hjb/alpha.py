@@ -128,7 +128,7 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
     """Minimize -mu'theta + (rho/2) theta'Sigma theta on the simplex, rho > 0.
 
     Primal active-set iteration starting from the uniform weight vector.
-    Returns (theta, lam) satisfying the KKT conditions.
+    Returns the weights theta, which satisfy the KKT conditions.
     """
     n = len(mu)
     theta = np.full(n, 1.0 / n)
@@ -141,11 +141,11 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
             grad = rho * (sigma @ theta) - mu
             bound = [i for i in range(n) if i not in free]
             if not bound:
-                return theta, lam
+                return theta
             mult = grad[bound] + lam
             j = int(np.argmin(mult))
             if mult[j] >= -_KKT_TOL:
-                return theta, lam
+                return theta
             free.add(bound[j])
         else:
             # step toward the candidate until a free weight hits zero
@@ -193,12 +193,11 @@ def _simplex_minimizer(model: PortfolioModel, rho: float) -> np.ndarray:
     """Minimizing simplex weights at rho > 0: the active-set QP, with
     support enumeration as the fallback for n <= 3."""
     try:
-        theta, _ = _active_set_qp(model.sigma, model.mu, rho)
+        return _active_set_qp(model.sigma, model.mu, rho)
     except AlphaEngineError:
         if model.n > 3:
             raise
-        theta = _enumerate_supports(model, rho)
-    return theta
+        return _enumerate_supports(model, rho)
 
 
 def _result(model: PortfolioModel, x, rho: float, theta: np.ndarray) -> AlphaResult:
@@ -264,7 +263,7 @@ def lipschitz_bounds(model: PortfolioModel) -> LipschitzBounds:
     if model.decision_set.kind == "discrete":
         omega = slopes.min()
     else:
-        theta, _ = _active_set_qp(model.sigma, np.zeros(model.n), 1.0)
+        theta = _active_set_qp(model.sigma, np.zeros(model.n), 1.0)
         omega = 0.5 * model.variance(theta)
     return LipschitzBounds(float(omega), float(slopes.max()))
 
@@ -294,13 +293,9 @@ class ClosedFormN2:
     e_plus: float
     d_plus: float
 
-    def interior(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        return self.a_const - self.b_const / phi + self.c_const * phi
-
     def evaluate(self, phi):
         phi = np.asarray(phi, dtype=float)
-        out = self.interior(phi)
+        out = self.a_const - self.b_const / phi + self.c_const * phi
         if self.phi_lo > 0 and not np.isnan(self.e_minus):
             out = np.where(phi <= self.phi_lo,
                            self.e_minus * phi + self.d_minus, out)
@@ -357,11 +352,11 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
         phi_lo = 0.0 if 0.0 < a < 1.0 else np.inf
         phi_hi = np.inf
 
+    _, slopes, intercepts = _menu_lines(model)
+
     def vertex_line(phi_probe):
-        v0 = (-model.mu[0] + 0.5 * phi_probe * s[0, 0], 0.5 * s[0, 0], -model.mu[0])
-        v1 = (-model.mu[1] + 0.5 * phi_probe * s[1, 1], 0.5 * s[1, 1], -model.mu[1])
-        _, e, d = min(v0, v1)
-        return float(e), float(d)
+        k = int(np.argmin(intercepts + phi_probe * slopes))
+        return float(slopes[k]), float(intercepts[k])
 
     e_minus = d_minus = e_plus = d_plus = np.nan
     if phi_lo == np.inf:
@@ -379,13 +374,13 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
 
 # --- vectorized evaluation and weight paths ---------------------------------
 
-def weights_path(model: PortfolioModel, phi_grid, x: float = 0.0):
+def weights_path(model: PortfolioModel, phi_grid):
     """Tabulate (phi, theta_hat, alpha, dalpha_dphi) along an increasing phi
     grid. Within one active set the weights are affine in 1/phi."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or np.any(np.diff(phi_grid) <= 0) or phi_grid[0] <= 0:
         raise AlphaEngineError("phi grid must be strictly increasing and positive")
-    alpha, dalpha, theta = alpha_field(model, x, phi_grid)
+    alpha, dalpha, theta = alpha_field(model, 0.0, phi_grid)
     return {"phi": phi_grid, "theta": theta, "alpha": alpha, "dalpha_dphi": dalpha}
 
 

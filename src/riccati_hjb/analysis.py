@@ -84,9 +84,8 @@ def _jsonable(obj):
 
 # --- Sobolev norms via the discrete Fourier transform ------------------------
 
-def sobolev_norm(values, dx: float | None = None, s: float = 0.0, *,
-                 x=None) -> float:
-    """Order-s Sobolev norm of samples on a uniform grid.
+def sobolev_norm(values, dx: float, s: float = 0.0) -> float:
+    """Order-s Sobolev norm of samples on a uniform grid of spacing dx.
 
     The squared norm is the frequency sum of (1 + xi^2)^s |fhat(xi)|^2 dxi
     with physical frequencies xi_k = 2 pi k / (N dx). At s = 0 this is the
@@ -96,16 +95,8 @@ def sobolev_norm(values, dx: float | None = None, s: float = 0.0, *,
     f = np.asarray(values, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("need a 1-d sample array of length >= 2")
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.shape != f.shape:
-            raise ValueError("x and values must have the same length")
-        d = np.diff(x)
-        if np.max(np.abs(d - d[0])) > 1e-8 * max(abs(d[0]), 1e-300):
-            raise ValueError("non-uniform grid")
-        dx = float(d[0])
-    if dx is None or dx <= 0:
-        raise ValueError("need a positive grid spacing dx (or a uniform x)")
+    if not dx > 0:
+        raise ValueError(f"need a positive grid spacing dx, got {dx}")
     (norm2,) = _sobolev_sq(f, dx, (s,))
     return float(np.sqrt(norm2))
 
@@ -130,42 +121,32 @@ def _sobolev_sq(f, dx: float, orders):
 
 # --- strong monotonicity of alpha --------------------------------------------
 
-def monotonicity_certificate(model: PortfolioModel, phi_samples=None,
-                             x_samples=None, *, n_pairs: int = 1000,
-                             seed: int = 42, phi_range=(0.1, 50.0),
-                             tolerance: float | None = None) -> CheckReport:
+def monotonicity_certificate(model: PortfolioModel, *, n_pairs: int = 1000,
+                             seed: int = 42,
+                             phi_range=(0.1, 50.0)) -> CheckReport:
     """Check omega <= (alpha(x,phi1) - alpha(x,phi2)) / (phi1 - phi2) <= L
-    over sample pairs; pairs are seeded random unless samples are supplied.
-    """
+    over seeded random pairs from phi_range at x = 0, which covers every x:
+    alpha is a function of phi minus an inflow term of x alone, and that
+    term cancels in the quotient."""
     bounds = lipschitz_bounds(model)
-    xs = np.atleast_1d(np.asarray(x_samples if x_samples is not None else [0.0],
-                                  dtype=float))
-    if phi_samples is not None:
-        phis = np.asarray(phi_samples, dtype=float)
-        p1, p2 = np.meshgrid(phis, phis)
-        keep = np.abs(p1 - p2) > 1e-12
-        p1, p2 = p1[keep], p2[keep]
-    else:
-        rng = np.random.default_rng(seed)
-        lo, hi = phi_range
-        p1 = np.empty(n_pairs)
-        p2 = np.empty(n_pairs)
-        have = 0
-        while have < n_pairs:
-            a = rng.uniform(lo, hi, size=n_pairs - have)
-            b = rng.uniform(lo, hi, size=n_pairs - have)
-            # keep the quotient well conditioned
-            ok = np.abs(a - b) >= MIN_PAIR_GAP
-            k = int(ok.sum())
-            p1[have:have + k] = a[ok]
-            p2[have:have + k] = b[ok]
-            have += k
-    va, _, _ = alpha_field(model, xs[:, None], p1)
-    vb, _, _ = alpha_field(model, xs[:, None], p2)
+    rng = np.random.default_rng(seed)
+    lo, hi = phi_range
+    p1 = np.empty(n_pairs)
+    p2 = np.empty(n_pairs)
+    have = 0
+    while have < n_pairs:
+        a = rng.uniform(lo, hi, size=n_pairs - have)
+        b = rng.uniform(lo, hi, size=n_pairs - have)
+        # keep the quotient well conditioned
+        ok = np.abs(a - b) >= MIN_PAIR_GAP
+        k = int(ok.sum())
+        p1[have:have + k] = a[ok]
+        p2[have:have + k] = b[ok]
+        have += k
+    va, _, _ = alpha_field(model, 0.0, p1)
+    vb, _, _ = alpha_field(model, 0.0, p2)
     ratios = (va - vb) / (p1 - p2)
     min_ratio, max_ratio = float(ratios.min()), float(ratios.max())
-    if tolerance is None:
-        tolerance = 1e-10 * max(1.0, bounds.big_l)
     worst = max(0.0, bounds.omega - min_ratio, max_ratio - bounds.big_l)
     lhs, rhs = ((bounds.omega, min_ratio)
                 if bounds.omega - min_ratio >= max_ratio - bounds.big_l
@@ -174,13 +155,12 @@ def monotonicity_certificate(model: PortfolioModel, phi_samples=None,
         check_name="monotonicity",
         bound_lhs=float(lhs),
         bound_rhs=float(rhs),
-        tolerance=float(tolerance),
+        tolerance=1e-10 * max(1.0, bounds.big_l),
         worst_violation=float(worst),
         context={
             "omega": bounds.omega, "big_l": bounds.big_l,
             "min_ratio": float(min_ratio), "max_ratio": float(max_ratio),
-            "n_pairs": int(len(p1)), "seed": seed,
-            "phi_range": list(phi_range), "n_x": int(len(xs)),
+            "n_pairs": n_pairs, "seed": seed, "phi_range": list(phi_range),
         },
     )
 
@@ -191,38 +171,30 @@ def monotonicity_certificate(model: PortfolioModel, phi_samples=None,
 class ContractionBudget:
     """Constants of the fixed-point argument: the source maps have Lipschitz
     constant beta, beta_tilde^2 = 2 (1 + d) beta^2 with d = 1, and the map
-    contracts on horizons below t0 = 2 omega / beta_tilde^2."""
+    contracts on horizons below t0 = 2 omega / beta_tilde^2. phi_bound is
+    the a-priori solution bound and horizon the run's t_final."""
 
     omega: float
     beta: float
-    beta_tilde: float
-    t0: float
-    phi_bound: float = math.nan
-    horizon: float = math.nan
+    phi_bound: float
+    horizon: float
 
-    def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError(f"contraction horizon must be positive, got {self.t0}")
+    @property
+    def beta_tilde(self) -> float:
+        return math.sqrt(2.0 * (1 + _SPACE_DIM)) * self.beta
 
-    @staticmethod
-    def from_constants(omega: float, beta: float,
-                       phi_bound: float = math.nan,
-                       horizon: float = math.nan) -> "ContractionBudget":
-        beta_tilde = math.sqrt(2.0 * (1 + _SPACE_DIM)) * beta
-        return ContractionBudget(
-            omega=omega, beta=beta, beta_tilde=beta_tilde,
-            t0=2.0 * omega / beta_tilde**2,
-            phi_bound=phi_bound, horizon=horizon,
-        )
+    @property
+    def t0(self) -> float:
+        return 2.0 * self.omega / self.beta_tilde**2
 
-    def windows(self) -> int:
+    def windows(self) -> int | None:
         """Continuation windows needed to cover the horizon: the first window
-        spans t0, every later restart extends coverage by t0/2."""
-        if not self.horizon > 0:
-            return 0
-        if self.horizon <= self.t0:
-            return 1
-        return 1 + int(math.ceil((self.horizon - self.t0) / (self.t0 / 2.0)))
+        spans t0, every later restart extends coverage by t0/2. None when
+        t0 is 0, which it is once M e^{lam T} overflows to inf."""
+        t0 = self.t0
+        if t0 == 0.0:
+            return None
+        return 1 + max(0, math.ceil((self.horizon - t0) / (t0 / 2.0)))
 
 
 def contraction_budget(model: PortfolioModel,
@@ -241,9 +213,8 @@ def contraction_budget(model: PortfolioModel,
     me_lt = solution.bounds.upper
     phi_bound = (me_lt + float(np.max(np.abs(h)))) / bounds.omega
     beta = max(bounds.big_l, bounds.big_l * phi_bound + me_lt)
-    return ContractionBudget.from_constants(
-        bounds.omega, beta, phi_bound=phi_bound,
-        horizon=solution.bounds.horizon)
+    return ContractionBudget(bounds.omega, beta, phi_bound,
+                             solution.bounds.horizon)
 
 
 # --- energy estimate -----------------------------------------------------------
@@ -302,10 +273,13 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
     psi_up = max(0.0, float(np.max(a[0])))
     psi_lo = min(0.0, float(np.min(a[0])))
     lam = solution.bounds.lam
-    growth = np.exp(lam * solution.tau_values)[:, None]
+    # e^{lam tau} may overflow to inf, where a zero bound stays 0
+    with np.errstate(over="ignore"):
+        growth = np.exp(lam * solution.tau_values)[:, None]
+    lower, upper = (psi * growth if psi else 0.0 for psi in (psi_lo, psi_up))
     # gaps (step, side, cell), positive = violation; the flat argmax is the
     # first worst entry in step, then lower-before-upper, then cell order
-    gaps = np.stack([psi_lo * growth - a, a - psi_up * growth], axis=1)
+    gaps = np.stack([lower - a, a - upper], axis=1)
     k, side, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     worst = max(0.0, float(gaps[k, side, i]))
     where = {"step": 0, "cell": 0, "side": "none"}

@@ -261,8 +261,8 @@ def _verification_bundle(model, utility, pde_cfg, sol, checks):
         context={"ratio_coarse": ratio_c, "ratio_fine": ratio_f},
     ))
 
-    # informational: t0 > 0 holds by construction, so there is no bound to
-    # check, and horizons of many contraction windows are normal
+    # informational: t0 is reported, not checked (it is 0 once M e^{lam T}
+    # overflows), and horizons of many contraction windows are normal
     budget = contraction_budget(model, sol)
     info = {"contraction-budget": {
         "omega": budget.omega, "beta": budget.beta,
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         pc.add_argument("--phi-min", type=float, default=0.5)
         pc.add_argument("--phi-max", type=float, default=10.0)
         pc.add_argument("--n-points", type=int, default=200)
-        pc.add_argument("--gnuplot", action="store_true")
+        if name == "alpha-curve":
+            pc.add_argument("--gnuplot", action="store_true")
         pc.set_defaults(func=fn)
 
     ps = sub.add_parser("solve", help="integrate the risk-aversion PDE")

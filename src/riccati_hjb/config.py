@@ -51,35 +51,77 @@ def load_document(path) -> dict:
     return doc
 
 
-def _require(section: dict, key: str, where: str):
+def _require(section, key: str, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object, got {section!r}")
     if key not in section:
         raise ConfigError(f"{where}: missing key {key!r}")
     return section[key]
 
 
+def _is_finite(v) -> bool:
+    try:  # strings and null raise TypeError, ints beyond float OverflowError
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _number(section, key: str, where: str, default=None, *,
+            integer: bool = False, low=None):
+    """section[key] as a float (an int when `integer`) of at least `low`, or
+    `default`, when one is given, for an absent key. JSON booleans, strings
+    and non-finite values raise a ConfigError naming where.key."""
+    if default is not None and key not in section:
+        return default
+    v = _require(section, key, where)
+    if integer:
+        ok, kind = isinstance(v, int) and _is_finite(v), "an integer"
+    else:
+        ok, kind = _is_finite(v), "a finite number"
+    if low is not None:
+        ok, kind = ok and v >= low, f"{kind} >= {low}"
+    if not ok:
+        raise ConfigError(f"{where}.{key}: expected {kind}, got {v!r}")
+    return v if integer else float(v)
+
+
+def _floats(value, where: str) -> np.ndarray:
+    """A JSON number or (nested) list of finite numbers as a float array."""
+    def finite(v):
+        return all(map(finite, v)) if isinstance(v, list) else _is_finite(v)
+    try:
+        if finite(value):
+            return np.array(value, dtype=float)
+    except ValueError:  # lists of unequal lengths
+        pass
+    raise ConfigError(f"{where}: expected a rectangular array of finite "
+                      f"numbers, got {value!r}")
+
+
 def build_model(doc: dict) -> PortfolioModel:
     sec = _require(doc, "model", "config")
     assets = _require(sec, "assets", "model")
-    mu = np.asarray(_require(assets, "mu", "model.assets"), dtype=float)
+    mu = _floats(_require(assets, "mu", "model.assets"), "model.assets.mu")
 
     cov = _require(sec, "covariance", "model")
     if isinstance(cov, dict):
-        vols = np.asarray(_require(cov, "volatilities", "model.covariance"),
-                          dtype=float)
-        corr = np.asarray(_require(cov, "correlation", "model.covariance"),
-                          dtype=float)
-        if corr.shape != (len(vols), len(vols)):
+        vols = _floats(_require(cov, "volatilities", "model.covariance"),
+                       "model.covariance.volatilities")
+        corr = _floats(_require(cov, "correlation", "model.covariance"),
+                       "model.covariance.correlation")
+        if corr.shape != (vols.size, vols.size):
             raise ConfigError("model.covariance: correlation shape does not "
                               "match volatilities")
         sigma = corr * np.outer(vols, vols)
     else:
-        sigma = np.asarray(cov, dtype=float)
+        sigma = _floats(cov, "model.covariance")
 
     ds_spec = sec.get("decision_set", "simplex")
     if ds_spec == "simplex":
-        ds = DecisionSet.simplex(len(mu))
+        ds = DecisionSet.simplex(mu.size)
     elif isinstance(ds_spec, dict) and "points" in ds_spec:
-        ds = DecisionSet.discrete(ds_spec["points"])
+        ds = DecisionSet.discrete(_floats(ds_spec["points"],
+                                          "model.decision_set.points"))
     else:
         raise ConfigError(f"model.decision_set: expected 'simplex' or "
                           f"{{'points': [...]}}, got {ds_spec!r}")
@@ -89,9 +131,9 @@ def build_model(doc: dict) -> PortfolioModel:
         inf = sec["inflow"]
         try:
             inflow = InflowProfile(
-                eps_rate=float(_require(inf, "eps_rate", "model.inflow")),
-                y_minus=float(_require(inf, "y_minus", "model.inflow")),
-                y_plus=float(_require(inf, "y_plus", "model.inflow")),
+                eps_rate=_number(inf, "eps_rate", "model.inflow"),
+                y_minus=_number(inf, "y_minus", "model.inflow"),
+                y_plus=_number(inf, "y_plus", "model.inflow"),
             )
         except ModelError as exc:
             raise ConfigError(f"model.inflow: {exc}") from None
@@ -108,21 +150,22 @@ def build_utility(doc: dict):
     kind = _require(sec, "kind", "utility")
     gamma = sec.get("truncation_gamma", 8.0)
     if gamma is not None:
-        gamma = float(gamma)
+        gamma = _number(sec, "truncation_gamma", "utility", gamma)
     try:
         if kind == "dara":
             return DaraUtility(
-                a0=float(_require(sec, "a0", "utility")),
-                a1=float(_require(sec, "a1", "utility")),
-                x_star=float(_require(sec, "x_star", "utility")),
+                a0=_number(sec, "a0", "utility"),
+                a1=_number(sec, "a1", "utility"),
+                x_star=_number(sec, "x_star", "utility"),
                 truncation_gamma=gamma,
             )
         if kind == "arctan":
             return ArctanUtility(truncation_gamma=gamma)
         if kind == "tabulated":
             return TabulatedPhi0(
-                x=np.asarray(_require(sec, "x", "utility"), dtype=float),
-                values=np.asarray(_require(sec, "phi0", "utility"), dtype=float),
+                x=_floats(_require(sec, "x", "utility"), "utility.x"),
+                values=_floats(_require(sec, "phi0", "utility"),
+                               "utility.phi0"),
                 truncation_gamma=gamma if "truncation_gamma" in sec else None,
             )
     except ModelError as exc:
@@ -134,58 +177,50 @@ def build_pde(doc: dict) -> PDEConfig:
     sec = _require(doc, "pde", "config")
     try:
         grid = SpatialGrid(
-            x_min=float(_require(sec, "x_min", "pde")),
-            x_max=float(_require(sec, "x_max", "pde")),
-            n_cells=int(_require(sec, "n_cells", "pde")),
+            x_min=_number(sec, "x_min", "pde"),
+            x_max=_number(sec, "x_max", "pde"),
+            n_cells=_number(sec, "n_cells", "pde", integer=True),
         )
     except ModelError as exc:
         raise ConfigError(f"pde: {exc}") from None
 
     boundary = sec.get("boundary", "neumann")
-    dirichlet = (0.0, 0.0)
-    if isinstance(boundary, dict):
-        dirichlet = (float(boundary.get("left", 0.0)),
-                     float(boundary.get("right", 0.0)))
-        boundary = "dirichlet"
+    if boundary == "neumann":
+        dirichlet = None
+    elif (isinstance(boundary, dict)
+          and boundary.get("kind", "dirichlet") == "dirichlet"):
+        dirichlet = (_number(boundary, "left", "pde.boundary", 0.0),
+                     _number(boundary, "right", "pde.boundary", 0.0))
+    else:
+        raise ConfigError(f"pde.boundary: expected 'neumann' or a Dirichlet "
+                          f"object, got {boundary!r}")
     cutoff = sec.get("cutoff_m", "auto")
     if cutoff not in (None, "auto"):
-        cutoff = float(cutoff)
+        cutoff = _number(sec, "cutoff_m", "pde")
+    upwind = sec.get("upwind", False)
+    if not isinstance(upwind, bool):
+        raise ConfigError(f"pde.upwind: expected true or false, got {upwind!r}")
     try:
         return PDEConfig(
             grid=grid,
-            t_final=float(_require(sec, "t_final", "pde")),
-            n_steps=int(_require(sec, "n_steps", "pde")),
-            picard_tol=float(sec.get("picard_tol", 1e-10)),
-            picard_max=int(sec.get("picard_max", 100)),
+            t_final=_number(sec, "t_final", "pde"),
+            n_steps=_number(sec, "n_steps", "pde", integer=True),
+            picard_tol=_number(sec, "picard_tol", "pde", 1e-10),
+            picard_max=_number(sec, "picard_max", "pde", 100, integer=True),
             cutoff_m=cutoff,
-            boundary=boundary,
-            dirichlet_values=dirichlet,
-            upwind=bool(sec.get("upwind", False)),
+            dirichlet=dirichlet,
+            upwind=upwind,
         )
     except SolverError as exc:
         raise ConfigError(f"pde: {exc}") from None
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
 
 
 def build_checks(doc: dict) -> dict:
     sec = doc.get("checks", {})
     if not isinstance(sec, dict):
         raise ConfigError(f"checks: expected an object, got {sec!r}")
-    seed = sec.get("seed", 42)
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"checks.seed: expected an integer >= 0, got {seed!r}")
-    n_pairs = sec.get("n_pairs", 1000)
-    if not (_is_int(n_pairs) and n_pairs >= 1):
-        raise ConfigError(
-            f"checks.n_pairs: expected an integer >= 1, got {n_pairs!r}")
+    seed = _number(sec, "seed", "checks", 42, integer=True, low=0)
+    n_pairs = _number(sec, "n_pairs", "checks", 1000, integer=True, low=1)
     # at least twice the certificate's minimum pair gap wide, so that at
     # least a quarter of the sampled pairs qualify and the sampling ends
     lo_hi = sec.get("phi_range", (0.1, 50.0))
@@ -194,13 +229,10 @@ def build_checks(doc: dict) -> dict:
             and 0 < lo_hi[0] <= lo_hi[1] - 2 * MIN_PAIR_GAP):
         raise ConfigError(f"checks.phi_range: expected [lo, hi] with 0 < lo "
                           f"and hi - lo >= {2 * MIN_PAIR_GAP:g}, got {lo_hi!r}")
-    tolerance = sec.get("tolerance", 1e-8)
-    if not (_is_finite(tolerance) and tolerance >= 0):
-        raise ConfigError(f"checks.tolerance: expected a finite number >= 0, "
-                          f"got {tolerance!r}")
+    tolerance = _number(sec, "tolerance", "checks", 1e-8, low=0)
     return {"seed": seed, "n_pairs": n_pairs,
             "phi_range": (float(lo_hi[0]), float(lo_hi[1])),
-            "tolerance": float(tolerance)}
+            "tolerance": tolerance}
 
 
 def load_run(path):

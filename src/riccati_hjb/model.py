@@ -84,10 +84,6 @@ class DecisionSet:
                     raise ModelError(f"discrete points {i} and {j} are duplicates")
         return DecisionSet("discrete", pts.shape[1], _readonly(pts))
 
-    @property
-    def size(self) -> int:
-        return 1 if self.kind == "simplex" else len(self.points)
-
 
 @dataclass(frozen=True)
 class InflowProfile:

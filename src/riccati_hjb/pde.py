@@ -79,7 +79,8 @@ class PicardError(SolverError):
 
 @dataclass(frozen=True)
 class PDEConfig:
-    """Discretization and inner-iteration controls for one run."""
+    """Discretization and inner-iteration controls for one run. dirichlet
+    holds the (left, right) wall values, None selects the mirror boundary."""
 
     grid: SpatialGrid
     t_final: float
@@ -88,8 +89,7 @@ class PDEConfig:
     picard_max: int = 100
     cutoff_m: float | str | None = "auto"
     mms_source: Callable | None = None
-    boundary: str = "neumann"
-    dirichlet_values: tuple = (0.0, 0.0)
+    dirichlet: tuple | None = None
     upwind: bool = False
 
     def __post_init__(self):
@@ -99,8 +99,13 @@ class PDEConfig:
             raise SolverError(f"need n_steps >= 1, got {self.n_steps}")
         if self.picard_tol <= 0:
             raise SolverError("picard_tol must be positive")
-        if self.boundary not in ("neumann", "dirichlet"):
-            raise SolverError(f"unknown boundary {self.boundary!r}")
+        if self.picard_max < 1:
+            raise SolverError(f"need picard_max >= 1, got {self.picard_max}")
+        if self.cutoff_m not in (None, "auto") and not self.cutoff_m > 0:
+            raise SolverError(f"cutoff_m must be positive, got {self.cutoff_m}")
+        if self.dirichlet is not None and len(self.dirichlet) != 2:
+            raise SolverError(f"dirichlet must be None or a (left, right) "
+                              f"pair, got {self.dirichlet!r}")
 
     @property
     def dtau(self) -> float:
@@ -118,11 +123,12 @@ class CutoffBounds:
 
     @property
     def lower(self) -> float:
-        return -self.m * float(np.exp(self.lam * self.horizon))
+        return -self.upper
 
     @property
     def upper(self) -> float:
-        return self.m * float(np.exp(self.lam * self.horizon))
+        with np.errstate(over="ignore"):  # an overflow is the bound inf
+            return self.m * float(np.exp(self.lam * self.horizon))
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,10 @@ class _Geometry:
         self.centers = grid.centers
         self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
                                   [self.centers[-1] + self.dx]])
-        if config.boundary == "neumann":
+        if config.dirichlet is None:
             self.sign, self.offsets = 1.0, (0.0, 0.0)
         else:
-            gl, gr = config.dirichlet_values
+            gl, gr = config.dirichlet
             self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
         self.clamp = ((-np.inf, np.inf) if cutoff is None
                       else (cutoff.lower, cutoff.upper))
@@ -449,6 +455,29 @@ def _observed_orders(errors):
     return [float(v) for v in np.log2(e[:-1] / e[1:])]
 
 
+def _mms_table(model, x_max, t_final, runs, spacing):
+    """Max errors at t_final of the manufactured runs (n_cells, n_steps) in
+    `runs` on [-x_max, x_max], with the refined spacing ("dx" or "dtau") of
+    each run and the observed orders."""
+    from .model import TabulatedPhi0
+
+    table = {"n_cells": [], "n_steps": [], spacing: [], "error": []}
+    for n, steps in runs:
+        grid = SpatialGrid(-x_max, x_max, n)
+        phi0, source, exact = singleton_mms(model, grid)
+        cfg = PDEConfig(grid=grid, t_final=t_final, n_steps=steps,
+                        mms_source=source)
+        util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
+        sol = solve(model, util, cfg)
+        err = float(np.max(np.abs(sol.phi[-1] - exact(grid.centers, t_final))))
+        table["n_cells"].append(n)
+        table["n_steps"].append(steps)
+        table[spacing].append(grid.dx if spacing == "dx" else cfg.dtau)
+        table["error"].append(err)
+    table["orders"] = _observed_orders(table["error"])
+    return table
+
+
 def mms_convergence_study(model: PortfolioModel, x_max: float = 4.0,
                           t_final: float = 1.0,
                           spatial_cells=(50, 100, 200),
@@ -462,37 +491,8 @@ def mms_convergence_study(model: PortfolioModel, x_max: float = 4.0,
     rate as the second-order space error; temporal errors use a fixed fine
     mesh. Returns the error tables and observed orders.
     """
-    from .model import TabulatedPhi0
-
-    spatial = {"n_cells": [], "n_steps": [], "dx": [], "error": []}
-    for i, n in enumerate(spatial_cells):
-        steps = spatial_steps_base * (n // spatial_cells[0]) ** 2
-        grid = SpatialGrid(-x_max, x_max, n)
-        phi0, source, exact = singleton_mms(model, grid)
-        cfg = PDEConfig(grid=grid, t_final=t_final, n_steps=steps,
-                        mms_source=source)
-        util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
-        sol = solve(model, util, cfg)
-        err = float(np.max(np.abs(sol.phi[-1] - exact(grid.centers, t_final))))
-        spatial["n_cells"].append(n)
-        spatial["n_steps"].append(steps)
-        spatial["dx"].append(grid.dx)
-        spatial["error"].append(err)
-    spatial["orders"] = _observed_orders(spatial["error"])
-
-    temporal = {"n_cells": [], "n_steps": [], "dtau": [], "error": []}
-    grid = SpatialGrid(-x_max, x_max, temporal_cells)
-    phi0, source, exact = singleton_mms(model, grid)
-    util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
-    for steps in temporal_steps:
-        cfg = PDEConfig(grid=grid, t_final=t_final, n_steps=steps,
-                        mms_source=source)
-        sol = solve(model, util, cfg)
-        err = float(np.max(np.abs(sol.phi[-1] - exact(grid.centers, t_final))))
-        temporal["n_cells"].append(temporal_cells)
-        temporal["n_steps"].append(steps)
-        temporal["dtau"].append(t_final / steps)
-        temporal["error"].append(err)
-    temporal["orders"] = _observed_orders(temporal["error"])
-
-    return {"spatial": spatial, "temporal": temporal}
+    spatial = [(n, spatial_steps_base * (n // spatial_cells[0]) ** 2)
+               for n in spatial_cells]
+    temporal = [(temporal_cells, steps) for steps in temporal_steps]
+    return {"spatial": _mms_table(model, x_max, t_final, spatial, "dx"),
+            "temporal": _mms_table(model, x_max, t_final, temporal, "dtau")}

@@ -65,20 +65,11 @@ class TestSobolevNorm:
             n_p1 = sobolev_norm(f, dx, 1.0)
             assert n_m1 <= n_0 + 1e-15 <= n_p1 + 2e-15
 
-    def test_uniform_x_accepted_nonuniform_rejected(self):
-        x = np.linspace(0, 1, 64)
-        f = np.sin(2 * np.pi * x)
-        assert sobolev_norm(f, x=x) > 0
-        x_bad = x.copy()
-        x_bad[10] += 1e-3
-        with pytest.raises(ValueError, match="non-uniform"):
-            sobolev_norm(f, x=x_bad)
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sobolev_norm([1.0], 0.1)
         with pytest.raises(ValueError):
-            sobolev_norm([1.0, 2.0])
+            sobolev_norm([1.0, 2.0], 0.0)
 
 
 class TestCheckReport:
@@ -117,27 +108,24 @@ class TestMonotonicityCertificate:
 
     def test_pairs_straddling_breakpoint(self, paper_model):
         bp = closed_form_n2(paper_model).phi_lo
-        samples = np.concatenate([
-            np.linspace(bp - 0.5, bp - 1e-6, 25),
-            np.linspace(bp + 1e-6, bp + 0.5, 25)])
-        rep = monotonicity_certificate(paper_model, phi_samples=samples)
+        rep = monotonicity_certificate(paper_model,
+                                       phi_range=(bp - 0.5, bp + 0.5))
         assert rep.passed
 
     @pytest.mark.parametrize("which", ["two_asset", "menu", "three_asset_inflow"])
     def test_matches_scalar_loop(self, paper_model, fund_menu_model, which):
         rng = np.random.default_rng(5)
         g = rng.normal(size=(3, 3))
-        model, xs = {
-            "two_asset": (paper_model, [0.0]),
-            "menu": (fund_menu_model, [0.0]),
-            "three_asset_inflow": (PortfolioModel(
+        model = {
+            "two_asset": paper_model,
+            "menu": fund_menu_model,
+            "three_asset_inflow": PortfolioModel(
                 rng.normal(0.05, 0.1, 3), g @ g.T + 0.05 * np.eye(3),
                 DecisionSet.simplex(3), inflow=InflowProfile(0.2, 1.0, 2.0)),
-                [-0.5, 0.3, 1.2]),
         }[which]
         n_pairs, seed, (lo, hi) = 300, 9, (0.1, 50.0)
-        rep = monotonicity_certificate(model, x_samples=xs, n_pairs=n_pairs,
-                                       seed=seed, phi_range=(lo, hi))
+        rep = monotonicity_certificate(model, n_pairs=n_pairs, seed=seed,
+                                       phi_range=(lo, hi))
         # the certificate's seeded pair sampling, then one scalar QP per value
         pairs_rng = np.random.default_rng(seed)
         pairs = []
@@ -145,8 +133,9 @@ class TestMonotonicityCertificate:
             a = pairs_rng.uniform(lo, hi, size=n_pairs - len(pairs))
             b = pairs_rng.uniform(lo, hi, size=n_pairs - len(pairs))
             pairs += [(p, q) for p, q in zip(a, b) if abs(p - q) >= 1e-6]
-        ratios = [(solve_alpha(model, x, p).value - solve_alpha(model, x, q).value)
-                  / (p - q) for x in xs for p, q in pairs]
+        ratios = [(solve_alpha(model, 0.0, p).value
+                   - solve_alpha(model, 0.0, q).value) / (p - q)
+                  for p, q in pairs]
         assert rep.context["min_ratio"] == pytest.approx(min(ratios), abs=1e-12)
         assert rep.context["max_ratio"] == pytest.approx(max(ratios), abs=1e-12)
 
@@ -187,12 +176,13 @@ class TestContractionBudget:
         assert budget.beta_tilde**2 == 4.0 * beta**2
 
     def test_t0_linear_in_omega(self):
-        a = ContractionBudget.from_constants(omega=1e-3, beta=2.0)
-        b = ContractionBudget.from_constants(omega=2e-3, beta=2.0)
+        a = ContractionBudget(omega=1e-3, beta=2.0, phi_bound=1.0, horizon=1.0)
+        b = ContractionBudget(omega=2e-3, beta=2.0, phi_bound=1.0, horizon=1.0)
         assert b.t0 == pytest.approx(2 * a.t0, rel=1e-15)
 
     def test_beta_tilde_dimension_factor(self):
-        budget = ContractionBudget.from_constants(omega=0.5, beta=3.0)
+        budget = ContractionBudget(omega=0.5, beta=3.0, phi_bound=1.0,
+                                   horizon=1.0)
         assert budget.beta_tilde**2 == pytest.approx(4 * 9.0, rel=1e-15)
 
     def test_from_solution_field(self, paper_model):
@@ -221,9 +211,9 @@ class TestContractionBudget:
         h_max = float(np.max(np.abs(h)))
         lip = lipschitz_bounds(paper_model)
         phi_bound = (0.03 + h_max) / lip.omega
-        manual = ContractionBudget.from_constants(
+        manual = ContractionBudget(
             lip.omega, max(lip.big_l, lip.big_l * phi_bound + 0.03),
-            phi_bound=phi_bound, horizon=2.0)
+            phi_bound, 2.0)
         assert budget == manual
         auto = contraction_budget(
             paper_model,
@@ -381,12 +371,11 @@ class TestMaximumPrincipleReport:
         # a wall pinned below the initial range breaks the lower bound; one
         # that lifts alpha above 0 (from -0.02 at phi = 2) the upper one
         model, util, kw = {
-            "dirichlet_lower": (paper_model, dara, dict(
-                boundary="dirichlet", dirichlet_values=(6.0, 0.5))),
+            "dirichlet_lower": (paper_model, dara,
+                                dict(dirichlet=(6.0, 0.5))),
             "dirichlet_upper": (singleton_model, TabulatedPhi0(
                 grid.centers, np.full(100, 2.0), truncation_gamma=None),
-                dict(boundary="dirichlet", dirichlet_values=(5.0, 2.0),
-                     upwind=True)),
+                dict(dirichlet=(5.0, 2.0), upwind=True)),
             "inflow": (PortfolioModel(
                 paper_model.mu, paper_model.sigma, DecisionSet.simplex(2),
                 inflow=InflowProfile(1.0, 1.0, 2.0)), dara, dict(upwind=True)),
@@ -419,3 +408,26 @@ class TestMaximumPrincipleReport:
         assert rep.context["psi_upper"] == psi_up
         if which != "inflow":
             assert where["side"] == which.split("_")[1]
+
+    def test_zero_bound_holds_past_overflow(self):
+        # lambda is about 131 here, so e^{lam tau} overflows from tau = 5.5
+        # on; the zero upper bound (alpha(x, phi0) <= 0, with equality left
+        # of the inflow ramp) stays 0 at every tau, and alpha rising above 0
+        # at the last step is reported there, not hidden by 0 * inf = nan
+        model = PortfolioModel(np.array([0.06]), np.array([[0.04]]),
+                               DecisionSet.simplex(1),
+                               inflow=InflowProfile(50.0, 1.0, 1.5))
+        grid = SpatialGrid(-8, 8, 40)
+        util = TabulatedPhi0(grid.centers, np.full(40, 2.0),
+                             truncation_gamma=None)
+        cfg = PDEConfig(grid=grid, t_final=20.0, n_steps=20, upwind=True,
+                        cutoff_m=None)
+        sol = solve(model, util, cfg)
+        assert sol.bounds.upper == np.inf
+        rep = maximum_principle_report(sol, model)
+        a, _, _ = alpha_field(model, grid.centers, sol.phi)
+        assert rep.context["psi_upper"] == 0.0
+        assert not rep.passed
+        assert rep.worst_violation == a.max() > 0.0
+        assert rep.context["worst_location"]["side"] == "upper"
+        assert rep.context["worst_location"]["step"] == 20

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,13 @@ class TestWeightsPath:
         theta1 = rows[:, 3]
         assert np.all(np.diff(theta1) <= 1e-12)  # risk weight shrinks
 
+    def test_gnuplot_is_a_usage_error(self, tmp_path, config_path):
+        # only alpha-curve writes a plot script
+        out = tmp_path / "wp"
+        assert main(["weights-path", "--config", str(config_path),
+                     "--out", str(out), "--gnuplot"]) == 2
+        assert not out.exists()
+
 
 class TestDiscreteMenuConfig:
     def test_menu_curve_dominates_simplex(self, tmp_path, config_path):
@@ -206,6 +217,39 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("model", "assets", {"mu": ["a", 1]}, "mu"),
+        ("model", "covariance", {"volatilities": [0.169, 0.0082],
+                                 "correlation": [[1.0, -0.1], [-0.1]]},
+         "correlation"),
+        ("model", "decision_set", {"points": [[1.0, 0.0], "x"]}, "points"),
+        ("utility", "a0", "abc", "a0"),
+        ("utility", "truncation_gamma", "abc", "truncation_gamma"),
+        ("pde", "n_cells", "abc", "n_cells"),
+        ("pde", "cutoff_m", "abc", "cutoff_m"),
+        ("pde", "cutoff_m", -1, "cutoff_m"),
+        ("pde", "boundary", {"left": "x"}, "left"),
+        ("pde", "boundary", {"kind": "neumann"}, "boundary"),
+        ("pde", "boundary", {"kind": "robin"}, "boundary"),
+        ("pde", "picard_max", 0, "picard_max"),
+        ("pde", "n_steps", 2.5, "n_steps"),
+        ("pde", "upwind", "false", "upwind"),
+        ("pde", "t_final", float("nan"), "t_final"),
+        ("pde", "x_min", float("-inf"), "x_min"),
+    ])
+    def test_malformed_config_exits_config(self, tmp_path, capsys, section,
+                                           key, value, named):
+        utility, pde = dict(DARA_UTIL), dict(SMALL_PDE)
+        extra = {"utility": utility, "pde": pde, "model": {}}
+        extra[section][key] = value
+        cfg = write_config(tmp_path / "bad.json", utility=utility, pde=pde,
+                           model_extra=extra["model"])
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_standard_run_passes(self, tmp_path, config_path):
@@ -271,6 +315,25 @@ class TestVerify:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_bound_exits_through_checks(self, tmp_path, capsys):
+        # lambda is about 131, so M e^{lam T} overflows at T = 20: the budget
+        # reports t0 = 0 and no window count instead of raising
+        cfg = write_config(
+            tmp_path / "run.json",
+            model_extra={"inflow": {"eps_rate": 50.0, "y_minus": 1.0,
+                                    "y_plus": 1.5}},
+            utility=DARA_UTIL,
+            pde={**SMALL_PDE, "n_cells": 40, "t_final": 20.0, "n_steps": 20,
+                 "cutoff_m": None},
+            checks={"n_pairs": 50})
+        out = tmp_path / "v"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        payload = json.loads((out / "verify.json").read_text())
+        assert code == (0 if payload["passed"] else 1)
+        info = payload["info"]["contraction-budget"]
+        assert info["t0"] == 0.0 and info["windows"] is None
+        assert capsys.readouterr().err == ""
+
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -304,3 +367,30 @@ class TestMms:
         assert all(o >= 1.7 for o in man["orders"]["spatial"])
         assert all(o >= 0.7 for o in man["orders"]["temporal"])
         assert (out / "mms_convergence.csv").exists()
+
+
+class TestExamplesScript:
+    def test_writes_every_artifact(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        out = tmp_path / "examples"
+        run = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_examples.py"),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        slices = [f"slice_tau_{t}.csv" for t in (0, 1, 2, 5, 10)]
+        expected = {
+            "stocks_bonds.json", "three_funds.json", "constant_nine.json",
+            "alpha_simplex/alpha_curve.csv", "alpha_menu/alpha_curve.csv",
+            "weights/weights_path.csv", "verify/verify.json",
+            "mms/mms_convergence.csv",
+            *(f"{d}/manifest.json" for d in (
+                "alpha_simplex", "alpha_menu", "weights", "profile_const",
+                "profile_dara", "verify", "mms")),
+            *(f"{d}/{name}" for d in ("profile_const", "profile_dara")
+              for name in slices),
+        }
+        written = {p.relative_to(out).as_posix()
+                   for p in out.rglob("*") if p.is_file()}
+        assert written == expected

@@ -109,7 +109,7 @@ class TestPdeSection:
         cfg = build_pde(base_doc())
         assert cfg.picard_tol == 1e-10
         assert cfg.cutoff_m == "auto"
-        assert cfg.boundary == "neumann"
+        assert cfg.dirichlet is None
         assert not cfg.upwind
 
     def test_dirichlet_block(self):
@@ -117,8 +117,7 @@ class TestPdeSection:
         doc["pde"]["boundary"] = {"kind": "dirichlet", "left": 1.0,
                                   "right": 2.0}
         cfg = build_pde(doc)
-        assert cfg.boundary == "dirichlet"
-        assert cfg.dirichlet_values == (1.0, 2.0)
+        assert cfg.dirichlet == (1.0, 2.0)
 
     def test_manual_cutoff_level(self):
         doc = base_doc()
@@ -153,7 +152,7 @@ class TestChecksAndDocument:
         ("phi_range", [1.0, float("inf")]), ("phi_range", [float("nan"), 1.0]),
         ("phi_range", ["a", "b"]), ("phi_range", 5.0),
         ("tolerance", -1e-9), ("tolerance", float("nan")), ("tolerance", "abc"),
-        ("tolerance", None),
+        ("tolerance", None), ("tolerance", 10**400),
         ("seed", "abc"), ("seed", 1.5), ("seed", -1),
     ])
     def test_malformed_checks_name_the_key(self, key, value):

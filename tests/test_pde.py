@@ -34,6 +34,11 @@ def paper_cfg(n_cells=100, n_steps=50, t_final=2.0, **kw):
                      n_steps=n_steps, **kw)
 
 
+def walls(boundary, left, right):
+    """The dirichlet setting of a parametrized boundary kind."""
+    return (left, right) if boundary == "dirichlet" else None
+
+
 def one_step(model, state, cfg):
     """One implicit step of cfg's length from the given level: a one-step
     solve from the level as a tabulated profile, which starts its sweeps
@@ -220,7 +225,7 @@ class TestMaximumPrincipleAndComparison:
         # advected boundary data breaks the lower pointwise bound
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=100, n_steps=40, t_final=4.0,
-                        boundary="dirichlet", dirichlet_values=(6.0, 0.5))
+                        dirichlet=(6.0, 0.5))
         sol = solve(paper_model, util, cfg)
         rep = maximum_principle_report(sol, paper_model, tol=1e-8)
         assert not rep.passed
@@ -233,6 +238,26 @@ class TestMaximumPrincipleAndComparison:
         hi = solve(paper_model, DaraUtility(9.0, 9.0, 0.0, None), cfg)
         lo = solve(paper_model, DaraUtility(9.0, 6.0, 2.0, 8.0), cfg)
         assert np.all(lo.phi <= hi.phi + 1e-8)
+
+    # a probe of 500 seeded draws of these ranges held with a worst excess
+    # of -3.8e-3
+    @given(a0=st.floats(0.5, 15.0), a1=st.floats(0.5, 15.0),
+           d0=st.floats(0.0, 5.0), d1=st.floats(0.0, 5.0),
+           x_star=st.floats(-3.0, 3.0), gamma=st.sampled_from([None, 8.0]),
+           n_cells=st.integers(10, 60), n_steps=st.integers(5, 20),
+           dtau=st.floats(0.05, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_comparison_ordering_property(self, paper_model, a0, a1, d0, d1,
+                                          x_star, gamma, n_cells, n_steps,
+                                          dtau):
+        # ordered DARA profiles (a0 <= b0, a1 <= b1, same x_star) stay
+        # ordered at every level under the monotone flux
+        cfg = paper_cfg(n_cells=n_cells, n_steps=n_steps,
+                        t_final=n_steps * dtau, upwind=True)
+        lo = solve(paper_model, DaraUtility(a0, a1, x_star, gamma), cfg)
+        hi = solve(paper_model, DaraUtility(a0 + d0, a1 + d1, x_star, gamma),
+                   cfg)
+        assert np.max(lo.phi - hi.phi) <= 1e-8
 
     def test_central_flux_overshoots_at_this_peclet(self, paper_model):
         # cell Peclet ~ 4 at the initial front: the arithmetic-mean flux is
@@ -266,7 +291,7 @@ class TestConservation:
                                                   boundary):
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=100, n_steps=50, t_final=2.0, upwind=upwind,
-                        boundary=boundary, dirichlet_values=(9.0, 6.0))
+                        dirichlet=walls(boundary, 9.0, 6.0))
         assert_mass_balance(solve(paper_model, util, cfg), cfg)
 
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
@@ -278,7 +303,7 @@ class TestConservation:
         # whatever the last correction was
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=100, n_steps=50, t_final=2.0, upwind=upwind,
-                        boundary=boundary, dirichlet_values=(9.0, 6.0),
+                        dirichlet=walls(boundary, 9.0, 6.0),
                         picard_tol=1e-4)
         assert_mass_balance(solve(paper_model, util, cfg), cfg)
 
@@ -317,7 +342,7 @@ class TestConservation:
         util = DaraUtility(a0, a1, x_star, truncation_gamma=gamma)
         cfg = paper_cfg(n_cells=n_cells, n_steps=n_steps,
                         t_final=n_steps * dtau, upwind=upwind,
-                        boundary=boundary, dirichlet_values=(a0, a1),
+                        dirichlet=walls(boundary, a0, a1),
                         cutoff_m=clamp, picard_tol=picard_tol)
         assert_mass_balance(solve(paper_model, util, cfg), cfg)
 
@@ -335,7 +360,7 @@ class TestNewtonSweeps:
         dict(upwind=False),
         dict(upwind=True, cutoff_m=0.03),
         dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True,
-             boundary="dirichlet", dirichlet_values=(9.0, 6.0)),
+             dirichlet=(9.0, 6.0)),
     ], ids=["shipped", "central", "clamped", "dirichlet"])
     def test_sweeps_per_step(self, paper_model, kw):
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
@@ -383,7 +408,7 @@ class TestNewtonSweeps:
         # a level of 0.03 clips every cell (alpha spans about -0.067 to
         # -0.057), so the advective coefficient carries no slope there
         cfg = paper_cfg(n_cells=40, n_steps=20, t_final=2.0, upwind=upwind,
-                        boundary=boundary, dirichlet_values=(9.0, 6.0),
+                        dirichlet=walls(boundary, 9.0, 6.0),
                         cutoff_m=0.03 if clamp else "auto")
         assert self.newton_ratio(paper_model, util, cfg) <= self.NEWTON_RATIO
 
@@ -395,7 +420,7 @@ class TestNewtonSweeps:
         # parts enter the Jacobian; on the run above v < 0 everywhere
         util = DaraUtility(30.0, 10.0, 0.0)
         cfg = paper_cfg(n_cells=40, n_steps=20, t_final=2.0, upwind=True,
-                        boundary=boundary, dirichlet_values=(30.0, 10.0))
+                        dirichlet=walls(boundary, 30.0, 10.0))
         ratio = self.newton_ratio(finite_breakpoints_model, util, cfg)
         assert ratio <= self.NEWTON_RATIO
 
@@ -454,8 +479,7 @@ class TestPredictor:
                 (False, True), ("neumann", "dirichlet")):
             ends = phi0_profile(util, grid)[[0, -1]]
             cfg = paper_cfg(n_cells=100, n_steps=100, t_final=4.0,
-                            upwind=upwind, boundary=boundary,
-                            dirichlet_values=tuple(ends))
+                            upwind=upwind, dirichlet=walls(boundary, *ends))
             sweeps += [d.picard_iterations
                        for d in solve(model, util, cfg).diagnostics]
         assert np.mean(sweeps) <= 1.9
@@ -589,5 +613,7 @@ class TestSolverErrors:
             PDEConfig(grid=grid, t_final=-1.0, n_steps=4)
         with pytest.raises(Exception, match="n_steps"):
             PDEConfig(grid=grid, t_final=1.0, n_steps=0)
-        with pytest.raises(Exception, match="boundary"):
-            PDEConfig(grid=grid, t_final=1.0, n_steps=4, boundary="robin")
+        with pytest.raises(Exception, match="dirichlet"):
+            PDEConfig(grid=grid, t_final=1.0, n_steps=4, dirichlet=(1.0,))
+        with pytest.raises(Exception, match="picard_max"):
+            PDEConfig(grid=grid, t_final=1.0, n_steps=4, picard_max=0)
