@@ -267,11 +267,15 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
                              tol: float = 1e-8) -> CheckReport:
     """Verify psi_min e^{lam tau} <= alpha(x, phi(x,tau)) <= psi_max e^{lam tau}
     at every stored step, with psi_min/max the signed extremes of
-    alpha(x, phi0) capped at zero and lam the run's drift-gradient bound."""
+    alpha(x, phi0) capped at zero and lam the run's drift-gradient bound.
+    The context's `capped_at_zero` lists the sides ("lower", "upper") whose
+    extreme lay on the far side of zero, so that their psi is 0."""
     centers = solution.grid.centers
     a, _, _ = alpha_field(model, centers, solution.phi)
-    psi_up = max(0.0, float(np.max(a[0])))
-    psi_lo = min(0.0, float(np.min(a[0])))
+    a0_min, a0_max = float(np.min(a[0])), float(np.max(a[0]))
+    psi_lo, psi_up = min(0.0, a0_min), max(0.0, a0_max)
+    capped = [side for side, far in (("lower", a0_min > 0.0),
+                                     ("upper", a0_max < 0.0)) if far]
     lam = solution.bounds.lam
     # e^{lam tau} may overflow to inf, where a zero bound stays 0
     with np.errstate(over="ignore"):
@@ -294,6 +298,7 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
         bound_rhs=0.0,
         tolerance=tol,
         worst_violation=worst,
-        context={"psi_lower": psi_lo, "psi_upper": psi_up, "lambda": lam,
+        context={"psi_lower": psi_lo, "psi_upper": psi_up,
+                 "capped_at_zero": capped, "lambda": lam,
                  "worst_location": where},
     )

@@ -37,6 +37,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
+# size caps, so that a run too large to allocate is a config error: the
+# stored field of phi, (n_steps + 1) * n_cells values (80 MB; verify's
+# refined run stores about four times as many), and the certificate's pairs
+MAX_FIELD_VALUES = 10**7
+MAX_PAIRS = 10**6
+
+
 def load_document(path) -> dict:
     p = Path(path)
     if not p.exists():
@@ -67,10 +74,11 @@ def _is_finite(v) -> bool:
 
 
 def _number(section, key: str, where: str, default=None, *,
-            integer: bool = False, low=None):
-    """section[key] as a float (an int when `integer`) of at least `low`, or
-    `default`, when one is given, for an absent key. JSON booleans, strings
-    and non-finite values raise a ConfigError naming where.key."""
+            integer: bool = False, low=None, high=None):
+    """section[key] as a float (an int when `integer`) of at least `low` and
+    at most `high`, or `default`, when one is given, for an absent key. JSON
+    booleans, strings and non-finite values raise a ConfigError naming
+    where.key."""
     if default is not None and key not in section:
         return default
     v = _require(section, key, where)
@@ -80,6 +88,9 @@ def _number(section, key: str, where: str, default=None, *,
         ok, kind = _is_finite(v), "a finite number"
     if low is not None:
         ok, kind = ok and v >= low, f"{kind} >= {low}"
+    if high is not None:
+        ok = ok and v <= high
+        kind = f"{kind}{' and' if low is not None else ''} <= {high}"
     if not ok:
         raise ConfigError(f"{where}.{key}: expected {kind}, got {v!r}")
     return v if integer else float(v)
@@ -138,9 +149,16 @@ def build_model(doc: dict) -> PortfolioModel:
         except ModelError as exc:
             raise ConfigError(f"model.inflow: {exc}") from None
 
+    # absent or null selects the default, as for inflow
+    drift_mode = sec.get("drift_mode")
+    if drift_mode is None:
+        drift_mode = ""
+    elif not isinstance(drift_mode, str):
+        raise ConfigError(f"model.drift_mode: expected a string, got "
+                          f"{drift_mode!r}")
     try:
         return PortfolioModel(mu, sigma, ds, inflow=inflow,
-                              drift_mode=sec.get("drift_mode", ""))
+                              drift_mode=drift_mode)
     except ModelError as exc:
         raise ConfigError(f"model: {exc}") from None
 
@@ -197,6 +215,12 @@ def build_pde(doc: dict) -> PDEConfig:
     cutoff = sec.get("cutoff_m", "auto")
     if cutoff not in (None, "auto"):
         cutoff = _number(sec, "cutoff_m", "pde")
+    n_steps = _number(sec, "n_steps", "pde", integer=True)
+    field = (n_steps + 1) * grid.n_cells
+    if field > MAX_FIELD_VALUES:
+        raise ConfigError(f"pde.n_cells, pde.n_steps: the stored field of "
+                          f"(n_steps + 1) * n_cells = {field} values "
+                          f"exceeds {MAX_FIELD_VALUES}")
     upwind = sec.get("upwind", False)
     if not isinstance(upwind, bool):
         raise ConfigError(f"pde.upwind: expected true or false, got {upwind!r}")
@@ -204,7 +228,7 @@ def build_pde(doc: dict) -> PDEConfig:
         return PDEConfig(
             grid=grid,
             t_final=_number(sec, "t_final", "pde"),
-            n_steps=_number(sec, "n_steps", "pde", integer=True),
+            n_steps=n_steps,
             picard_tol=_number(sec, "picard_tol", "pde", 1e-10),
             picard_max=_number(sec, "picard_max", "pde", 100, integer=True),
             cutoff_m=cutoff,
@@ -220,7 +244,8 @@ def build_checks(doc: dict) -> dict:
     if not isinstance(sec, dict):
         raise ConfigError(f"checks: expected an object, got {sec!r}")
     seed = _number(sec, "seed", "checks", 42, integer=True, low=0)
-    n_pairs = _number(sec, "n_pairs", "checks", 1000, integer=True, low=1)
+    n_pairs = _number(sec, "n_pairs", "checks", 1000, integer=True, low=1,
+                      high=MAX_PAIRS)
     # at least twice the certificate's minimum pair gap wide, so that at
     # least a quarter of the sampled pairs qualify and the sampling ends
     lo_hi = sec.get("phi_range", (0.1, 50.0))

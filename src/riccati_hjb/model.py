@@ -160,6 +160,9 @@ class PortfolioModel:
             raise ModelError(
                 f"decision set dimension {self.decision_set.n} != {n} assets"
             )
+        if not isinstance(self.drift_mode, str):
+            raise ModelError(f"drift_mode must be a string, got "
+                             f"{self.drift_mode!r}")
         mode = self.drift_mode or (
             DRIFT_LOG_WEALTH if self.inflow is not None else DRIFT_SIMPLE
         )

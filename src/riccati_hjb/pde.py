@@ -27,7 +27,13 @@ packing. A sweep is bound by numpy's per-call overhead on arrays of n + 2
 values, so it builds its temporaries in place, multiplies by the
 reciprocals of dx and dtau, and leaves the check for a non-finite
 correction to the max |delta| of the stop rule, which is nan or inf exactly
-when delta has such an entry.
+when delta has such an entry. It refills the run's one ghost-extended
+buffer of phi, takes the interior range of alpha once (the clamp test adds
+the two ghost values, and the step diagnostics keep the range of the last
+sweep), scales the couplings by -1/dx once and builds the diagonal from
+them, and the Newton update is applied in place. On the shipped two-asset
+upwind run (402 values) a sweep takes about 60 us on a 2-core x86-64 VM,
+a quarter of it in `alpha_field` and a fifth in gtsv.
 
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation. `solve` works out M, lambda
@@ -202,10 +208,11 @@ class _Geometry:
     the ghost-extended x, the boundary map ghost = offset + sign * edge value
     (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals of the cell
     width and the time step, and the clamp range of the advective
-    coefficient."""
+    coefficient; plus the run's one ghost-extended buffer of phi, which
+    every sweep refills."""
 
     __slots__ = ("n", "dx", "inv_dx", "inv_dtau", "centers", "xe", "sign",
-                 "offsets", "clamp")
+                 "offsets", "clamp", "_pe")
 
     def __init__(self, config: PDEConfig, cutoff: CutoffBounds | None):
         grid = config.grid
@@ -221,10 +228,12 @@ class _Geometry:
             self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
         self.clamp = ((-np.inf, np.inf) if cutoff is None
                       else (cutoff.lower, cutoff.upper))
+        self._pe = np.empty(self.n + 2)
 
     def extend(self, values):
-        """Attach ghost values per the boundary condition."""
-        out = np.empty(self.n + 2)
+        """values with ghost values attached per the boundary condition, in
+        the run's buffer: the next call overwrites it."""
+        out = self._pe
         out[1:-1] = values
         out[0] = self.offsets[0] + self.sign * float(values[0])
         out[-1] = self.offsets[1] + self.sign * float(values[-1])
@@ -251,8 +260,9 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     choice frozen. The clamp of the advective coefficient passes the slope
     on where lower <= alpha <= upper and 0 outside.
 
-    Returns (delta, alpha_interior, fluxes) with phi_iter + delta the new
-    iterate and fluxes the linearized total face fluxes (alpha gradient
+    Returns (delta, alpha_range, fluxes) with phi_iter + delta the new
+    iterate, alpha_range the (min, max) of alpha over the interior cells at
+    phi_iter and fluxes the linearized total face fluxes (alpha gradient
     minus advective flux) at the two domain ends, so the discrete balance
     sum(u - phi_prev) dx = dtau (G_right - G_left + integral of source)
     holds to solver precision.
@@ -260,8 +270,11 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     inv_dx, sign = geom.inv_dx, geom.sign
     pe = geom.extend(phi_iter)
     ae, se, _ = alpha_field(model, geom.xe, pe)
+    a_int = ae[1:-1]
+    alpha_range = (float(a_int.min()), float(a_int.max()))
     lo, hi = geom.clamp
-    if lo <= ae.min() and ae.max() <= hi:
+    if (lo <= alpha_range[0] and alpha_range[1] <= hi
+            and lo <= ae[0] <= hi and lo <= ae[-1] <= hi):
         wc, dw = ae, se
     else:
         wc = np.clip(ae, lo, hi)
@@ -297,8 +310,13 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     flux *= inv_dx
     flux -= adv
     sdx = np.multiply(se, inv_dx, out=se)  # se (and dw) are not read again
+    # fresh arrays: in the centered branch a and b are views of one array,
+    # which the scaling below must not write
     k_left = sdx[:-1] + a
     k_right = sdx[1:] - b
+    # kl0, kr0 belong to the first face, kln, krn to the last
+    kl0, kln = float(k_left[0]), float(k_left[-1])
+    kr0, krn = float(k_right[0]), float(k_right[-1])
 
     rhs = flux[1:] - flux[:-1]
     rhs *= inv_dx
@@ -307,21 +325,19 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
     rhs -= rate
     if src is not None:
         rhs += src
-    diag = k_left[1:] + k_right[:-1]
-    diag *= inv_dx
-    diag += geom.inv_dtau
-    # fold the ghost corrections (sign * edge correction) into the end rows;
-    # kl0, kr0 belong to the first face, kln, krn to the last
-    kl0, kln = float(k_left[0]), float(k_left[-1])
-    kr0, krn = float(k_right[0]), float(k_right[-1])
-    diag[0] -= sign * kl0 * inv_dx
-    diag[-1] -= sign * krn * inv_dx
+    # row i couples delta_{i-1} by c_left[i] = -k_left[i] / dx and
+    # delta_{i+1} by c_right[i+1] = -k_right[i+1] / dx, and its diagonal is
+    # 1/dtau - c_left[i+1] - c_right[i]
+    c_left = np.multiply(k_left, -inv_dx, out=k_left)
+    c_right = np.multiply(k_right, -inv_dx, out=k_right)
+    diag = c_left[1:] + c_right[:-1]
+    np.subtract(geom.inv_dtau, diag, out=diag)
+    # fold the ghost corrections (sign * edge correction) into the end rows
+    diag[0] += sign * float(c_left[0])
+    diag[-1] += sign * float(c_right[-1])
 
-    # row i couples delta_{i-1} by -k_left[i] / dx, delta_{i+1} by
-    # -k_right[i+1] / dx
     try:
-        delta = solve_banded(k_left[1:-1] * -inv_dx, diag,
-                             k_right[1:-1] * -inv_dx, rhs)
+        delta = solve_banded(c_left[1:-1], diag, c_right[1:-1], rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"tridiagonal solve failed at tau={tau_next:.6g}: {exc}; "
@@ -330,7 +346,7 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
 
     g_left = float(flux[0]) + (kr0 - sign * kl0) * float(delta[0])
     g_right = float(flux[-1]) + (sign * krn - kln) * float(delta[-1])
-    return delta, ae[1:-1], (g_left, g_right)
+    return delta, alpha_range, (g_left, g_right)
 
 
 def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
@@ -340,11 +356,11 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
     if config.mms_source is not None:
         src = np.asarray(config.mms_source(geom.centers, tau_next), dtype=float)
         src_int = float(np.sum(src) * geom.dx)
-    phi_iter = start
+    phi_iter = start   # a fresh array, updated in place
     for it in range(1, config.picard_max + 1):
-        delta, a_int, fluxes = _sweep(model, config, geom, phi_prev,
-                                      phi_iter, src, tau_next)
-        phi_iter = phi_iter + delta
+        delta, alpha_range, fluxes = _sweep(model, config, geom, phi_prev,
+                                            phi_iter, src, tau_next)
+        phi_iter += delta
         # nan or inf in delta makes its max |delta| nan or inf
         residual = float(np.abs(delta, out=delta).max())
         if not math.isfinite(residual):
@@ -353,8 +369,8 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
             diag = StepDiagnostics(
                 picard_iterations=it,
                 residual=residual,
-                alpha_min=float(a_int.min()),
-                alpha_max=float(a_int.max()),
+                alpha_min=alpha_range[0],
+                alpha_max=alpha_range[1],
                 flux_left=fluxes[0],
                 flux_right=fluxes[1],
                 source_integral=src_int,
@@ -364,11 +380,12 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
 
 
 _PREDICTOR_LEVELS = 8  # most stored levels the start of a step reads
-# row j takes the levels phi_{k-7..k}, oldest first, to nabla^j phi_k; a
-# history of L levels uses the first L rows and the last L columns
-_BACKWARD = np.array([[(-1) ** i * math.comb(j, i)
-                       for i in reversed(range(_PREDICTOR_LEVELS))]
-                      for j in range(_PREDICTOR_LEVELS)], dtype=float)
+# _BACKWARD[L] takes L levels phi_{k+1-L..k}, oldest first, to the rows
+# nabla^j phi_k, j < L; contiguous, as the product runs faster on them
+_BACKWARD = {n: np.array([[(-1) ** i * math.comb(j, i)
+                           for i in reversed(range(n))]
+                          for j in range(n)], dtype=float)
+             for n in range(1, _PREDICTOR_LEVELS + 1)}
 
 
 def _predict(phi, k):
@@ -378,10 +395,10 @@ def _predict(phi, k):
     truncation of an asymptotic series. With at most two levels every term
     is kept: phi_0 at the first step, 2 phi_1 - phi_0 at the second."""
     n = min(k + 1, _PREDICTOR_LEVELS)
-    diffs = _BACKWARD[:n, -n:] @ phi[k + 1 - n:k + 1]
+    diffs = _BACKWARD[n].dot(phi[k + 1 - n:k + 1])
     if n <= 2:
         return diffs.sum(axis=0)
-    order = 1 + int(np.argmin(np.abs(diffs[1:]).max(axis=1)))
+    order = 1 + int(np.abs(diffs[1:]).max(axis=1).argmin())
     return diffs[:order].sum(axis=0)
 
 

@@ -17,7 +17,7 @@ from riccati_hjb import (
     solve_alpha,
     weights_path,
 )
-from riccati_hjb.alpha import exhaustive_alpha
+from riccati_hjb.alpha import _n2_weight_line, exhaustive_alpha
 from riccati_hjb.pde import lambda_bound
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
@@ -507,6 +507,79 @@ def field_models(draw):
 # the weights leave the vertex, and towards subnormal phi
 PHIS = st.one_of(st.floats(-20.0, 80.0), st.floats(-1.5, 1.5),
                  st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def small_simplex_models(draw):
+    """A random one- or two-asset simplex model in either drift mode, with
+    or without an inflow profile."""
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    g = rng.normal(size=(n, n))
+    inflow = None
+    if draw(st.booleans()):
+        inflow = InflowProfile(float(rng.uniform(0.0, 0.5)), 1.0, 2.0)
+    log_wealth = inflow is not None or draw(st.booleans())
+    return PortfolioModel(rng.normal(0.05, 0.1, size=n),
+                          g @ g.T + 0.05 * np.eye(n), DecisionSet.simplex(n),
+                          inflow=inflow,
+                          drift_mode="log_wealth" if log_wealth else "simple")
+
+
+class TestSmallSimplexField:
+    """One and two assets are evaluated in the first weight alone; value and
+    slope must agree with the general formula at the returned weights."""
+
+    @staticmethod
+    def phi_grid(model):
+        """A dense phi grid over both signs of rho, with rho = 0, subnormal
+        rho (simple drift) and, for two assets, the rho where a + b / rho
+        hits 0 and 1 and the floats next to them."""
+        shift = 1.0 if model.drift_mode == "log_wealth" else 0.0
+        rhos = [np.linspace(-5.0, 80.0, 2001), [0.0, -5e-324]]
+        if shift == 0.0:
+            rhos.append([5e-324, 1e-310, 2.2e-308])
+        if model.n == 2:
+            a, b, _ = _n2_weight_line(model)
+            for edge in (-b / a, b / (1.0 - a)):
+                rhos.append([edge, np.nextafter(edge, -np.inf),
+                             np.nextafter(edge, np.inf)])
+        return np.concatenate(rhos) - shift
+
+    @given(model=small_simplex_models(), x=st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_formula_at_own_weights(self, model, x):
+        phis = self.phi_grid(model)
+        a, s, theta = alpha_field(model, x, phis)
+        rho = phis + (1.0 if model.drift_mode == "log_wealth" else 0.0)
+        var = np.einsum("ij,jk,ik->i", theta, model.sigma, theta)
+        ref = -theta @ model.mu + 0.5 * rho * var
+        if model.inflow is not None:
+            ref -= float(model.inflow.term(x))
+        tol = 1e-14 * (1.0 + np.abs(a))
+        assert np.all(np.abs(a - ref) <= tol)
+        assert np.all(np.abs(s - 0.5 * var) <= tol)
+
+    @given(model=small_simplex_models())
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_rows_are_exact(self, model):
+        phis = self.phi_grid(model)
+        _, _, theta = alpha_field(model, 0.0, phis)
+        if model.n == 1:
+            assert np.all(theta == 1.0)
+            return
+        rho = phis + (1.0 if model.drift_mode == "log_wealth" else 0.0)
+        t = theta[:, 0]
+        at_vertex = (t == 0.0) | (t == 1.0)
+        assert np.all(theta[at_vertex, 1] == 1.0 - t[at_vertex])
+        # the lowest vertex where rho <= 0 or is subnormal, and beyond the
+        # clip points
+        a, b, _ = _n2_weight_line(model)
+        with np.errstate(all="ignore"):   # rho = 0 or subnormal
+            line = a + b / rho
+        convex = rho >= np.finfo(float).tiny
+        assert np.all(at_vertex[~convex])
+        assert np.all(at_vertex[convex & ((line <= 0.0) | (line >= 1.0))])
 
 
 class TestAlphaFieldProperties:

@@ -409,6 +409,30 @@ class TestMaximumPrincipleReport:
         if which != "inflow":
             assert where["side"] == which.split("_")[1]
 
+    @pytest.mark.parametrize("case, capped", [
+        ("flagship", ["upper"]), ("positive", ["lower"]),
+        ("both_signs", [])])
+    def test_names_the_sides_capped_at_zero(self, paper_model,
+                                            singleton_model, case, capped):
+        # flagship: the shipped stocks/bonds DARA run, where alpha(x, phi0)
+        # lies in about [-0.067, -0.057]; one asset has alpha = -0.06 +
+        # 0.02 phi, positive for phi0 = 5 and of both signs over [2, 5]
+        if case == "flagship":
+            model, util = paper_model, DaraUtility(9.0, 6.0, 2.0, 8.0)
+            grid = SpatialGrid(-8, 8, 400)
+            cfg = PDEConfig(grid=grid, t_final=10.0, n_steps=400,
+                            upwind=True)
+        else:
+            model, grid = singleton_model, SpatialGrid(-8, 8, 40)
+            phi0 = (np.full(40, 5.0) if case == "positive"
+                    else np.linspace(2.0, 5.0, 40))
+            util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
+            cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=10, upwind=True)
+        rep = maximum_principle_report(solve(model, util, cfg), model)
+        assert rep.context["capped_at_zero"] == capped
+        for side in ("lower", "upper"):
+            assert (rep.context[f"psi_{side}"] == 0.0) == (side in capped)
+
     def test_zero_bound_holds_past_overflow(self):
         # lambda is about 131 here, so e^{lam tau} overflows from tau = 5.5
         # on; the zero upper bound (alpha(x, phi0) <= 0, with equality left

@@ -236,6 +236,12 @@ class TestSolve:
         ("pde", "upwind", "false", "upwind"),
         ("pde", "t_final", float("nan"), "t_final"),
         ("pde", "x_min", float("-inf"), "x_min"),
+        ("model", "drift_mode", [], "model.drift_mode"),
+        ("model", "drift_mode", 0, "model.drift_mode"),
+        ("model", "drift_mode", False, "model.drift_mode"),
+        ("model", "drift_mode", "nonsense", "drift_mode"),
+        ("pde", "n_cells", 10**12, "pde.n_cells"),
+        ("pde", "n_steps", 10**9, "pde.n_steps"),
     ])
     def test_malformed_config_exits_config(self, tmp_path, capsys, section,
                                            key, value, named):
@@ -298,7 +304,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("checks", [
         {"phi_range": [1.0, 1.0]}, {"phi_range": [1.0]}, {"n_pairs": "abc"},
-        {"n_pairs": 0}, {"tolerance": -1.0}, {"seed": 2.5}])
+        {"n_pairs": 0}, {"n_pairs": 10**30}, {"tolerance": -1.0},
+        {"seed": 2.5}])
     def test_malformed_checks_exit_config(self, tmp_path, capsys, checks):
         cfg = write_config(tmp_path / "bad.json", utility=DARA_UTIL,
                            pde=SMALL_PDE, checks=checks)

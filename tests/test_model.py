@@ -153,6 +153,12 @@ class TestDrift:
                            inflow=InflowProfile(1.0, 1.0, 2.0),
                            drift_mode="simple")
 
+    @pytest.mark.parametrize("mode", [None, [], 0, False])
+    def test_drift_mode_must_be_a_string(self, mode):
+        with pytest.raises(ModelError, match="drift_mode must be a string"):
+            PortfolioModel(np.array([0.1]), np.array([[0.04]]),
+                           DecisionSet.simplex(1), drift_mode=mode)
+
     def test_drift_slope_bounded_by_gradient_bound(self):
         model = PortfolioModel(
             np.array([MU_S, MU_B]), two_asset_sigma(), DecisionSet.simplex(2),

@@ -439,6 +439,44 @@ class TestNewtonSweeps:
         assert worst <= 1e-9
 
 
+class TestTracedCallSites:
+    # the traced benchmark counts sweeps by wrapping pde.alpha_field and
+    # pde.solve_banded, so each sweep must call both once, and the cutoff
+    # level of an auto-clamped run one more alpha evaluation
+    def test_one_alpha_and_one_solve_per_sweep(self, paper_model,
+                                               monkeypatch):
+        alpha_calls, solves = [], [0]
+        field, banded = pde.alpha_field, pde.solve_banded
+
+        def counted_field(model, x, phi):
+            out = field(model, x, phi)
+            # phi may be the run's ghost buffer, refilled by the next sweep
+            alpha_calls.append((np.array(phi), out[0].copy()))
+            return out
+
+        def counted_solve(*args):
+            solves[0] += 1
+            return banded(*args)
+
+        monkeypatch.setattr(pde, "alpha_field", counted_field)
+        monkeypatch.setattr(pde, "solve_banded", counted_solve)
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = paper_cfg(n_cells=40, n_steps=10, upwind=True)
+        sol = solve(paper_model, util, cfg)
+        iters = [d.picard_iterations for d in sol.diagnostics]
+        assert len(alpha_calls) == sum(iters) + 1
+        assert solves[0] == sum(iters)
+        # each step's alpha range is that of the interior cells at the
+        # iterate of its last sweep
+        last = np.cumsum(iters)
+        for d, k in zip(sol.diagnostics, last):
+            pe, ae = alpha_calls[k]
+            interior = field(paper_model, 0.0, pe)[0][1:-1]
+            assert np.array_equal(interior, ae[1:-1])
+            assert d.alpha_min == interior.min()
+            assert d.alpha_max == interior.max()
+
+
 class TestPredictor:
     @pytest.mark.parametrize("degree", range(7))
     def test_polynomial_history_is_extrapolated_exactly(self, degree):
