@@ -10,8 +10,9 @@ asset has the variance S11, and two assets on the simplex are written in
 the minimizing first weight t = clip(a + b/rho, 0, 1) alone, with a
 quadratic variance in t: a few passes over 1-d arrays, about 15 us for the
 402 values of a Newton sweep on the shipped grid (2-core x86-64 VM, numpy
-2.4). `solve_alpha`, the scalar active-set QP, is the oracle. All
-operations are pure.
+2.4). The active-set QP is the one simplex minimizer (the field for n >= 3,
+the scalar oracle `solve_alpha`, the slope bound); support enumeration is
+only the test oracle `exhaustive_alpha`. All operations are pure.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
     """Minimize -mu'theta + (rho/2) theta'Sigma theta on the simplex, rho > 0.
 
     Primal active-set iteration starting from the uniform weight vector.
-    Returns the weights theta, which satisfy the KKT conditions.
+    Returns the weights theta, which satisfy the KKT conditions; a failure
+    raises AlphaEngineError naming rho and n.
     """
     n = len(mu)
     theta = np.full(n, 1.0 / n)
@@ -164,8 +166,10 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
             theta[blocking] = 0.0
             free.discard(blocking)
             if not free:  # cannot happen: the step keeps at least one weight
-                raise AlphaEngineError("active set emptied out")
-    raise AlphaEngineError("active-set iteration did not converge")
+                raise AlphaEngineError(
+                    f"active set emptied out at rho={rho!r}, n={n}")
+    raise AlphaEngineError(
+        f"active-set iteration did not converge at rho={rho!r}, n={n}")
 
 
 def _enumerate_supports(model: PortfolioModel, rho: float) -> np.ndarray:
@@ -195,17 +199,6 @@ def exhaustive_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult
     return _result(model, x, rho, _enumerate_supports(model, rho))
 
 
-def _simplex_minimizer(model: PortfolioModel, rho: float) -> np.ndarray:
-    """Minimizing simplex weights at rho > 0: the active-set QP, with
-    support enumeration as the fallback for n <= 3."""
-    try:
-        return _active_set_qp(model.sigma, model.mu, rho)
-    except AlphaEngineError:
-        if model.n > 3:
-            raise
-        return _enumerate_supports(model, rho)
-
-
 def _result(model: PortfolioModel, x, rho: float, theta: np.ndarray) -> AlphaResult:
     var = model.variance(theta)
     return AlphaResult(
@@ -220,17 +213,18 @@ def solve_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
     """Global minimizer of the risk-adjusted objective at (x, phi): the scalar
     oracle that `alpha_field` is certified against.
 
-    Simplex sets run the active-set QP (with exhaustive enumeration as a
-    fallback certifier for n <= 3); discrete sets take the exact minimum over
-    the menu's lines. For non-convex effective weights (phi at or below the
-    convexity threshold) the minimum is attained at a vertex and computed
-    directly, as it is for a positive rho below the smallest normal float.
+    Simplex sets run the active-set QP, the one simplex minimizer, which
+    raises AlphaEngineError if it does not converge; discrete sets take the
+    exact minimum over the menu's lines. For non-convex effective weights
+    (phi at or below the convexity threshold) the minimum is attained at a
+    vertex and computed directly, as it is for a positive rho below the
+    smallest normal float.
     """
     rho = _phi_eff(model, phi)
     if model.decision_set.kind == "discrete" or rho < _RHO_TINY:
         theta = _lowest_line(model, rho)
     else:
-        theta = _simplex_minimizer(model, rho)
+        theta = _active_set_qp(model.sigma, model.mu, rho)
     return _result(model, x, rho, theta)
 
 
@@ -407,7 +401,7 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     theta = np.empty((rho.size, model.n))
     for k in (range(rho.size) if convex is None
               else np.flatnonzero(convex)):
-        theta[k] = _simplex_minimizer(model, float(rho[k]))
+        theta[k] = _active_set_qp(model.sigma, model.mu, float(rho[k]))
     if convex is not None:
         theta[~convex] = _lowest_line(model, rho[~convex])
     return theta

@@ -223,8 +223,11 @@ def cmd_solve(args) -> int:
         extra["info"] = info
     if args.gnuplot:
         gp = out / "slices.gp"
-        gp.write_text("set datafile separator ','\n" + "\n".join(
-            f"replot '{name}' using 1:2 with lines" for name in outputs) + "\n")
+        # one plot command naming every slice: gnuplot's replot needs an
+        # earlier plot
+        plots = ", \\\n     ".join(f"'{name}' using 1:2 with lines"
+                                  for name in outputs)
+        gp.write_text(f"set datafile separator ','\nplot {plots}\n")
         outputs.append(gp.name)
     _manifest(out, doc, outputs, {"solve": solve_time}, extra)
     print(f"solved {pde_cfg.n_steps} steps on {pde_cfg.grid.n_cells} cells "
@@ -304,13 +307,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mms(args) -> int:
-    from .model import DecisionSet, PortfolioModel
     from .pde import mms_convergence_study
     out = _out_dir(args)
-    model = PortfolioModel(np.array([0.06]), np.array([[0.04]]),
-                           DecisionSet.simplex(1))
     t0 = time.perf_counter()
-    study = mms_convergence_study(model)
+    study = mms_convergence_study()
     rows = []
     for kind in ("spatial", "temporal"):
         tab = study[kind]

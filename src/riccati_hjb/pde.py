@@ -39,6 +39,8 @@ w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation. `solve` works out M, lambda
 and T once per run and the solution carries them, clamped or not, for the
 a-priori checks to read.
+The convergence-order check `mms_convergence_study` runs one fixed
+manufactured problem and takes no settings.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .alpha import alpha_field
-from .model import PortfolioModel, SpatialGrid, UtilitySpec, phi0_profile
+from .model import (DecisionSet, PortfolioModel, SpatialGrid, TabulatedPhi0,
+                    UtilitySpec, phi0_profile)
 
 __all__ = [
     "SolverError",
@@ -439,20 +442,31 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
 
 # --- manufactured-solution verification -------------------------------------
 
-def singleton_mms(model: PortfolioModel, grid: SpatialGrid):
-    """Manufactured problem for a single-asset model on a symmetric domain:
-    exact solution e^{-tau} cos(pi x / x_max), which satisfies the discrete
-    mirror boundary condition exactly.
+# The one manufactured problem. Its source term holds for one asset under
+# the simple drift, where alpha = -m + (s^2/2) phi; on another model the
+# orders would be meaningless.
+_MMS_MODEL = PortfolioModel(np.array([0.06]), np.array([[0.04]]),
+                            DecisionSet.simplex(1))
+_MMS_X_MAX, _MMS_T_FINAL = 4.0, 1.0   # domain [-4, 4], horizon
+# (n_cells, n_steps) of each run: the spatial ladder refines dtau as dx^2,
+# so the first-order time error falls with the second-order space error;
+# the temporal ladder keeps a fine mesh
+_MMS_SPATIAL = ((50, 25), (100, 100), (200, 400))
+_MMS_TEMPORAL = ((240, 5), (240, 10), (240, 20))
+
+
+def singleton_mms(grid: SpatialGrid):
+    """The manufactured problem on a symmetric grid: exact solution
+    e^{-tau} cos(pi x / x_max), which satisfies the discrete mirror boundary
+    condition exactly, for the one-asset model m = 0.06, s^2 = 0.04.
 
     Returns (phi0_values, source, exact) with source(x, tau) the forcing that
     makes the exact field solve the PDE, valid while the clamp stays inactive.
     """
-    if model.n != 1:
-        raise SolverError("manufactured problem expects a single-asset model")
     if abs(grid.x_min + grid.x_max) > 1e-12:
         raise SolverError("manufactured problem expects a symmetric domain")
-    m = float(model.mu[0])
-    s2 = float(model.sigma[0, 0])
+    m = float(_MMS_MODEL.mu[0])
+    s2 = float(_MMS_MODEL.sigma[0, 0])
     k = np.pi / grid.x_max
 
     def exact(x, tau):
@@ -472,21 +486,20 @@ def _observed_orders(errors):
     return [float(v) for v in np.log2(e[:-1] / e[1:])]
 
 
-def _mms_table(model, x_max, t_final, runs, spacing):
-    """Max errors at t_final of the manufactured runs (n_cells, n_steps) in
-    `runs` on [-x_max, x_max], with the refined spacing ("dx" or "dtau") of
-    each run and the observed orders."""
-    from .model import TabulatedPhi0
-
+def _mms_table(runs, spacing):
+    """Max errors at the horizon of the manufactured runs (n_cells, n_steps)
+    in `runs`, with the refined spacing ("dx" or "dtau") of each run and the
+    observed orders."""
     table = {"n_cells": [], "n_steps": [], spacing: [], "error": []}
     for n, steps in runs:
-        grid = SpatialGrid(-x_max, x_max, n)
-        phi0, source, exact = singleton_mms(model, grid)
-        cfg = PDEConfig(grid=grid, t_final=t_final, n_steps=steps,
+        grid = SpatialGrid(-_MMS_X_MAX, _MMS_X_MAX, n)
+        phi0, source, exact = singleton_mms(grid)
+        cfg = PDEConfig(grid=grid, t_final=_MMS_T_FINAL, n_steps=steps,
                         mms_source=source)
         util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
-        sol = solve(model, util, cfg)
-        err = float(np.max(np.abs(sol.phi[-1] - exact(grid.centers, t_final))))
+        sol = solve(_MMS_MODEL, util, cfg)
+        err = float(np.max(np.abs(sol.phi[-1]
+                                  - exact(grid.centers, _MMS_T_FINAL))))
         table["n_cells"].append(n)
         table["n_steps"].append(steps)
         table[spacing].append(grid.dx if spacing == "dx" else cfg.dtau)
@@ -495,21 +508,9 @@ def _mms_table(model, x_max, t_final, runs, spacing):
     return table
 
 
-def mms_convergence_study(model: PortfolioModel, x_max: float = 4.0,
-                          t_final: float = 1.0,
-                          spatial_cells=(50, 100, 200),
-                          spatial_steps_base: int = 25,
-                          temporal_cells: int = 240,
-                          temporal_steps=(5, 10, 20)):
-    """Grid-refinement study against the manufactured solution.
-
-    Spatial errors are measured with the time step refined quadratically
-    alongside the mesh so the first-order time error contracts at the same
-    rate as the second-order space error; temporal errors use a fixed fine
-    mesh. Returns the error tables and observed orders.
-    """
-    spatial = [(n, spatial_steps_base * (n // spatial_cells[0]) ** 2)
-               for n in spatial_cells]
-    temporal = [(temporal_cells, steps) for steps in temporal_steps]
-    return {"spatial": _mms_table(model, x_max, t_final, spatial, "dx"),
-            "temporal": _mms_table(model, x_max, t_final, temporal, "dtau")}
+def mms_convergence_study():
+    """Grid-refinement study against the manufactured solution, on the
+    spatial and the temporal ladder. Returns the error tables and observed
+    orders."""
+    return {"spatial": _mms_table(_MMS_SPATIAL, "dx"),
+            "temporal": _mms_table(_MMS_TEMPORAL, "dtau")}

@@ -126,9 +126,9 @@ def test_criterion_06_comparison_ordering(dara_run, const_run):
            "pointwise", f"max excess {gap:.2e}")
 
 
-def test_criterion_07_mms_convergence(singleton_model):
+def test_criterion_07_mms_convergence():
     t0 = time.perf_counter()
-    study = mms_convergence_study(singleton_model)
+    study = mms_convergence_study()
     elapsed = time.perf_counter() - t0
     sp = [float(o) for o in study["spatial"]["orders"]]
     tm = [float(o) for o in study["temporal"]["orders"]]

@@ -17,6 +17,7 @@ from riccati_hjb import (
     solve_alpha,
     weights_path,
 )
+from riccati_hjb import alpha
 from riccati_hjb.alpha import _n2_weight_line, exhaustive_alpha
 from riccati_hjb.pde import lambda_bound
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -389,6 +390,64 @@ class TestRandomizedCertification:
                        for p in phis])
         assert np.max(np.abs(cf.evaluate(phis) - qp)) <= 1e-10 * max(
             1.0, np.max(np.abs(qp)))
+
+
+@st.composite
+def qp_models(draw):
+    """A random simplex model with n = 2..6 assets and wide conditioning:
+    covariance scale over [1e-3, 10] and a ridge over [1e-8, 1e-1]; about
+    one mean in five is tied to the first."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, n))
+    ridge = 10.0 ** rng.uniform(-8.0, -1.0)
+    sigma = 10.0 ** rng.uniform(-3.0, 1.0) * (g @ g.T / n + ridge * np.eye(n))
+    mu = rng.normal(0.05, 0.1, size=n)
+    mu[rng.random(n) < 0.2] = mu[0]
+    return PortfolioModel(mu, sigma, DecisionSet.simplex(n))
+
+
+def _all_negative(rho, sigma, mu, free):
+    return -np.ones(len(mu)), 0.0
+
+
+def _cycling(rho, sigma, mu, free):
+    # drops weight 0 from the full set, then takes it back
+    cand = np.zeros(len(mu))
+    cand[list(free)] = 1.0 / len(free)
+    if len(free) == len(mu):
+        cand[0] = -1.0
+    return cand, -1e3
+
+
+class TestOneSimplexMinimizer:
+    """The active-set QP is the only simplex minimizer, with no fallback:
+    it converges, lands on the simplex and is optimal to rounding."""
+
+    @given(model=qp_models(), log_rho=st.floats(-4.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_converges_feasible_and_optimal(self, model, log_rho):
+        phi = 10.0 ** log_rho
+        r = solve_alpha(model, 0.0, phi)
+        theta = r.theta_hat
+        assert abs(theta.sum() - 1.0) <= 1e-12 and theta.min() >= 0.0
+        scale = (1.0 + phi * np.abs(model.sigma).max()
+                 + np.abs(model.mu).max())
+        assert kkt_residual(model, 0.0, phi, r) <= 1e-12 * scale
+        if model.n <= 4:
+            ex = exhaustive_alpha(model, 0.0, phi).value
+            assert abs(r.value - ex) <= 1e-12 * (1.0 + abs(ex))
+
+    @pytest.mark.parametrize("working_set, message", [
+        (_all_negative, "active set emptied out"),
+        (_cycling, "active-set iteration did not converge"),
+    ])
+    def test_failure_names_rho_and_n(self, monkeypatch, working_set,
+                                     message):
+        monkeypatch.setattr(alpha, "_solve_working_set", working_set)
+        with pytest.raises(AlphaEngineError,
+                           match=f"{message} at rho=2.5, n=3$"):
+            alpha._active_set_qp(np.eye(3), np.zeros(3), 2.5)
 
 
 class TestAlphaField:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from riccati_hjb import contraction_budget, solve
+from riccati_hjb import AlphaEngineError, alpha, contraction_budget, solve
 from riccati_hjb.config import load_run
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -205,6 +205,37 @@ class TestSolve:
             outs.append(out)
         for f in sorted(outs[0].glob("slice_*.csv")):
             assert f.read_bytes() == (outs[1] / f.name).read_bytes()
+
+    def test_gnuplot_script_plots_every_slice_once(self, tmp_path,
+                                                   config_path):
+        out = tmp_path / "gp"
+        assert main(["solve", "--config", str(config_path), "--out", str(out),
+                     "--gnuplot"]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert "slices.gp" in man["outputs"]
+        slices = [f for f in man["outputs"] if f.startswith("slice_tau_")]
+        script = (out / "slices.gp").read_text()
+        commands = [line for line in script.splitlines()
+                    if not line.startswith(("set ", " "))]
+        assert commands[0].startswith("plot ")
+        assert "replot" not in script
+        assert all(script.count(f"'{name}'") == 1 for name in slices)
+
+    def test_qp_failure_exits_solver(self, tmp_path, capsys, monkeypatch):
+        def fail(sigma, mu, rho):
+            raise AlphaEngineError("active-set iteration did not converge "
+                                   f"at rho={rho!r}, n={len(mu)}")
+
+        monkeypatch.setattr(alpha, "_active_set_qp", fail)
+        cfg = write_config(
+            tmp_path / "three.json", utility=DARA_UTIL,
+            pde={**SMALL_PDE, "n_cells": 20, "n_steps": 2},
+            model_extra={"assets": {"mu": [0.10, 0.07, 0.05]},
+                         "covariance": np.diag([0.04, 0.02, 0.01]).tolist()})
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "sol")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("solver error: ")
 
     def test_bad_slices_exits_usage(self, tmp_path, config_path, capsys):
         assert main(["solve", "--config", str(config_path),

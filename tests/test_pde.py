@@ -319,7 +319,7 @@ class TestConservation:
 
     def test_mass_balance_with_source(self, singleton_model):
         grid = SpatialGrid(-4.0, 4.0, 60)
-        phi0, source, _ = singleton_mms(singleton_model, grid)
+        phi0, source, _ = singleton_mms(grid)
         util = TabulatedPhi0(grid.centers, phi0)
         cfg = PDEConfig(grid=grid, t_final=0.5, n_steps=20, mms_source=source)
         assert_mass_balance(solve(singleton_model, util, cfg), cfg)
@@ -557,17 +557,14 @@ class TestTridiagonalSolve:
 
 
 class TestManufacturedSolution:
-    def test_orders(self, singleton_model):
-        study = mms_convergence_study(
-            singleton_model, spatial_cells=(40, 80, 160),
-            spatial_steps_base=20, temporal_cells=200,
-            temporal_steps=(5, 10, 20))
+    def test_orders(self):
+        study = mms_convergence_study()
         assert all(1.7 <= o <= 2.3 for o in study["spatial"]["orders"])
         assert all(0.7 <= o <= 1.3 for o in study["temporal"]["orders"])
 
-    def test_exact_solution_satisfies_mirror_bc(self, singleton_model):
+    def test_exact_solution_satisfies_mirror_bc(self):
         grid = SpatialGrid(-4.0, 4.0, 50)
-        _, _, exact = singleton_mms(singleton_model, grid)
+        _, _, exact = singleton_mms(grid)
         ghost_l = exact(grid.x_min - grid.dx / 2, 0.3)
         first = exact(grid.x_min + grid.dx / 2, 0.3)
         assert ghost_l == pytest.approx(first, abs=1e-15)
