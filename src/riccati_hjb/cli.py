@@ -1,9 +1,12 @@
 """Command-line surface: ingest market data, tabulate alpha curves and
 weight paths, integrate the risk-aversion PDE, run the verification bundle
-and the manufactured-solution convergence study.
+(`verify`, its one entry point) and the manufactured-solution convergence
+study.
 
-Exit codes: 0 success, 1 failed verification check, 2 configuration or
-usage error, 3 solver failure.
+Exit codes: 0 success, 1 failed verification check (`verify` only), 2
+configuration or usage error, 3 solver failure. Numbers given on the
+command line are checked as config numbers are: a non-finite or
+out-of-range value exits 2 naming its flag.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -28,7 +32,6 @@ from .alpha import (  # noqa: F401
     weights_path,
 )
 from .analysis import (
-    CheckReport,
     contraction_budget,
     energy_estimate_report,
     maximum_principle_report,
@@ -42,6 +45,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+# most points of an alpha-curve or weights-path table
+MAX_POINTS = 10**6
 
 
 def _write_csv(path: Path, header, rows):
@@ -75,8 +81,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
     model = ingest_market_data(args.mu, args.sigma)
+    out = _out_dir(args)
     doc = {
         "model": {
             "assets": {"mu": model.mu.tolist()},
@@ -91,11 +97,15 @@ def cmd_ingest(args) -> int:
 
 
 def _phi_grid(args):
-    if not (0.0 < args.phi_min < args.phi_max):
+    if not (0.0 < args.phi_min < args.phi_max
+            and math.isfinite(args.phi_max)):
         raise ConfigError(
-            f"need 0 < phi_min < phi_max, got ({args.phi_min}, {args.phi_max})")
-    if args.n_points < 1:
-        raise ConfigError(f"need --n-points >= 1, got {args.n_points}")
+            f"--phi-min, --phi-max: need finite 0 < phi_min < phi_max, got "
+            f"({args.phi_min}, {args.phi_max})")
+    # checked before linspace allocates the table
+    if not 1 <= args.n_points <= MAX_POINTS:
+        raise ConfigError(f"--n-points: need an integer from 1 to "
+                          f"{MAX_POINTS}, got {args.n_points}")
     return np.linspace(args.phi_min, args.phi_max, args.n_points)
 
 
@@ -111,8 +121,8 @@ def _path_table(model, grid):
 
 def cmd_alpha_curve(args) -> int:
     doc, model, _, _, _ = load_run(args.config)
-    out = _out_dir(args)
     grid = _phi_grid(args)
+    out = _out_dir(args)
     t0 = time.perf_counter()
     header, rows = _path_table(model, grid)
     extra = {}
@@ -144,8 +154,8 @@ def cmd_alpha_curve(args) -> int:
 
 def cmd_weights_path(args) -> int:
     doc, model, _, _, _ = load_run(args.config)
-    out = _out_dir(args)
     grid = _phi_grid(args)
+    out = _out_dir(args)
     t0 = time.perf_counter()
     header, rows = _path_table(model, grid)
     csv_path = out / "weights_path.csv"
@@ -156,15 +166,20 @@ def cmd_weights_path(args) -> int:
     return EXIT_OK
 
 
-def _slice_taus(slices):
-    """The tau values of --slices, or None for the default five."""
+def _slice_taus(slices, t_final):
+    """The tau values of --slices, each in [0, t_final], or None for the
+    default five."""
     if not slices:
         return None
     try:
-        return [float(s) for s in slices.split(",")]
+        taus = [float(s) for s in slices.split(",")]
+        ok = all(0.0 <= t <= t_final for t in taus)
     except ValueError:
-        raise ConfigError(
-            f"--slices expects comma-separated numbers, got {slices!r}") from None
+        ok = False
+    if not ok:
+        raise ConfigError(f"--slices: expected comma-separated numbers in "
+                          f"[0, {t_final:g}], got {slices!r}")
+    return taus
 
 
 def _slice_indices(tau_values, wanted):
@@ -206,21 +221,15 @@ def _diag_summary(sol):
 
 
 def cmd_solve(args) -> int:
-    doc, model, utility, pde_cfg, checks = load_run(args.config)
+    doc, model, utility, pde_cfg, _ = load_run(args.config)
     if utility is None or pde_cfg is None:
         raise ConfigError("solve needs both a utility and a pde section")
-    wanted = _slice_taus(args.slices)
+    wanted = _slice_taus(args.slices, pde_cfg.t_final)
     out = _out_dir(args)
     t0 = time.perf_counter()
     sol = solve(model, utility, pde_cfg)
     solve_time = time.perf_counter() - t0
     outputs = _emit_slices(out, model, sol, wanted)
-    extra = {"diagnostics": _diag_summary(sol)}
-    if args.verify:
-        reports, info = _verification_bundle(model, utility, pde_cfg, sol,
-                                             checks)
-        extra["checks"] = {r.check_name: r.to_dict() for r in reports}
-        extra["info"] = info
     if args.gnuplot:
         gp = out / "slices.gp"
         # one plot command naming every slice: gnuplot's replot needs an
@@ -229,41 +238,36 @@ def cmd_solve(args) -> int:
                                   for name in outputs)
         gp.write_text(f"set datafile separator ','\nplot {plots}\n")
         outputs.append(gp.name)
-    _manifest(out, doc, outputs, {"solve": solve_time}, extra)
+    _manifest(out, doc, outputs, {"solve": solve_time},
+              {"diagnostics": _diag_summary(sol)})
     print(f"solved {pde_cfg.n_steps} steps on {pde_cfg.grid.n_cells} cells "
           f"in {solve_time:.2f}s -> {out}")
-    if args.verify and not all(c["passed"] for c in extra["checks"].values()):
-        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def _verification_bundle(model, utility, pde_cfg, sol, checks):
-    reports = [
-        monotonicity_certificate(model, seed=checks["seed"],
-                                 n_pairs=checks["n_pairs"],
-                                 phi_range=checks["phi_range"]),
-        maximum_principle_report(sol, model, tol=checks["tolerance"]),
-    ]
-    coarse = energy_estimate_report(sol, model)
-    reports.append(coarse)
-
+def cmd_verify(args) -> int:
+    doc, model, utility, pde_cfg, checks = load_run(args.config)
+    if utility is None or pde_cfg is None:
+        raise ConfigError("verify needs both a utility and a pde section")
+    seed = checks["seed"] if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"need --seed >= 0, got {args.seed}")
+    out = _out_dir(args)
+    t0 = time.perf_counter()
+    sol = solve(model, utility, pde_cfg)
+    # the energy check compares the run with a twin on twice the cells and
+    # twice the steps
     fine_cfg = dataclasses.replace(
         pde_cfg,
         grid=dataclasses.replace(pde_cfg.grid,
                                  n_cells=2 * pde_cfg.grid.n_cells),
         n_steps=2 * pde_cfg.n_steps,
     )
-    fine = energy_estimate_report(solve(model, utility, fine_cfg), model)
-    ratio_c = coarse.context["ratio"]
-    ratio_f = fine.context["ratio"]
-    reports.append(CheckReport(
-        check_name="energy-refinement",
-        bound_lhs=float(ratio_f),
-        bound_rhs=float(1.10 * ratio_c),
-        tolerance=1e-12,
-        context={"ratio_coarse": ratio_c, "ratio_fine": ratio_f},
-    ))
-
+    reports = [
+        monotonicity_certificate(model, seed=seed),
+        maximum_principle_report(sol, model),
+        energy_estimate_report(sol, solve(model, utility, fine_cfg), model),
+    ]
     # informational: t0 is reported, not checked (it is 0 once M e^{lam T}
     # overflows), and horizons of many contraction windows are normal
     budget = contraction_budget(model, sol)
@@ -273,21 +277,6 @@ def _verification_bundle(model, utility, pde_cfg, sol, checks):
         "horizon": budget.horizon, "windows": budget.windows(),
         "horizon_exceeds_t0": budget.horizon > budget.t0,
     }}
-    return reports, info
-
-
-def cmd_verify(args) -> int:
-    doc, model, utility, pde_cfg, checks = load_run(args.config)
-    if utility is None or pde_cfg is None:
-        raise ConfigError("verify needs both a utility and a pde section")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"need --seed >= 0, got {args.seed}")
-        checks["seed"] = args.seed
-    out = _out_dir(args)
-    t0 = time.perf_counter()
-    sol = solve(model, utility, pde_cfg)
-    reports, info = _verification_bundle(model, utility, pde_cfg, sol, checks)
     payload = {
         "passed": all(r.passed for r in reports),
         "checks": {r.check_name: r.to_dict() for r in reports},
@@ -363,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default="out")
     ps.add_argument("--slices", default="",
                     help="comma-separated tau values to emit")
-    ps.add_argument("--verify", action="store_true",
-                    help="run the verification bundle inline")
     ps.add_argument("--gnuplot", action="store_true")
     ps.set_defaults(func=cmd_solve)
 

@@ -1,5 +1,6 @@
 """JSON run configuration: one document with sections model / utility /
-pde / checks. Builders raise ConfigError with the offending key path."""
+pde / checks. Builders raise ConfigError with the offending key path, also
+for a key they do not read, so that a misspelled setting is not ignored."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MIN_PAIR_GAP
 from .model import (
     ArctanUtility,
     DaraUtility,
@@ -37,11 +37,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
-# size caps, so that a run too large to allocate is a config error: the
+# size cap, so that a run too large to allocate is a config error: the
 # stored field of phi, (n_steps + 1) * n_cells values (80 MB; verify's
-# refined run stores about four times as many), and the certificate's pairs
+# refined run stores about four times as many)
 MAX_FIELD_VALUES = 10**7
-MAX_PAIRS = 10**6
+
+# the keys each utility kind reads besides kind and truncation_gamma
+_UTILITY_KEYS = {"dara": ("a0", "a1", "x_star"), "arctan": (),
+                 "tabulated": ("x", "phi0")}
 
 
 def load_document(path) -> dict:
@@ -64,6 +67,17 @@ def _require(section, key: str, where: str):
     if key not in section:
         raise ConfigError(f"{where}: missing key {key!r}")
     return section[key]
+
+
+def _known(section, where: str, keys) -> dict:
+    """section, an object all of whose keys are in `keys`."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object, got {section!r}")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown key; expected one of "
+                              f"{', '.join(keys)}")
+    return section
 
 
 def _is_finite(v) -> bool:
@@ -110,12 +124,15 @@ def _floats(value, where: str) -> np.ndarray:
 
 
 def build_model(doc: dict) -> PortfolioModel:
-    sec = _require(doc, "model", "config")
-    assets = _require(sec, "assets", "model")
+    sec = _known(_require(doc, "model", "config"), "model",
+                 ("assets", "covariance", "decision_set", "inflow",
+                  "drift_mode"))
+    assets = _known(_require(sec, "assets", "model"), "model.assets", ("mu",))
     mu = _floats(_require(assets, "mu", "model.assets"), "model.assets.mu")
 
     cov = _require(sec, "covariance", "model")
     if isinstance(cov, dict):
+        _known(cov, "model.covariance", ("volatilities", "correlation"))
         vols = _floats(_require(cov, "volatilities", "model.covariance"),
                        "model.covariance.volatilities")
         corr = _floats(_require(cov, "correlation", "model.covariance"),
@@ -130,16 +147,19 @@ def build_model(doc: dict) -> PortfolioModel:
     ds_spec = sec.get("decision_set", "simplex")
     if ds_spec == "simplex":
         ds = DecisionSet.simplex(mu.size)
-    elif isinstance(ds_spec, dict) and "points" in ds_spec:
-        ds = DecisionSet.discrete(_floats(ds_spec["points"],
-                                          "model.decision_set.points"))
+    elif isinstance(ds_spec, dict):
+        _known(ds_spec, "model.decision_set", ("points",))
+        ds = DecisionSet.discrete(_floats(
+            _require(ds_spec, "points", "model.decision_set"),
+            "model.decision_set.points"))
     else:
         raise ConfigError(f"model.decision_set: expected 'simplex' or "
                           f"{{'points': [...]}}, got {ds_spec!r}")
 
     inflow = None
     if sec.get("inflow") is not None:
-        inf = sec["inflow"]
+        inf = _known(sec["inflow"], "model.inflow",
+                     ("eps_rate", "y_minus", "y_plus"))
         try:
             inflow = InflowProfile(
                 eps_rate=_number(inf, "eps_rate", "model.inflow"),
@@ -166,6 +186,9 @@ def build_model(doc: dict) -> PortfolioModel:
 def build_utility(doc: dict):
     sec = _require(doc, "utility", "config")
     kind = _require(sec, "kind", "utility")
+    if not (isinstance(kind, str) and kind in _UTILITY_KEYS):
+        raise ConfigError(f"utility.kind: unknown kind {kind!r}")
+    _known(sec, "utility", ("kind", "truncation_gamma", *_UTILITY_KEYS[kind]))
     gamma = sec.get("truncation_gamma", 8.0)
     if gamma is not None:
         gamma = _number(sec, "truncation_gamma", "utility", gamma)
@@ -188,11 +211,13 @@ def build_utility(doc: dict):
             )
     except ModelError as exc:
         raise ConfigError(f"utility: {exc}") from None
-    raise ConfigError(f"utility.kind: unknown kind {kind!r}")
 
 
 def build_pde(doc: dict) -> PDEConfig:
-    sec = _require(doc, "pde", "config")
+    sec = _known(_require(doc, "pde", "config"), "pde",
+                 ("x_min", "x_max", "n_cells", "t_final", "n_steps",
+                  "picard_tol", "picard_max", "cutoff_m", "boundary",
+                  "upwind"))
     try:
         grid = SpatialGrid(
             x_min=_number(sec, "x_min", "pde"),
@@ -207,6 +232,7 @@ def build_pde(doc: dict) -> PDEConfig:
         dirichlet = None
     elif (isinstance(boundary, dict)
           and boundary.get("kind", "dirichlet") == "dirichlet"):
+        _known(boundary, "pde.boundary", ("kind", "left", "right"))
         dirichlet = (_number(boundary, "left", "pde.boundary", 0.0),
                      _number(boundary, "right", "pde.boundary", 0.0))
     else:
@@ -240,30 +266,17 @@ def build_pde(doc: dict) -> PDEConfig:
 
 
 def build_checks(doc: dict) -> dict:
-    sec = doc.get("checks", {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"checks: expected an object, got {sec!r}")
-    seed = _number(sec, "seed", "checks", 42, integer=True, low=0)
-    n_pairs = _number(sec, "n_pairs", "checks", 1000, integer=True, low=1,
-                      high=MAX_PAIRS)
-    # at least twice the certificate's minimum pair gap wide, so that at
-    # least a quarter of the sampled pairs qualify and the sampling ends
-    lo_hi = sec.get("phi_range", (0.1, 50.0))
-    if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
-            and all(_is_finite(v) for v in lo_hi)
-            and 0 < lo_hi[0] <= lo_hi[1] - 2 * MIN_PAIR_GAP):
-        raise ConfigError(f"checks.phi_range: expected [lo, hi] with 0 < lo "
-                          f"and hi - lo >= {2 * MIN_PAIR_GAP:g}, got {lo_hi!r}")
-    tolerance = _number(sec, "tolerance", "checks", 1e-8, low=0)
-    return {"seed": seed, "n_pairs": n_pairs,
-            "phi_range": (float(lo_hi[0]), float(lo_hi[1])),
-            "tolerance": tolerance}
+    """The checks section: the seed of the monotonicity certificate's pairs.
+    The rest of the verification bundle has no settings."""
+    sec = _known(doc.get("checks", {}), "checks", ("seed",))
+    return {"seed": _number(sec, "seed", "checks", 42, integer=True, low=0)}
 
 
 def load_run(path):
     """Load a full run configuration: (document, model, utility, pde, checks).
-    The pde section is optional (None when absent)."""
+    The utility and pde sections are optional (None when absent)."""
     doc = load_document(path)
+    _known(doc, "config", ("model", "utility", "pde", "checks"))
     model = build_model(doc)
     utility = build_utility(doc) if "utility" in doc else None
     pde = build_pde(doc) if "pde" in doc else None

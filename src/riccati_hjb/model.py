@@ -151,6 +151,10 @@ class PortfolioModel:
             raise ModelError(
                 f"covariance shape {sig.shape} does not match {n} assets"
             )
+        # Cholesky does not reject NaN
+        for name, values in (("mean returns", mu), ("covariance", sig)):
+            if not np.all(np.isfinite(values)):
+                raise ModelError(f"{name} must be finite, got {values.tolist()}")
         sig = 0.5 * (sig + sig.T)
         try:
             np.linalg.cholesky(sig)

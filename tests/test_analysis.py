@@ -24,6 +24,7 @@ from riccati_hjb import (
     solve,
     solve_alpha,
 )
+from riccati_hjb import analysis
 from riccati_hjb.alpha import closed_form_n2
 from riccati_hjb.model import InflowProfile
 from riccati_hjb.pde import lambda_bound
@@ -138,6 +139,28 @@ class TestMonotonicityCertificate:
                   for p, q in pairs]
         assert rep.context["min_ratio"] == pytest.approx(min(ratios), abs=1e-12)
         assert rep.context["max_ratio"] == pytest.approx(max(ratios), abs=1e-12)
+
+    @pytest.mark.parametrize("scale, side", [(-1.0, "lower"), (2.0, "upper")])
+    def test_fails_on_a_field_outside_the_slope_bounds(
+            self, paper_model, monkeypatch, scale, side):
+        # -alpha decreases in phi, so its quotients fall below omega; 2 alpha
+        # has quotients up to 2 L
+        def scaled_field(model, x, phi):
+            value, slope, theta = alpha_field(model, x, phi)
+            return scale * value, scale * slope, theta
+
+        monkeypatch.setattr(analysis, "alpha_field", scaled_field)
+        rep = monotonicity_certificate(paper_model, n_pairs=200, seed=3)
+        assert not rep.passed
+        b = lipschitz_bounds(paper_model)
+        if side == "lower":
+            assert (rep.bound_lhs, rep.bound_rhs) == (
+                b.omega, rep.context["min_ratio"])
+            assert rep.context["min_ratio"] < 0.0
+        else:
+            assert (rep.bound_lhs, rep.bound_rhs) == (
+                rep.context["max_ratio"], b.big_l)
+        assert rep.worst_violation > 0.5 * b.big_l
 
     def test_deterministic_given_seed(self, paper_model):
         a = monotonicity_certificate(paper_model, n_pairs=50, seed=7)
@@ -260,15 +283,23 @@ class TestContractionBudget:
         assert np.max(np.abs(sol.phi)) <= budget.phi_bound + 1e-8
 
 
+def small_dara_run(model, cells=64, steps=10, t_final=1.0):
+    util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+    cfg = PDEConfig(grid=SpatialGrid(-8, 8, cells), t_final=t_final,
+                    n_steps=steps, upwind=True)
+    return solve(model, util, cfg)
+
+
 class TestEnergyEstimate:
     def test_zero_initial_data(self, singleton_model):
         grid = SpatialGrid(-4.0, 4.0, 64)
         util = TabulatedPhi0(grid.centers, np.zeros(64))
         cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=10)
         sol = solve(singleton_model, util, cfg)
-        rep = energy_estimate_report(sol, singleton_model)
+        rep = energy_estimate_report(sol, sol, singleton_model)
         assert rep.passed
-        assert rep.bound_lhs == pytest.approx(0.0, abs=1e-20)
+        assert rep.context["coarse"]["energy"] == pytest.approx(0.0, abs=1e-20)
+        assert rep.context["ratio_coarse"] == rep.context["ratio_fine"] == 0.0
 
     def test_steady_state_sup_norm_constant(self, paper_model):
         util = DaraUtility(9.0, 9.0, 0.0, truncation_gamma=None)
@@ -287,13 +318,14 @@ class TestEnergyEstimate:
         cfg = PDEConfig(grid=SpatialGrid(-8, 8, 100), t_final=1.0,
                         n_steps=10, upwind=True)
         sol = solve(model, util, cfg)
-        rep = energy_estimate_report(sol, model)
+        rep = energy_estimate_report(sol, sol, model)
         assert rep.passed
         # with inflow, h = alpha(x, 0) bends in x, so d_xx h enters the data
-        no_inflow = energy_estimate_report(sol, PortfolioModel(
+        no_inflow = energy_estimate_report(sol, sol, PortfolioModel(
             np.array([0.1028, 0.0516]), two_asset_sigma(),
             DecisionSet.simplex(2)))
-        assert rep.context["rhs_data"] > no_inflow.context["rhs_data"]
+        assert (rep.context["coarse"]["rhs_data"]
+                > no_inflow.context["coarse"]["rhs_data"])
 
     @pytest.mark.parametrize("run", ["shipped", "single_asset"])
     def test_matches_per_row_loop(self, paper_model, singleton_model, run):
@@ -310,7 +342,7 @@ class TestEnergyEstimate:
             cfg = PDEConfig(grid=SpatialGrid(-4, 4, 64), t_final=1.0,
                             n_steps=20)
         sol = solve(model, util, cfg)
-        rep = energy_estimate_report(sol, model)
+        rep = energy_estimate_report(sol, sol, model)
 
         dx = cfg.grid.dx
         hm1 = np.array([sobolev_norm(r, dx, -1.0) ** 2 for r in sol.phi])
@@ -322,26 +354,68 @@ class TestEnergyEstimate:
         d2h = (he[2:] - 2.0 * he[1:-1] + he[:-2]) / dx**2
         rhs_data = float(hm1[0] + sol.t_final * np.sum(d2h**2) * dx)
         lhs = float(np.max(hm1)) + int_l2
-        expected = {"ratio": lhs / rhs_data,
+        expected = {"energy": lhs, "ratio": lhs / rhs_data,
                     "sup_hminus1_sq": float(np.max(hm1)),
                     "int_l2_sq": int_l2, "rhs_data": rhs_data}
-        assert rep.bound_lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
-        for key, value in expected.items():
-            assert rep.context[key] == pytest.approx(value, rel=1e-12, abs=0.0)
-        assert rep.context["n_cells"] == cfg.grid.n_cells
-        assert rep.context["n_steps"] == cfg.n_steps
+        for which in ("coarse", "fine"):
+            numbers = rep.context[which]
+            for key, value in expected.items():
+                assert numbers[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert numbers["n_cells"] == cfg.grid.n_cells
+            assert numbers["n_steps"] == cfg.n_steps
+        assert rep.context["ratio_fine"] == rep.context["fine"]["ratio"]
+        assert rep.passed
 
     def test_refinement_ratio_stable(self, paper_model):
-        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
-        ratios = []
-        for cells, steps in ((100, 50), (200, 100)):
-            cfg = PDEConfig(grid=SpatialGrid(-8, 8, cells), t_final=2.0,
-                            n_steps=steps, upwind=True)
-            sol = solve(paper_model, util, cfg)
-            rep = energy_estimate_report(sol, paper_model)
-            assert rep.passed
-            ratios.append(rep.context["ratio"])
-        assert ratios[1] <= ratios[0] * 1.10
+        coarse = small_dara_run(paper_model, 100, 50, t_final=2.0)
+        fine = small_dara_run(paper_model, 200, 100, t_final=2.0)
+        rep = energy_estimate_report(coarse, fine, paper_model)
+        assert rep.passed and rep.worst_violation == 0.0
+        ratio_c, ratio_f = rep.context["ratio_coarse"], rep.context["ratio_fine"]
+        assert ratio_f <= ratio_c * 1.10
+        assert (rep.bound_lhs, rep.bound_rhs) == (ratio_f, 1.10 * ratio_c)
+        assert rep.context["coarse"]["n_cells"] == 100
+        assert rep.context["fine"]["n_cells"] == 200
+
+    def test_fails_when_the_ratio_grows(self, paper_model):
+        # a twin whose levels grow by half over the horizon: its data terms
+        # (phi0 and h) are the run's, its energy is larger
+        sol = small_dara_run(paper_model)
+        grown = dataclasses.replace(
+            sol, phi=sol.phi * (1.0 + 0.5 * sol.tau_values[:, None]))
+        rep = energy_estimate_report(sol, grown, paper_model)
+        assert not rep.passed
+        ratio_c, ratio_f = rep.context["ratio_coarse"], rep.context["ratio_fine"]
+        assert ratio_f > 1.10 * ratio_c
+        assert rep.worst_violation == pytest.approx(ratio_f - 1.10 * ratio_c,
+                                                    rel=1e-15)
+
+    @pytest.mark.parametrize("which", ["coarse", "fine", "both"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fails_on_a_non_finite_run(self, paper_model, which, bad):
+        # a nan ratio compares as no growth, so it must fail on its own
+        sol = small_dara_run(paper_model)
+        phi = sol.phi.copy()
+        phi[-1, 10] = bad
+        broken = dataclasses.replace(sol, phi=phi)
+        coarse = sol if which == "fine" else broken
+        fine = sol if which == "coarse" else broken
+        rep = energy_estimate_report(coarse, fine, paper_model)
+        assert not rep.passed
+        assert rep.worst_violation == np.inf
+        assert not np.isfinite(rep.context[which if which != "both"
+                                           else "fine"]["energy"])
+
+    def test_fails_on_an_infinite_ratio(self, paper_model):
+        # zero data terms with a nonzero energy: the ratio is inf
+        sol = small_dara_run(paper_model)
+        zero = dataclasses.replace(sol, phi=np.zeros_like(sol.phi))
+        lifted = dataclasses.replace(
+            zero, phi=zero.phi + sol.tau_values[:, None])
+        rep = energy_estimate_report(zero, lifted, paper_model)
+        assert rep.context["fine"]["energy"] > 0.0
+        assert rep.context["ratio_fine"] == np.inf
+        assert not rep.passed and rep.worst_violation == np.inf
 
 
 class TestMaximumPrincipleReport:

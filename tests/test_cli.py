@@ -46,7 +46,7 @@ DARA_UTIL = {"kind": "dara", "a0": 9.0, "a1": 6.0, "x_star": 2.0,
 @pytest.fixture
 def config_path(tmp_path):
     return write_config(tmp_path / "run.json", utility=DARA_UTIL,
-                        pde=SMALL_PDE, checks={"n_pairs": 120})
+                        pde=SMALL_PDE)
 
 
 class TestIngest:
@@ -70,6 +70,23 @@ class TestIngest:
         sig.write_text("0.04,0.02\n0.02,0.01\n")
         assert main(["ingest", "--mu", str(mu), "--sigma", str(sig),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("mu_text, sigma_text, named", [
+        ("mean\nnan\n0.05\n", "0.04,0.0\n0.0,0.01\n", "mean returns"),
+        ("mean\n0.1\n0.05\n", "0.04,nan\nnan,0.01\n", "covariance"),
+    ], ids=["mu", "sigma"])
+    def test_non_finite_data_exits_config(self, tmp_path, capsys, mu_text,
+                                          sigma_text, named):
+        # Cholesky does not reject NaN, so the model checks for it
+        mu, sig = tmp_path / "mu.csv", tmp_path / "sigma.csv"
+        mu.write_text(mu_text)
+        sig.write_text(sigma_text)
+        out = tmp_path / "o"
+        assert main(["ingest", "--mu", str(mu), "--sigma", str(sig),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not out.exists()
 
 
 class TestAlphaCurve:
@@ -105,14 +122,30 @@ class TestAlphaCurve:
                      "--out", str(tmp_path / "x"),
                      "--phi-min", "5", "--phi-max", "1"]) == 2
 
-    @pytest.mark.parametrize("n_points", ["0", "-3"])
+    @pytest.mark.parametrize("n_points", ["0", "-3", str(10**12)])
     def test_bad_n_points_exits_usage(self, tmp_path, config_path, capsys,
                                       n_points):
+        # 10**12 points would need 8 TB: the cap is checked before the
+        # table is allocated
         assert main(["alpha-curve", "--config", str(config_path),
                      "--out", str(tmp_path / "x"),
                      "--n-points", n_points]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--n-points" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["alpha-curve", "weights-path"])
+    @pytest.mark.parametrize("phi_min, phi_max", [
+        ("0.5", "inf"), ("0.5", "nan"), ("nan", "10"), ("inf", "inf")])
+    def test_non_finite_phi_exits_usage(self, tmp_path, config_path, capsys,
+                                        command, phi_min, phi_max):
+        out = tmp_path / "x"
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     "--phi-min", phi_min, "--phi-max", phi_max,
+                     "--n-points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--phi-max" in err
+        assert not out.exists()
 
     def test_gnuplot_script_emitted_and_listed(self, tmp_path, config_path):
         out = tmp_path / "gp"
@@ -243,6 +276,72 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--slices" in err
 
+    # SMALL_PDE runs to t_final = 1
+    @pytest.mark.parametrize("slices", ["nan", "inf", "0,-inf", "-0.5",
+                                        "0,1.5"])
+    def test_slices_outside_the_run_exit_usage(self, tmp_path, config_path,
+                                               capsys, slices):
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(config_path),
+                     "--out", str(out), "--slices", slices]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--slices" in err
+        assert not out.exists()
+
+    def test_verify_flag_is_a_usage_error(self, tmp_path, config_path):
+        # verify is the one way to run the verification bundle
+        out = tmp_path / "sv"
+        assert main(["solve", "--config", str(config_path), "--out", str(out),
+                     "--verify"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, misspelled, utility", [
+        ((), "modle", DARA_UTIL),
+        (("model",), "inflo", DARA_UTIL),
+        (("model", "assets"), "mus", DARA_UTIL),
+        (("model", "covariance"), "volatility", DARA_UTIL),
+        (("model", "decision_set"), "point", DARA_UTIL),
+        (("model", "inflow"), "eps", DARA_UTIL),
+        (("utility",), "truncation", DARA_UTIL),
+        (("utility",), "phi0", DARA_UTIL),   # read by tabulated only
+        (("utility",), "a0", {"kind": "arctan"}),   # read by dara only
+        (("utility",), "values", {"kind": "tabulated", "x": [-9.0, 9.0],
+                                  "phi0": [9.0, 6.0]}),
+        (("pde",), "upwnd", DARA_UTIL),
+        (("pde",), "boundary_values", DARA_UTIL),
+        (("pde", "boundary"), "rigth", DARA_UTIL),
+        (("checks",), "n_pairs", DARA_UTIL),
+    ], ids=lambda v: ".".join(v) or "config" if isinstance(v, tuple)
+       else v if isinstance(v, str) else v["kind"])
+    def test_unknown_key_exits_config(self, tmp_path, capsys, where,
+                                      misspelled, utility):
+        doc = {
+            "model": {
+                "assets": {"mu": [MU_S, MU_B]},
+                "covariance": {"volatilities": [0.169, 0.0082],
+                               "correlation": [[1.0, -0.1151],
+                                               [-0.1151, 1.0]]},
+                "decision_set": {"points": [[0.8, 0.2], [0.0, 1.0]]},
+                "inflow": {"eps_rate": 1.0, "y_minus": 1.0, "y_plus": 2.0},
+            },
+            "utility": dict(utility),
+            "pde": {**SMALL_PDE,
+                    "boundary": {"kind": "dirichlet", "left": 6, "right": 9}},
+            "checks": {"seed": 1},
+        }
+        section = doc
+        for key in where:
+            section = section[key]
+        section[misspelled] = 1.0
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        named = ".".join(where or ("config",)) + "." + misspelled
+        assert err.count("\n") == 1 and f"{named}: unknown key" in err
+        assert not out.exists()
+
     def test_missing_sections(self, tmp_path):
         cfg = write_config(tmp_path / "bare.json")  # model only
         assert main(["solve", "--config", str(cfg),
@@ -296,8 +395,7 @@ class TestVerify:
         payload = json.loads((out / "verify.json").read_text())
         assert payload["passed"]
         assert set(payload["checks"]) == {
-            "monotonicity", "maximum-principle", "energy-estimate",
-            "energy-refinement"}
+            "monotonicity", "maximum-principle", "energy-estimate"}
         assert set(payload["info"]) == {"contraction-budget"}
 
     def test_contraction_budget_is_info(self, tmp_path, config_path, capsys):
@@ -326,8 +424,7 @@ class TestVerify:
         pde = dict(SMALL_PDE)
         pde["boundary"] = {"kind": "dirichlet", "left": 6.0, "right": 0.5}
         pde["t_final"], pde["n_steps"] = 4.0, 40
-        cfg = write_config(tmp_path / "bad.json", utility=DARA_UTIL, pde=pde,
-                           checks={"n_pairs": 50})
+        cfg = write_config(tmp_path / "bad.json", utility=DARA_UTIL, pde=pde)
         out = tmp_path / "v"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
         payload = json.loads((out / "verify.json").read_text())
@@ -362,8 +459,7 @@ class TestVerify:
                                     "y_plus": 1.5}},
             utility=DARA_UTIL,
             pde={**SMALL_PDE, "n_cells": 40, "t_final": 20.0, "n_steps": 20,
-                 "cutoff_m": None},
-            checks={"n_pairs": 50})
+                 "cutoff_m": None})
         out = tmp_path / "v"
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
         payload = json.loads((out / "verify.json").read_text())
@@ -384,17 +480,6 @@ class TestVerify:
         bad.write_text("{ not json")
         assert main(["verify", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
-
-
-class TestSolveVerifyInline:
-    def test_inline_checks_recorded(self, tmp_path, config_path):
-        out = tmp_path / "sv"
-        assert main(["solve", "--config", str(config_path), "--out", str(out),
-                     "--verify"]) == 0
-        man = json.loads((out / "manifest.json").read_text())
-        assert man["checks"]["maximum-principle"]["passed"]
-        assert "contraction-budget" not in man["checks"]
-        assert man["info"]["contraction-budget"]["t0"] > 0
 
 
 class TestMms:

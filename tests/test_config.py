@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from riccati_hjb.config import (
     build_utility,
     build_checks,
     load_document,
+    load_run,
 )
 from two_asset_data import MU_S, MU_B, VOL_S, VOL_B, CORR, two_asset_sigma
 
@@ -133,17 +136,13 @@ class TestPdeSection:
 
 class TestChecksAndDocument:
     def test_checks_defaults(self):
-        checks = build_checks({})
-        assert checks == {"seed": 42, "n_pairs": 1000,
-                          "phi_range": (0.1, 50.0), "tolerance": 1e-8}
+        assert build_checks({}) == {"seed": 42}
 
     def test_checks_values_kept(self):
-        checks = build_checks({"checks": {"seed": 7, "n_pairs": 3,
-                                          "phi_range": [0.5, 2],
-                                          "tolerance": 0}})
-        assert checks == {"seed": 7, "n_pairs": 3, "phi_range": (0.5, 2.0),
-                          "tolerance": 0.0}
+        assert build_checks({"checks": {"seed": 7}}) == {"seed": 7}
 
+    # the seed is the one setting of the checks; the certificate's pair
+    # count and phi range and the tolerance are unknown keys
     @pytest.mark.parametrize("key, value", [
         ("n_pairs", 0), ("n_pairs", -3), ("n_pairs", "abc"), ("n_pairs", 10.5),
         ("n_pairs", True),
@@ -170,6 +169,18 @@ class TestChecksAndDocument:
         syntax.write_text("{,}")
         with pytest.raises(ConfigError, match="line 1"):
             load_document(syntax)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```json\n(.*?)```", readme.read_text(),
+                              flags=re.S)
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        doc, model, utility, pde, checks = load_run(path)
+        assert doc == json.loads(block)
+        assert model.n == 2 and model.inflow is not None
+        assert utility is not None and pde is not None
+        assert checks == {"seed": 42}
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "ok.json"
