@@ -32,7 +32,6 @@ from .analysis import (
     energy_estimate_report,
     maximum_principle_report,
     monotonicity_certificate,
-    sobolev_norm,
 )
 from .model import (
     ArctanUtility,

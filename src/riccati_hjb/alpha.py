@@ -295,7 +295,9 @@ class ClosedFormN2:
 
     def evaluate(self, phi):
         phi = np.asarray(phi, dtype=float)
-        out = self.a_const - self.b_const / phi + self.c_const * phi
+        # b/phi overflows only below phi_lo, where the vertex line replaces it
+        with np.errstate(over="ignore"):
+            out = self.a_const - self.b_const / phi + self.c_const * phi
         if self.phi_lo > 0 and not np.isnan(self.e_minus):
             out = np.where(phi <= self.phi_lo,
                            self.e_minus * phi + self.d_minus, out)

@@ -1,13 +1,15 @@
-"""Discrete functional-analytic checks: Fourier Sobolev norms, the strong
-monotonicity certificate for the diffusion function, the fixed-point
-contraction horizon, the energy estimate of a run and its refined twin, and
-pointwise bound verification.
+"""Discrete functional-analytic checks: the strong monotonicity certificate
+for the diffusion function, the fixed-point contraction horizon, the energy
+estimate of a run and its refined twin, and pointwise bound verification.
 
 The verification bundle is the three checks that can fail: monotonicity,
 maximum-principle and energy-estimate. Each is packaged as a CheckReport
 carrying both sides of the inequality, the worst violation and a pass flag
-at a stated tolerance. The contraction budget is reported, not checked. All
-randomness is seeded, so reports are deterministic.
+at a stated tolerance; a report with a nan or inf side or worst violation
+fails. The energy takes its H^-1 norm from the scheme's own operator,
+(I - D_xx)^-1 under the mirror boundary. The contraction budget is
+reported, not checked. All randomness is seeded, so reports are
+deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 # solve_alpha is unused here, but the traced benchmark wraps it as a boundary
 from .alpha import alpha_field, lipschitz_bounds, solve_alpha  # noqa: F401
@@ -25,7 +28,6 @@ from .pde import SolutionField
 __all__ = [
     "CheckReport",
     "ContractionBudget",
-    "sobolev_norm",
     "monotonicity_certificate",
     "contraction_budget",
     "energy_estimate_report",
@@ -34,30 +36,31 @@ __all__ = [
 
 _SPACE_DIM = 1  # spatial dimension of the PDE runs
 MIN_PAIR_GAP = 1e-6  # smallest |phi1 - phi2| of a sampled monotonicity pair
-_FFT_BLOCK = 1 << 15  # samples per batched FFT call (512 KiB complex)
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one analytic-bound verification.
 
-    The check is bound_lhs <= bound_rhs up to `tolerance`; worst_violation is
-    max(0, lhs - rhs) (or a directly supplied worst case for multi-point
-    checks) and `passed` is derived from it, never stored independently.
+    The check is bound_lhs <= bound_rhs up to `tolerance`, and
+    worst_violation is the check's worst case (0 when it holds). `passed` is
+    derived from it, never stored independently. A nan compares as no
+    violation, so a report with a non-finite side or worst violation fails,
+    with worst_violation set to inf.
     """
 
     check_name: str
     bound_lhs: float
     bound_rhs: float
     tolerance: float
-    worst_violation: float = None
+    worst_violation: float
     passed: bool = field(init=False)
     context: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.worst_violation is None:
-            worst = max(0.0, self.bound_lhs - self.bound_rhs)
-            object.__setattr__(self, "worst_violation", worst)
+        if not all(map(math.isfinite, (self.bound_lhs, self.bound_rhs,
+                                       self.worst_violation))):
+            object.__setattr__(self, "worst_violation", math.inf)
         object.__setattr__(self, "passed",
                            bool(self.worst_violation <= self.tolerance))
 
@@ -83,43 +86,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return obj
-
-
-# --- Sobolev norms via the discrete Fourier transform ------------------------
-
-def sobolev_norm(values, dx: float, s: float = 0.0) -> float:
-    """Order-s Sobolev norm of samples on a uniform grid of spacing dx.
-
-    The squared norm is the frequency sum of (1 + xi^2)^s |fhat(xi)|^2 dxi
-    with physical frequencies xi_k = 2 pi k / (N dx). At s = 0 this is the
-    rectangle-rule L2 norm (discrete Parseval). The transform is periodic, so
-    samples should decay near the domain ends.
-    """
-    f = np.asarray(values, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("need a 1-d sample array of length >= 2")
-    if not dx > 0:
-        raise ValueError(f"need a positive grid spacing dx, got {dx}")
-    (norm2,) = _sobolev_sq(f, dx, (s,))
-    return float(np.sqrt(norm2))
-
-
-def _sobolev_sq(f, dx: float, orders):
-    """Squared Sobolev norms of each row of f (the last axis holds the
-    samples), one array per order in `orders`. Both orders come from one
-    power spectrum, and the rows are transformed a block at a time, few FFT
-    calls with a transient of at most _FFT_BLOCK complex values."""
-    n = f.shape[-1]
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    weights = [(1.0 + xi * xi) ** s for s in orders]
-    rows = f.reshape(-1, n)
-    out = [np.empty(len(rows)) for _ in orders]
-    block = max(1, _FFT_BLOCK // n)
-    for i in range(0, len(rows), block):
-        power = np.abs(np.fft.fft(rows[i:i + block], axis=-1)) ** 2
-        for norm2, w in zip(out, weights):
-            norm2[i:i + block] = (dx / n) * np.sum(w * power, axis=-1)
-    return [norm2.reshape(f.shape[:-1]) for norm2 in out]
 
 
 # --- strong monotonicity of alpha --------------------------------------------
@@ -150,7 +116,8 @@ def monotonicity_certificate(model: PortfolioModel, *, n_pairs: int = 1000,
     vb, _, _ = alpha_field(model, 0.0, p2)
     ratios = (va - vb) / (p1 - p2)
     min_ratio, max_ratio = float(ratios.min()), float(ratios.max())
-    worst = max(0.0, bounds.omega - min_ratio, max_ratio - bounds.big_l)
+    # np.max carries a nan quotient into the worst violation
+    worst = np.max([0.0, bounds.omega - min_ratio, max_ratio - bounds.big_l])
     lhs, rhs = ((bounds.omega, min_ratio)
                 if bounds.omega - min_ratio >= max_ratio - bounds.big_l
                 else (max_ratio, bounds.big_l))
@@ -222,15 +189,28 @@ def contraction_budget(model: PortfolioModel,
 
 # --- energy estimate -----------------------------------------------------------
 
+def _hminus1_sq(levels, dx: float):
+    """dx <v, (I - D_xx)^-1 v> for each row v of `levels`, with D_xx the
+    scheme's cell-centred second difference under the mirror ghost (ghost =
+    edge value). I - D_xx is symmetric positive definite and tridiagonal:
+    dpttrf factors it once and dpttrs solves every row as a right-hand side."""
+    n = levels.shape[-1]
+    r = 1.0 / dx**2
+    diag = np.full(n, 1.0 + 2.0 * r)
+    diag[[0, -1]] -= r  # the mirror ghost cancels one neighbour
+    diag, off, _ = dpttrf(diag, np.full(n - 1, -r))
+    solved, _ = dpttrs(diag, off, levels.T)
+    return dx * np.einsum("kn,nk->k", levels, solved)
+
+
 def _energy(solution: SolutionField, model: PortfolioModel) -> dict:
     """Energy numbers of one run. The energy is sup_tau |phi|_{H^-1}^2 +
     int_0^T |phi|_{L2}^2, and its ratio is taken to the data terms:
     |phi0|_{H^-1}^2 plus the horizon-weighted squared L2 norm of d_xx h."""
     dx = solution.grid.dx
     centers = solution.grid.centers
-    # a run with an inf sample transforms to inf - inf; the report flags it
-    with np.errstate(invalid="ignore", over="ignore"):
-        hm1_sq, l2_sq = _sobolev_sq(solution.phi, dx, (-1.0, 0.0))
+    hm1_sq = _hminus1_sq(solution.phi, dx)
+    l2_sq = dx * np.sum(solution.phi**2, axis=1)
     sup_hm1 = float(np.max(hm1_sq))
     int_l2 = float(np.trapezoid(l2_sq, solution.tau_values))
     energy = sup_hm1 + int_l2
@@ -241,17 +221,12 @@ def _energy(solution: SolutionField, model: PortfolioModel) -> dict:
     rhs_data = float(hm1_sq[0] + solution.t_final * np.sum(d2h**2) * dx)
     ratio = (energy / rhs_data if rhs_data > 0
              else (0.0 if energy == 0 else math.inf))
-
-    peak = float(np.max(np.abs(solution.phi))) or 1.0
-    edge = float(max(np.max(np.abs(solution.phi[:, 0])),
-                     np.max(np.abs(solution.phi[:, -1]))))
     return {
         "energy": energy,
         "ratio": ratio,
         "sup_hminus1_sq": sup_hm1,
         "int_l2_sq": int_l2,
         "rhs_data": rhs_data,
-        "boundary_fraction": edge / peak,
         "n_cells": solution.grid.n_cells,
         "n_steps": len(solution.tau_values) - 1,
     }
@@ -264,20 +239,18 @@ def energy_estimate_report(coarse: SolutionField, fine: SolutionField,
 
     The estimate's constant is not pinned down analytically, so the check
     asks that the ratio of the energy to the data terms stay bounded under
-    refinement. It fails when either run's energy or ratio is nan or inf,
-    which the comparison alone would let pass.
+    refinement. A nan or inf ratio of either run makes a side of the
+    comparison non-finite, so the report fails.
     """
     runs = {"coarse": _energy(coarse, model), "fine": _energy(fine, model)}
     ratio_c, ratio_f = runs["coarse"]["ratio"], runs["fine"]["ratio"]
     bound = 1.10 * ratio_c
-    finite = all(math.isfinite(run[key]) for run in runs.values()
-                 for key in ("energy", "ratio"))
     return CheckReport(
         check_name="energy-estimate",
         bound_lhs=ratio_f,
         bound_rhs=bound,
         tolerance=1e-12,
-        worst_violation=max(0.0, ratio_f - bound) if finite else math.inf,
+        worst_violation=float(np.maximum(0.0, ratio_f - bound)),
         context={"ratio_coarse": ratio_c, "ratio_fine": ratio_f, **runs},
     )
 
@@ -306,9 +279,10 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
     # first worst entry in step, then lower-before-upper, then cell order
     gaps = np.stack([lower - a, a - upper], axis=1)
     k, side, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    worst = max(0.0, float(gaps[k, side, i]))
+    # np.maximum carries a nan gap into the worst violation
+    worst = float(np.maximum(0.0, gaps[k, side, i]))
     where = {"step": 0, "cell": 0, "side": "none"}
-    if worst > 0.0:
+    if worst != 0.0:
         where = {"step": int(k), "cell": int(i),
                  "side": ("lower", "upper")[side],
                  "tau": float(solution.tau_values[k]),

@@ -106,7 +106,13 @@ def _phi_grid(args):
     if not 1 <= args.n_points <= MAX_POINTS:
         raise ConfigError(f"--n-points: need an integer from 1 to "
                           f"{MAX_POINTS}, got {args.n_points}")
-    return np.linspace(args.phi_min, args.phi_max, args.n_points)
+    grid = np.linspace(args.phi_min, args.phi_max, args.n_points)
+    # phi_min and phi_max a few ulp apart repeat a value
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(
+            f"--phi-min, --phi-max, --n-points: {args.n_points} points over "
+            f"({args.phi_min}, {args.phi_max}) are not strictly increasing")
+    return grid
 
 
 def _path_table(model, grid):

@@ -20,7 +20,6 @@ from riccati_hjb import (
     lipschitz_bounds,
     maximum_principle_report,
     monotonicity_certificate,
-    sobolev_norm,
     solve,
     solve_alpha,
 )
@@ -31,58 +30,37 @@ from riccati_hjb.pde import lambda_bound
 from two_asset_data import two_asset_sigma
 
 
-def decaying_sample(rng, n=400, width=20.0):
-    x = np.linspace(-width / 2, width / 2, n, endpoint=False)
-    dx = x[1] - x[0]
-    k = rng.integers(1, 6)
-    f = rng.normal() * np.sin(k * x) * np.exp(-(x / (width / 8)) ** 2)
-    f += rng.normal() * np.exp(-((x - rng.uniform(-2, 2)) ** 2))
-    return f, dx
-
-
-class TestSobolevNorm:
-    def test_parseval_matches_trapezoid(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            f, dx = decaying_sample(rng)
-            trap = np.sqrt(np.trapezoid(f * f, dx=dx))
-            assert abs(sobolev_norm(f, dx, 0.0) - trap) <= 1e-10
-
-    def test_pure_mode_ratio(self):
-        # Gaussian-windowed sine: the H1/L2 ratio approaches 1 + xi0^2
-        x = np.linspace(-40, 40, 4096, endpoint=False)
-        dx = x[1] - x[0]
-        xi0 = 2.0
-        f = np.sin(xi0 * x) * np.exp(-(x / 12.0) ** 2)
-        ratio = (sobolev_norm(f, dx, 1.0) / sobolev_norm(f, dx, 0.0)) ** 2
-        assert ratio == pytest.approx(1 + xi0**2, rel=2e-2)
-
-    def test_order_monotonicity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            f, dx = decaying_sample(rng)
-            n_m1 = sobolev_norm(f, dx, -1.0)
-            n_0 = sobolev_norm(f, dx, 0.0)
-            n_p1 = sobolev_norm(f, dx, 1.0)
-            assert n_m1 <= n_0 + 1e-15 <= n_p1 + 2e-15
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sobolev_norm([1.0], 0.1)
-        with pytest.raises(ValueError):
-            sobolev_norm([1.0, 2.0], 0.0)
+def dense_hminus1_sq(v, dx):
+    """dx <v, (I - D_xx)^-1 v> by a dense solve, with D_xx the second
+    difference applied to the columns of the identity under the mirror ghost
+    (ghost = edge value)."""
+    eye = np.eye(len(v))
+    ext = np.vstack([eye[:1], eye, eye[-1:]])
+    d_xx = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / dx**2
+    return dx * v @ np.linalg.solve(eye - d_xx, v)
 
 
 class TestCheckReport:
     def test_pass_iff_within_tolerance(self):
-        ok = CheckReport("demo", bound_lhs=1.0, bound_rhs=1.0, tolerance=1e-12)
+        ok = CheckReport("demo", bound_lhs=1.0, bound_rhs=1.0, tolerance=1e-12,
+                         worst_violation=0.0)
         assert ok.passed and ok.worst_violation == 0.0
-        bad = CheckReport("demo", bound_lhs=2.0, bound_rhs=1.0, tolerance=0.5)
+        bad = CheckReport("demo", bound_lhs=2.0, bound_rhs=1.0, tolerance=0.5,
+                          worst_violation=1.0)
         assert not bad.passed and bad.worst_violation == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["bound_lhs", "bound_rhs",
+                                       "worst_violation"])
+    def test_non_finite_number_fails(self, bad, where):
+        # max(0, nan) is 0, so a non-finite side would otherwise pass
+        numbers = {"bound_lhs": 1.0, "bound_rhs": 1.0, "worst_violation": 0.0}
+        rep = CheckReport("demo", tolerance=1e-12, **{**numbers, where: bad})
+        assert not rep.passed and rep.worst_violation == np.inf
 
     def test_json_round_trip(self):
         import json
-        rep = CheckReport("demo", 1.0, 2.0, 1e-9,
+        rep = CheckReport("demo", 1.0, 2.0, 1e-9, 0.0,
                           context={"arr": np.arange(3), "v": np.float64(2.5)})
         payload = json.dumps(rep.to_dict())
         assert json.loads(payload)["check_name"] == "demo"
@@ -161,6 +139,18 @@ class TestMonotonicityCertificate:
             assert (rep.bound_lhs, rep.bound_rhs) == (
                 rep.context["max_ratio"], b.big_l)
         assert rep.worst_violation > 0.5 * b.big_l
+
+    def test_fails_on_a_nan_field_value(self, paper_model, monkeypatch):
+        # one nan quotient makes min_ratio nan, which max(0, nan) hid as 0
+        def field_with_nan(model, x, phi):
+            value, slope, theta = alpha_field(model, x, phi)
+            value[len(value) // 2] = np.nan
+            return value, slope, theta
+
+        monkeypatch.setattr(analysis, "alpha_field", field_with_nan)
+        rep = monotonicity_certificate(paper_model, n_pairs=200, seed=3)
+        assert np.isnan(rep.context["min_ratio"])
+        assert not rep.passed and rep.worst_violation == np.inf
 
     def test_deterministic_given_seed(self, paper_model):
         a = monotonicity_certificate(paper_model, n_pairs=50, seed=7)
@@ -305,8 +295,7 @@ class TestEnergyEstimate:
         util = DaraUtility(9.0, 9.0, 0.0, truncation_gamma=None)
         cfg = PDEConfig(grid=SpatialGrid(-8, 8, 100), t_final=3.0, n_steps=30)
         sol = solve(paper_model, util, cfg)
-        dx = cfg.grid.dx
-        norms = [sobolev_norm(row, dx, -1.0) ** 2 for row in sol.phi]
+        norms = analysis._hminus1_sq(sol.phi, cfg.grid.dx)
         assert max(norms) - min(norms) <= 1e-8
 
     def test_inflow_contributes_data_term(self):
@@ -329,8 +318,8 @@ class TestEnergyEstimate:
 
     @pytest.mark.parametrize("run", ["shipped", "single_asset"])
     def test_matches_per_row_loop(self, paper_model, singleton_model, run):
-        # the report takes both norms of every level from one batched FFT;
-        # the reference is one sobolev_norm call per level and order
+        # the report takes the H^-1 norms of every level from one factored
+        # tridiagonal solve; the reference is one dense solve per level
         if run == "shipped":
             model = paper_model
             util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
@@ -345,8 +334,8 @@ class TestEnergyEstimate:
         rep = energy_estimate_report(sol, sol, model)
 
         dx = cfg.grid.dx
-        hm1 = np.array([sobolev_norm(r, dx, -1.0) ** 2 for r in sol.phi])
-        l2 = np.array([sobolev_norm(r, dx, 0.0) ** 2 for r in sol.phi])
+        hm1 = np.array([dense_hminus1_sq(r, dx) for r in sol.phi])
+        l2 = np.array([dx * np.sum(r * r) for r in sol.phi])
         int_l2 = float(np.trapezoid(l2, sol.tau_values))
         h, _, _ = alpha_field(model, cfg.grid.centers,
                               np.zeros(cfg.grid.n_cells))
@@ -482,6 +471,19 @@ class TestMaximumPrincipleReport:
         assert rep.context["psi_upper"] == psi_up
         if which != "inflow":
             assert where["side"] == which.split("_")[1]
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_fails_on_a_nan_sample(self, paper_model, step):
+        # a nan gap compared as no violation, as max(0, nan) = 0
+        sol = small_dara_run(paper_model)
+        phi = sol.phi.copy()
+        phi[step, 10] = np.nan
+        rep = maximum_principle_report(dataclasses.replace(sol, phi=phi),
+                                       paper_model)
+        assert not rep.passed and rep.worst_violation == np.inf
+        where = rep.context["worst_location"]
+        assert (where["step"], where["cell"]) == (step % len(phi), 10)
+        assert np.isnan(where["alpha"])
 
     @pytest.mark.parametrize("case, capped", [
         ("flagship", ["upper"]), ("positive", ["lower"]),

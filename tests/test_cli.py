@@ -147,6 +147,32 @@ class TestAlphaCurve:
         assert err.count("\n") == 1 and "--phi-max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["alpha-curve", "weights-path"])
+    def test_repeated_phi_exits_usage(self, tmp_path, config_path, capsys,
+                                      command):
+        # one ulp apart, linspace repeats a value of the 3-point grid
+        out = tmp_path / "x"
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     "--phi-min", "1", "--phi-max", "1.0000000000000002",
+                     "--n-points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(flag in err for flag in ("--phi-min", "--phi-max",
+                                            "--n-points"))
+        assert not out.exists()
+
+    def test_subnormal_phi_min_writes_the_curve(self, tmp_path, config_path):
+        # B/phi overflows at phi = 1e-320, below phi_lo, where the vertex
+        # line replaces it; the suite turns a RuntimeWarning into a failure
+        out = tmp_path / "x"
+        assert main(["alpha-curve", "--config", str(config_path),
+                     "--out", str(out), "--phi-min", "1e-320",
+                     "--n-points", "3"]) == 0
+        rows = np.loadtxt(out / "alpha_curve.csv", delimiter=",", skiprows=1)
+        assert rows[0, 0] == 1e-320
+        assert np.all(np.isfinite(rows))
+        assert rows[0, -1] == rows[0, 1]  # the closed form's vertex line
+
     def test_gnuplot_script_emitted_and_listed(self, tmp_path, config_path):
         out = tmp_path / "gp"
         assert main(["alpha-curve", "--config", str(config_path),
@@ -397,6 +423,11 @@ class TestVerify:
         assert set(payload["checks"]) == {
             "monotonicity", "maximum-principle", "energy-estimate"}
         assert set(payload["info"]) == {"contraction-budget"}
+        energy = payload["checks"]["energy-estimate"]["context"]
+        for run in ("coarse", "fine"):
+            assert set(energy[run]) == {
+                "energy", "ratio", "sup_hminus1_sq", "int_l2_sq", "rhs_data",
+                "n_cells", "n_steps"}
 
     def test_contraction_budget_is_info(self, tmp_path, config_path, capsys):
         # t0 > 0 holds by construction, so the budget reports numbers and
