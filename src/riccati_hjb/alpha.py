@@ -8,11 +8,13 @@ alpha, shifted by an x-only inflow term. Menus and simplices of three or
 more assets take theta'mu and theta'Sigma theta from the (N, n) weights. One
 asset has the variance S11, and two assets on the simplex are written in
 the minimizing first weight t = clip(a + b/rho, 0, 1) alone, with a
-quadratic variance in t: a few passes over 1-d arrays, about 15 us for the
+quadratic variance in t whose constants are worked out exactly once per
+model and rounded once: a few passes over 1-d arrays, about 13 us for the
 402 values of a Newton sweep on the shipped grid (2-core x86-64 VM, numpy
-2.4). The active-set QP is the one simplex minimizer (the field for n >= 3,
-the scalar oracle `solve_alpha`, the slope bound); support enumeration is
-only the test oracle `exhaustive_alpha`. All operations are pure.
+2.4, best of repeated timings). The active-set QP is the one simplex
+minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
+slope bound); support enumeration is only the test oracle
+`exhaustive_alpha`. All operations are pure.
 """
 
 from __future__ import annotations
@@ -307,22 +309,36 @@ class ClosedFormN2:
         return out if out.ndim else float(out)
 
 
-def _n2_weight_line(model: PortfolioModel):
-    """(a, b, q) of the interior two-asset weight theta_1 = a + b / rho, with
-    q = S11 - 2 S12 + S22 the variance of the direction (1, -1). Derived once
-    per model and kept in its instance dict: the model is immutable."""
-    line = model.__dict__.get("_n2_weight_line")
-    if line is not None:
-        return line
-    s = model.sigma
-    q = float(s[0, 0] - 2.0 * s[0, 1] + s[1, 1])
+def _n2_constants(model: PortfolioModel):
+    """(a, b, q/2, det(Sigma)/(2q), mu1 - mu2, mu2) of two assets on the
+    simplex: the interior first weight is a + b / rho, with
+    q = S11 - 2 S12 + S22 the variance of the direction (1, -1), and half
+    the variance at first weight t is (q/2) (t - a)^2 + det(Sigma)/(2q).
+    Each constant is worked out exactly from the float data and rounded
+    once, so nearly collinear assets, where q cancels, keep full precision.
+    Derived once per model and kept in its instance dict: the model is
+    immutable."""
+    consts = model.__dict__.get("_n2_constants")
+    if consts is not None:
+        return consts
+    # imported here, as only a new model needs it: fractions loads decimal,
+    # a few ms of every start-up otherwise
+    from fractions import Fraction
+    (s11, s12), (_, s22) = (map(Fraction, row) for row in model.sigma.tolist())
+    mu1, mu2 = map(Fraction, model.mu.tolist())
+    q = s11 - 2 * s12 + s22
     if q <= 0:
         raise AlphaEngineError("degenerate covariance: S11 - 2 S12 + S22 <= 0")
-    a = float((s[1, 1] - s[0, 1]) / q)   # asymptotic (minimum-variance) weight
-    b = float(model.mu[0] - model.mu[1]) / q
+    consts = tuple(float(c) for c in (
+        (s22 - s12) / q,                  # asymptotic (minimum-variance) weight
+        (mu1 - mu2) / q,
+        q / 2,
+        (s11 * s22 - s12 * s12) / (2 * q),
+        mu1 - mu2,
+        mu2))
     # a frozen dataclass refuses setattr; its instance dict takes the memo
-    model.__dict__["_n2_weight_line"] = line = (a, b, q)
-    return line
+    model.__dict__["_n2_constants"] = consts
+    return consts
 
 
 def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
@@ -336,12 +352,9 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
         raise AlphaEngineError("closed form needs a 2-asset simplex model")
     if model.drift_mode == DRIFT_LOG_WEALTH or model.inflow is not None:
         raise AlphaEngineError("closed form needs the simple drift convention")
-    s = model.sigma
-    a, b, q = _n2_weight_line(model)
-    m = float(model.mu[0] - model.mu[1])
-    a_const = float(-model.mu[1] - m * a)
-    b_const = 0.5 * m * m / q
-    c_const = 0.5 * float(np.linalg.det(s)) / q
+    a, b, half_q, c_const, m, mu2 = _n2_constants(model)
+    a_const = -mu2 - m * a
+    b_const = 0.5 * m * m / (2.0 * half_q)
 
     # interior interval: phi > 0 with 0 < a + b/phi < 1
     if b > 0:
@@ -409,25 +422,29 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _n2_first_weight(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
-    """Minimizing first weight t of two assets on the simplex at each rho:
-    the interior line a + b / rho clipped to [0, 1], and the lowest vertex
-    (t = 1 or 0) wherever rho <= 0 or rho is subnormal."""
-    a, b, _ = _n2_weight_line(model)
+def _n2_weights(model: PortfolioModel, rho: np.ndarray, a: float,
+               b: float) -> np.ndarray:
+    """Minimizing weights of two assets on the simplex at each rho, by rows:
+    row 0 is the first weight t, the interior line a + b / rho clipped to
+    [0, 1], and the lowest vertex (t = 1 or 0) wherever rho <= 0 or rho is
+    subnormal; row 1 is 1 - t."""
+    theta = np.empty((2, rho.size))
+    t = theta[0]
     convex = _convex_mask(rho)
     if convex is None:
-        t = b / rho
+        np.divide(b, rho, out=t)
     else:
         # rho = 0 or a tiny rho gives inf or nan here: replaced by a vertex
         # below
         with np.errstate(all="ignore"):
-            t = b / rho
+            np.divide(b, rho, out=t)
     t += a
     np.minimum(t, 1.0, out=t)
     np.maximum(t, 0.0, out=t)
     if convex is not None:
         t[~convex] = _lowest_line(model, rho[~convex])[:, 0]
-    return t
+    np.subtract(1.0, t, out=theta[1])
+    return theta
 
 
 def alpha_field(model: PortfolioModel, x, phi):
@@ -465,24 +482,20 @@ def alpha_field(model: PortfolioModel, x, phi):
         alpha -= mu1
         var = np.full(rho.size, 0.5 * s11)
     else:
-        a, _, q = _n2_weight_line(model)
-        (s11, s12), (_, s22) = model.sigma.tolist()
-        mu1, mu2 = model.mu.tolist()
-        t = _n2_first_weight(model, rho)
+        a, b, half_q, half_c, m, mu2 = _n2_constants(model)
+        theta = _n2_weights(model, rho, a, b)
+        t = theta[0]
         # half the variance, (q/2) (t - a)^2 + det(Sigma) / (2 q)
         var = t - a
         np.square(var, out=var)
-        var *= 0.5 * q
-        var += 0.5 * (s11 * s22 - s12 * s12) / q
+        var *= half_q
+        var += half_c
         alpha = rho * var
-        mean = t * (mu1 - mu2)
+        mean = t * m
         mean += mu2
         alpha -= mean
         # filled by rows, which is cheaper than by columns; theta is the
         # transposed view
-        theta = np.empty((2, rho.size))
-        theta[0] = t
-        np.subtract(1.0, t, out=theta[1])
         theta = theta.T
     if model.inflow is not None:
         alpha -= model.inflow.term(x.ravel())

@@ -14,26 +14,31 @@ the converged iterate satisfies the fully implicit nonlinear step.
 time, the predictor of Adams and BDF codes: one product with a constant
 matrix turns the last L <= 8 levels into the backward differences nabla^j
 of the newest, and the start is their sum cut before the smallest of them
-(max norm) among j >= 1, as an asymptotic series is truncated. On a smooth
-trajectory that start reaches order six and lands within the sweep
-tolerance on most steps, about 1.2 sweeps per step on the shipped run;
-after a kink in the history the higher differences grow instead of
-shrinking, so the cut falls back to a low order. The first two steps start
-from phi_0 and 2 phi_1 - phi_0. The stop rule is unchanged, so the
-converged step agrees to the sweep tolerance. The tridiagonal system goes
-straight to LAPACK gtsv, the routine behind scipy's banded solver for one
-band on each side, without the wrapper's validation and band-matrix
+(max norm) among j >= 1, as an asymptotic series is truncated; the cut sum
+is one more product, of the levels with a row of partial sums of that
+matrix. On a smooth trajectory that start reaches order six and lands
+within the sweep tolerance on most steps, about 1.2 sweeps per step on the
+shipped run; after a kink in the history the higher differences grow
+instead of shrinking, so the cut falls back to a low order. The first two
+steps start from phi_0 and 2 phi_1 - phi_0. The stop rule is unchanged, so
+the converged step agrees to the sweep tolerance. The tridiagonal system
+goes straight to LAPACK gtsv, the routine behind scipy's banded solver for
+one band on each side, without the wrapper's validation and band-matrix
 packing. A sweep is bound by numpy's per-call overhead on arrays of n + 2
-values, so it builds its temporaries in place, multiplies by the
-reciprocals of dx and dtau, and leaves the check for a non-finite
-correction to the max |delta| of the stop rule, which is nan or inf exactly
-when delta has such an entry. It refills the run's one ghost-extended
-buffer of phi, takes the interior range of alpha once (the clamp test adds
-the two ghost values, and the step diagnostics keep the range of the last
-sweep), scales the couplings by -1/dx once and builds the diagonal from
-them, and the Newton update is applied in place. On the shipped two-asset
-upwind run (402 values) a sweep takes about 60 us on a 2-core x86-64 VM,
-a quarter of it in `alpha_field` and a fifth in gtsv.
+values, so it writes its temporaries into buffers kept per run, and leaves
+the check for a non-finite correction to the max |delta| of the stop rule,
+which is nan or inf exactly when delta has such an entry. The part of the
+step residual that no sweep changes, phi_prev / dtau plus the
+manufactured source, is formed once per step. A sweep refills the run's
+ghost-extended buffer of phi, takes the interior range of alpha once (the
+clamp test adds the two ghost values, and the step diagnostics keep the
+range of the last sweep), and builds the couplings of the Newton system in
+their -1/dx-scaled form directly: 1/dx and 1/dx^2 are folded into the
+scaling of the face velocity and the alpha slope, and the diagonal is
+built from the couplings. The Newton update is applied in place. On the
+shipped two-asset upwind run (402 values) a sweep takes about 50 us on a
+2-core x86-64 VM (best of repeated timings), a quarter of it in
+`alpha_field` and a fifth in gtsv.
 
 w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
 the scheme integrates the unclipped equation. `solve` works out M, lambda
@@ -210,17 +215,21 @@ class _Geometry:
     """Per-run constants of the sweep, built once per solve: cell centers,
     the ghost-extended x, the boundary map ghost = offset + sign * edge value
     (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals of the cell
-    width and the time step, and the clamp range of the advective
-    coefficient; plus the run's one ghost-extended buffer of phi, which
-    every sweep refills."""
+    width, its square and the time step, and the clamp range of the
+    advective coefficient; plus the run's buffers, which every sweep
+    refills: the ghost-extended phi and a per-cell value (n + 2 each), three
+    per-face values (n + 1) and the diagonal and right-hand side of the
+    Newton system (n)."""
 
-    __slots__ = ("n", "dx", "inv_dx", "inv_dtau", "centers", "xe", "sign",
-                 "offsets", "clamp", "_pe")
+    __slots__ = ("dx", "inv_dx", "inv_dx2", "inv_dtau", "centers", "xe",
+                 "sign", "offsets", "clamp", "_pe", "cell", "face", "lower",
+                 "upper", "diag", "rhs")
 
     def __init__(self, config: PDEConfig, cutoff: CutoffBounds | None):
         grid = config.grid
-        self.n, self.dx = grid.n_cells, grid.dx
+        n, self.dx = grid.n_cells, grid.dx
         self.inv_dx, self.inv_dtau = 1.0 / grid.dx, 1.0 / config.dtau
+        self.inv_dx2 = self.inv_dx * self.inv_dx
         self.centers = grid.centers
         self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
                                   [self.centers[-1] + self.dx]])
@@ -231,7 +240,9 @@ class _Geometry:
             self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
         self.clamp = ((-np.inf, np.inf) if cutoff is None
                       else (cutoff.lower, cutoff.upper))
-        self._pe = np.empty(self.n + 2)
+        self._pe, self.cell = np.empty((2, n + 2))
+        self.face, self.lower, self.upper = np.empty((3, n + 1))
+        self.diag, self.rhs = np.empty((2, n))
 
     def extend(self, values):
         """values with ghost values attached per the boundary condition, in
@@ -254,23 +265,37 @@ def solve_banded(lower, diag, upper, rhs):
     return x
 
 
-def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
+def _fixed_residual(config, geom, phi_prev, tau_next):
+    """The part of the step residual that no sweep changes, phi_prev / dtau
+    plus the manufactured source at tau_next, and the source's integral."""
+    fixed = phi_prev * geom.inv_dtau
+    if config.mms_source is None:
+        return fixed, 0.0
+    src = np.asarray(config.mms_source(geom.centers, tau_next), dtype=float)
+    fixed += src
+    return fixed, float(np.sum(src) * geom.dx)
+
+
+def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     """One Newton sweep: solve the linearized step for the correction.
 
-    The step residual at phi_iter is exact; its Jacobian linearizes alpha
-    with the envelope slope and each advective face flux v * phi_upwind
-    through both the upwinded value and the face velocity, with the upwind
-    choice frozen. The clamp of the advective coefficient passes the slope
-    on where lower <= alpha <= upper and 0 outside.
+    The step residual at phi_iter is d_x G - phi_iter / dtau + fixed, with
+    G the total face flux (alpha gradient minus advective flux) and fixed
+    the step's `_fixed_residual`. Its Jacobian linearizes alpha with the
+    envelope slope and each advective face flux v * phi_upwind through both
+    the upwinded value and the face velocity, with the upwind choice
+    frozen. The clamp of the advective coefficient passes the slope on
+    where lower <= alpha <= upper and 0 outside.
 
     Returns (delta, alpha_range, fluxes) with phi_iter + delta the new
-    iterate, alpha_range the (min, max) of alpha over the interior cells at
-    phi_iter and fluxes the linearized total face fluxes (alpha gradient
-    minus advective flux) at the two domain ends, so the discrete balance
+    iterate (delta lives in the run's buffer, which the next sweep
+    overwrites), alpha_range the (min, max) of alpha over the interior cells
+    at phi_iter and fluxes the linearized total face fluxes at the two
+    domain ends, so the discrete balance
     sum(u - phi_prev) dx = dtau (G_right - G_left + integral of source)
     holds to solver precision.
     """
-    inv_dx, sign = geom.inv_dx, geom.sign
+    h, inv_dx2, sign = 0.5 * geom.inv_dx, geom.inv_dx2, geom.sign
     pe = geom.extend(phi_iter)
     ae, se, _ = alpha_field(model, geom.xe, pe)
     a_int = ae[1:-1]
@@ -283,61 +308,57 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
         wc = np.clip(ae, lo, hi)
         dw = np.where((ae >= lo) & (ae <= hi), se, 0.0)
 
-    # face j+1/2 between extended cells j and j+1, j = 0..n: advective flux
-    # and its derivatives a (by phi_j) and b (by phi_{j+1})
+    # Everything below is in units of 1/dx. For the face j+1/2 between
+    # extended cells j and j+1, j = 0..n, flux holds G / dx, with G the
+    # total face flux: alpha gradient (alpha_{j+1} - alpha_j) / dx minus
+    # advective flux. The couplings of the Newton system are
+    # c_left = dG/dphi_j / dx and c_right = -dG/dphi_{j+1} / dx: row i
+    # couples delta_{i-1} by c_left[i] and delta_{i+1} by c_right[i + 1].
+    # Each is -se / dx^2 from the alpha gradient, minus (c_left) or plus
+    # (c_right) the derivative of the advective flux over dx, which
+    # adv_left and adv_right hold; the two coupling buffers serve as scratch
+    # until then.
+    flux = np.subtract(ae[1:], ae[:-1], out=geom.face)
+    flux *= inv_dx2
+    c_left, c_right = geom.lower, geom.upper
     if config.upwind:
-        v = wc[:-1] + wc[1:]
-        v *= 0.5
-        # velocity parts upwinded from the left (>= 0) and the right (< 0)
-        v_left = np.maximum(v, 0.0)
-        v_right = v - v_left
-        pu = np.where(v >= 0.0, pe[:-1], pe[1:])
-        adv = v * pu
-        pu *= 0.5   # a and b take half the upwinded value
-        a = dw[:-1] * pu
-        a += v_left
-        b = dw[1:] * pu
-        b += v_right
+        # face velocity over dx, with its parts upwinded from the left
+        # (>= 0) and the right (< 0)
+        vel = np.add(wc[:-1], wc[1:], out=c_right)
+        vel *= h
+        pu = np.where(vel >= 0.0, pe[:-1], pe[1:])
+        flux -= np.multiply(vel, pu, out=c_left)
+        v_left = np.maximum(vel, 0.0)
+        adv_right = np.subtract(vel, v_left, out=vel)
+        pu *= h     # the face velocity takes half of each alpha slope
+        adv_left = np.multiply(dw[:-1], pu, out=c_left)
+        adv_left += v_left
+        pu *= dw[1:]
+        adv_right += pu
     else:
-        q = wc * pe
-        adv = q[:-1] + q[1:]
-        adv *= 0.5
-        g = dw * pe
+        q = np.multiply(wc, pe, out=geom.cell)
+        adv = np.add(q[:-1], q[1:], out=c_left)
+        adv *= h
+        flux -= adv
+        g = np.multiply(dw, pe, out=geom.cell)
         g += wc
-        g *= 0.5
-        a, b = g[:-1], g[1:]
+        g *= h
+        adv_left, adv_right = g[:-1], g[1:]
+    se *= -inv_dx2      # se (and dw) are not read again
+    np.subtract(se[:-1], adv_left, out=c_left)
+    np.add(se[1:], adv_right, out=c_right)
 
-    # total face flux G = d_x alpha - advective flux and its derivatives:
-    # dG/dphi_j = -k_left, dG/dphi_{j+1} = k_right
-    flux = ae[1:] - ae[:-1]
-    flux *= inv_dx
-    flux -= adv
-    sdx = np.multiply(se, inv_dx, out=se)  # se (and dw) are not read again
-    # fresh arrays: in the centered branch a and b are views of one array,
-    # which the scaling below must not write
-    k_left = sdx[:-1] + a
-    k_right = sdx[1:] - b
-    # kl0, kr0 belong to the first face, kln, krn to the last
-    kl0, kln = float(k_left[0]), float(k_left[-1])
-    kr0, krn = float(k_right[0]), float(k_right[-1])
-
-    rhs = flux[1:] - flux[:-1]
-    rhs *= inv_dx
-    rate = phi_iter - phi_prev
-    rate *= geom.inv_dtau
-    rhs -= rate
-    if src is not None:
-        rhs += src
-    # row i couples delta_{i-1} by c_left[i] = -k_left[i] / dx and
-    # delta_{i+1} by c_right[i+1] = -k_right[i+1] / dx, and its diagonal is
-    # 1/dtau - c_left[i+1] - c_right[i]
-    c_left = np.multiply(k_left, -inv_dx, out=k_left)
-    c_right = np.multiply(k_right, -inv_dx, out=k_right)
-    diag = c_left[1:] + c_right[:-1]
+    rhs = np.subtract(flux[1:], flux[:-1], out=geom.rhs)
+    rhs += fixed
+    rhs -= phi_iter * geom.inv_dtau
+    # the diagonal of row i is 1/dtau - c_left[i+1] - c_right[i]
+    diag = np.add(c_left[1:], c_right[:-1], out=geom.diag)
     np.subtract(geom.inv_dtau, diag, out=diag)
     # fold the ghost corrections (sign * edge correction) into the end rows
-    diag[0] += sign * float(c_left[0])
-    diag[-1] += sign * float(c_right[-1])
+    cl0, cln = float(c_left[0]), float(c_left[-1])
+    cr0, crn = float(c_right[0]), float(c_right[-1])
+    diag[0] += sign * cl0
+    diag[-1] += sign * crn
 
     try:
         delta = solve_banded(c_left[1:-1], diag, c_right[1:-1], rhs)
@@ -347,38 +368,27 @@ def _sweep(model, config, geom, phi_prev, phi_iter, src, tau_next):
             f"diag range [{diag.min():.3e}, {diag.max():.3e}]"
         ) from None
 
-    g_left = float(flux[0]) + (kr0 - sign * kl0) * float(delta[0])
-    g_right = float(flux[-1]) + (sign * krn - kln) * float(delta[-1])
+    dx = geom.dx
+    g_left = dx * (float(flux[0]) - (cr0 - sign * cl0) * float(delta[0]))
+    g_right = dx * (float(flux[-1]) + (cln - sign * crn) * float(delta[-1]))
     return delta, alpha_range, (g_left, g_right)
 
 
 def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
     """Newton sweeps of one implicit step from phi_prev, starting at start."""
-    src = None
-    src_int = 0.0
-    if config.mms_source is not None:
-        src = np.asarray(config.mms_source(geom.centers, tau_next), dtype=float)
-        src_int = float(np.sum(src) * geom.dx)
+    fixed, src_int = _fixed_residual(config, geom, phi_prev, tau_next)
     phi_iter = start   # a fresh array, updated in place
     for it in range(1, config.picard_max + 1):
-        delta, alpha_range, fluxes = _sweep(model, config, geom, phi_prev,
-                                            phi_iter, src, tau_next)
+        delta, alpha_range, fluxes = _sweep(model, config, geom, fixed,
+                                            phi_iter, tau_next)
         phi_iter += delta
         # nan or inf in delta makes its max |delta| nan or inf
         residual = float(np.abs(delta, out=delta).max())
         if not math.isfinite(residual):
             raise SolverError(f"non-finite update at tau={tau_next:.6g}")
         if residual <= config.picard_tol:
-            diag = StepDiagnostics(
-                picard_iterations=it,
-                residual=residual,
-                alpha_min=alpha_range[0],
-                alpha_max=alpha_range[1],
-                flux_left=fluxes[0],
-                flux_right=fluxes[1],
-                source_integral=src_int,
-            )
-            return phi_iter, diag
+            return phi_iter, StepDiagnostics(it, residual, *alpha_range,
+                                              *fluxes, src_int)
     raise PicardError(step_index, residual, config.picard_tol)
 
 
@@ -389,20 +399,25 @@ _BACKWARD = {n: np.array([[(-1) ** i * math.comb(j, i)
                            for i in reversed(range(n))]
                           for j in range(n)], dtype=float)
              for n in range(1, _PREDICTOR_LEVELS + 1)}
+# row j of _PARTIAL[L] takes the same levels to sum_{i <= j} nabla^i phi_k;
+# its integer entries are exact
+_PARTIAL = {n: np.cumsum(b, axis=0) for n, b in _BACKWARD.items()}
 
 
 def _predict(phi, k):
     """Start of step k from the last L = min(k + 1, _PREDICTOR_LEVELS)
     levels phi[k + 1 - L..k]: the Newton backward series sum_j nabla^j phi_k,
     cut before its smallest term (max norm) among j >= 1, the usual
-    truncation of an asymptotic series. With at most two levels every term
+    truncation of an asymptotic series, as one product of the cut's
+    partial-sum row with the levels. With at most two levels every term
     is kept: phi_0 at the first step, 2 phi_1 - phi_0 at the second."""
     n = min(k + 1, _PREDICTOR_LEVELS)
-    diffs = _BACKWARD[n].dot(phi[k + 1 - n:k + 1])
-    if n <= 2:
-        return diffs.sum(axis=0)
-    order = 1 + int(np.abs(diffs[1:]).max(axis=1).argmin())
-    return diffs[:order].sum(axis=0)
+    levels = phi[k + 1 - n:k + 1]
+    order = n
+    if n > 2:
+        diffs = _BACKWARD[n][1:].dot(levels)
+        order = 1 + int(np.abs(diffs, out=diffs).max(axis=1).argmin())
+    return _PARTIAL[n][order - 1].dot(levels)
 
 
 def _resolve_cutoff(model, config, phi0):
@@ -430,10 +445,10 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     phi = np.empty((config.n_steps + 1, grid.n_cells))
     phi[0] = phi0
     diags = []
-    for k in range(config.n_steps):
+    for k, tau_next in enumerate(tau[1:].tolist()):
         start = _predict(phi, k)
         phi[k + 1], d = _advance(model, config, geom, phi[k], start,
-                                 float(tau[k + 1]), k)
+                                 tau_next, k)
         diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
                          diagnostics=tuple(diags), bounds=bounds,

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccati_hjb import (
@@ -18,7 +20,7 @@ from riccati_hjb import (
     weights_path,
 )
 from riccati_hjb import alpha
-from riccati_hjb.alpha import _n2_weight_line, exhaustive_alpha
+from riccati_hjb.alpha import _n2_constants, exhaustive_alpha
 from riccati_hjb.pde import lambda_bound
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
@@ -599,25 +601,55 @@ class TestSmallSimplexField:
         if shift == 0.0:
             rhos.append([5e-324, 1e-310, 2.2e-308])
         if model.n == 2:
-            a, b, _ = _n2_weight_line(model)
+            a, b = _n2_constants(model)[:2]
             for edge in (-b / a, b / (1.0 - a)):
                 rhos.append([edge, np.nextafter(edge, -np.inf),
                              np.nextafter(edge, np.inf)])
         return np.concatenate(rhos) - shift
 
+    @staticmethod
+    def assert_exact_formula(model, x, rho, theta, alpha, slope):
+        """alpha and slope within 1e-14 (1 + |alpha|) of -theta'mu +
+        (rho/2) theta'Sigma theta - inflow(x) and theta'Sigma theta / 2 at
+        each rho and row of weights, both sides worked out exactly from the
+        floats as Fractions."""
+        half_sigma = [[Fraction(v) / 2 for v in row]
+                      for row in model.sigma.tolist()]
+        mu = [Fraction(v) for v in model.mu.tolist()]
+        shift = (0 if model.inflow is None
+                 else Fraction(float(model.inflow.term(x))))
+        exact = {}   # vertex rows repeat
+        for r, row, a, s in zip(rho.tolist(), theta.tolist(), alpha.tolist(),
+                                slope.tolist()):
+            if tuple(row) not in exact:
+                th = [Fraction(v) for v in row]
+                half_var = sum(t_i * sum(s_ij * t_j for s_ij, t_j
+                                         in zip(half_sigma[i], th))
+                               for i, t_i in enumerate(th))
+                mean = sum(m * t for m, t in zip(mu, th))
+                exact[tuple(row)] = half_var, mean + shift
+            half_var, offset = exact[tuple(row)]
+            bound = Fraction(1e-14 * (1.0 + abs(a)))
+            assert abs(Fraction(a) - (Fraction(r) * half_var - offset)) <= bound
+            assert abs(Fraction(s) - half_var) <= bound
+
     @given(model=small_simplex_models(), x=st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
+    # two nearly collinear assets (q = S11 - 2 S12 + S22 = 0.24), where a
+    # half variance with q rounded from float data was 23 ulp off at the
+    # vertex t = 1
+    @example(model=PortfolioModel(
+        np.array([0.1857498834666067, 0.1451719579260048]),
+        np.array([[6.2575502857993985, 6.325178514434786],
+                  [6.325178514434786, 6.63466345882917]]),
+        DecisionSet.simplex(2),
+        inflow=InflowProfile(0.4656531203865789, 1.0, 2.0),
+        drift_mode="log_wealth"), x=0.0)
     def test_matches_formula_at_own_weights(self, model, x):
         phis = self.phi_grid(model)
         a, s, theta = alpha_field(model, x, phis)
         rho = phis + (1.0 if model.drift_mode == "log_wealth" else 0.0)
-        var = np.einsum("ij,jk,ik->i", theta, model.sigma, theta)
-        ref = -theta @ model.mu + 0.5 * rho * var
-        if model.inflow is not None:
-            ref -= float(model.inflow.term(x))
-        tol = 1e-14 * (1.0 + np.abs(a))
-        assert np.all(np.abs(a - ref) <= tol)
-        assert np.all(np.abs(s - 0.5 * var) <= tol)
+        self.assert_exact_formula(model, x, rho, theta, a, s)
 
     @given(model=small_simplex_models())
     @settings(max_examples=60, deadline=None)
@@ -633,7 +665,7 @@ class TestSmallSimplexField:
         assert np.all(theta[at_vertex, 1] == 1.0 - t[at_vertex])
         # the lowest vertex where rho <= 0 or is subnormal, and beyond the
         # clip points
-        a, b, _ = _n2_weight_line(model)
+        a, b = _n2_constants(model)[:2]
         with np.errstate(all="ignore"):   # rho = 0 or subnormal
             line = a + b / rho
         convex = rho >= np.finfo(float).tiny

@@ -383,11 +383,13 @@ class TestNewtonSweeps:
         sol = solve(model, util, cfg)
         geom = pde._Geometry(cfg, sol.cutoff)
         prev, u = sol.phi[4], sol.phi[5]
+        tau = float(sol.tau_values[5])
+        fixed, _ = pde._fixed_residual(cfg, geom, prev, tau)
 
         def correction(level):
-            delta, _, _ = pde._sweep(model, cfg, geom, prev, level, None,
-                                     float(sol.tau_values[5]))
-            return delta
+            # delta lives in the run's buffer, which the next sweep refills
+            delta, _, _ = pde._sweep(model, cfg, geom, fixed, level, tau)
+            return delta.copy()
 
         for _ in range(3):   # to rounding, below the run's tolerance
             u = u + correction(u)
@@ -443,8 +445,11 @@ class TestTracedCallSites:
     # the traced benchmark counts sweeps by wrapping pde.alpha_field and
     # pde.solve_banded, so each sweep must call both once, and the cutoff
     # level of an auto-clamped run one more alpha evaluation
-    def test_one_alpha_and_one_solve_per_sweep(self, paper_model,
-                                               monkeypatch):
+    @staticmethod
+    def counted_solve(model, cfg, monkeypatch):
+        """solve with the benchmark's two call sites counted: returns the
+        solution, the (phi, alpha) of every alpha evaluation and the number
+        of tridiagonal solves."""
         alpha_calls, solves = [], [0]
         field, banded = pde.alpha_field, pde.solve_banded
 
@@ -461,20 +466,36 @@ class TestTracedCallSites:
         monkeypatch.setattr(pde, "alpha_field", counted_field)
         monkeypatch.setattr(pde, "solve_banded", counted_solve)
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        return solve(model, util, cfg), alpha_calls, solves[0]
+
+    def test_one_alpha_and_one_solve_per_sweep(self, paper_model,
+                                               monkeypatch):
         cfg = paper_cfg(n_cells=40, n_steps=10, upwind=True)
-        sol = solve(paper_model, util, cfg)
+        sol, alpha_calls, solves = self.counted_solve(paper_model, cfg,
+                                                      monkeypatch)
         iters = [d.picard_iterations for d in sol.diagnostics]
         assert len(alpha_calls) == sum(iters) + 1
-        assert solves[0] == sum(iters)
+        assert solves == sum(iters)
         # each step's alpha range is that of the interior cells at the
         # iterate of its last sweep
         last = np.cumsum(iters)
         for d, k in zip(sol.diagnostics, last):
             pe, ae = alpha_calls[k]
-            interior = field(paper_model, 0.0, pe)[0][1:-1]
+            interior = pde.alpha_field(paper_model, 0.0, pe)[0][1:-1]
             assert np.array_equal(interior, ae[1:-1])
             assert d.alpha_min == interior.min()
             assert d.alpha_max == interior.max()
+
+    def test_shipped_run_work(self, paper_model, monkeypatch):
+        # the Newton work of the shipped 400x400 stocks/bonds DARA run: a
+        # change of the sweep that keeps the algorithm keeps this count
+        cfg = paper_cfg(n_cells=400, n_steps=400, t_final=10.0, upwind=True)
+        sol, alpha_calls, solves = self.counted_solve(paper_model, cfg,
+                                                      monkeypatch)
+        sweeps = sum(d.picard_iterations for d in sol.diagnostics)
+        assert sweeps == 483
+        assert len(alpha_calls) == sweeps + 1
+        assert solves == sweeps
 
 
 class TestPredictor:
@@ -523,6 +544,120 @@ class TestPredictor:
         assert np.mean(sweeps) <= 1.9
 
 
+def face_by_face_sweep(model, cfg, clamp, prev, phi, tau):
+    """Independent reference of one Newton sweep in plain Python: the step
+    residual R_i = (G_{i+1/2} - G_{i-1/2}) / dx - (phi_i - prev_i) / dtau +
+    source_i of the total face fluxes G = d_x alpha - advective flux, its
+    Jacobian differentiated face by face with the ghost values chained to
+    the edge cells, and the tridiagonal system solved by elimination
+    without pivoting. Returns (delta, alpha_range, linearized end fluxes,
+    source integral, face velocities)."""
+    n, dx, dtau = cfg.grid.n_cells, cfg.grid.dx, cfg.dtau
+    prev, phi = prev.tolist(), phi.tolist()
+    if cfg.dirichlet is None:
+        sign, ghosts = 1.0, (phi[0], phi[-1])
+    else:
+        sign = -1.0
+        ghosts = (2.0 * cfg.dirichlet[0] - phi[0],
+                  2.0 * cfg.dirichlet[1] - phi[-1])
+    pe = [ghosts[0], *phi, ghosts[1]]
+    centers = cfg.grid.centers.tolist()
+    xe = [centers[0] - dx, *centers, centers[-1] + dx]
+    ae, se, _ = pde.alpha_field(model, np.array(xe), np.array(pe))
+    alpha, slope = ae.tolist(), se.tolist()
+    lo, hi = (-np.inf, np.inf) if clamp is None else (clamp.lower, clamp.upper)
+    w = [min(max(a, lo), hi) for a in alpha]
+    dw = [s if lo <= a <= hi else 0.0 for a, s in zip(alpha, slope)]
+
+    # face j between extended cells j and j+1: G and its derivatives by the
+    # values of cell j (left) and cell j+1 (right)
+    flux, d_left, d_right, velocities = [], [], [], []
+    for j in range(n + 1):
+        if cfg.upwind:
+            v = 0.5 * (w[j] + w[j + 1])
+            k = j if v >= 0.0 else j + 1     # the upwind cell
+            adv = v * pe[k]
+            d_adv = [0.5 * dw[j] * pe[k], 0.5 * dw[j + 1] * pe[k]]
+            d_adv[k - j] += v
+            velocities.append(v)
+        else:
+            adv = 0.5 * (w[j] * pe[j] + w[j + 1] * pe[j + 1])
+            d_adv = [0.5 * (w[j] + dw[j] * pe[j]),
+                     0.5 * (w[j + 1] + dw[j + 1] * pe[j + 1])]
+        flux.append((alpha[j + 1] - alpha[j]) / dx - adv)
+        d_left.append(-slope[j] / dx - d_adv[0])
+        d_right.append(slope[j + 1] / dx - d_adv[1])
+
+    src = [0.0] * n
+    if cfg.mms_source is not None:
+        src = np.asarray(cfg.mms_source(cfg.grid.centers, tau)).tolist()
+    # J delta = R with J = -dR/dphi; cell i is extended cell i + 1
+    rhs = [(flux[i + 1] - flux[i]) / dx - (phi[i] - prev[i]) / dtau + src[i]
+           for i in range(n)]
+    sub = [d_left[i] / dx for i in range(n)]
+    sup = [-d_right[i + 1] / dx for i in range(n)]
+    diag = [1.0 / dtau - (d_left[i + 1] - d_right[i]) / dx for i in range(n)]
+    diag[0] += sign * sub[0]
+    diag[-1] += sign * sup[-1]
+    for i in range(1, n):
+        f = sub[i] / diag[i - 1]
+        diag[i] -= f * sup[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    delta = [0.0] * n
+    delta[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        delta[i] = (rhs[i] - sup[i] * delta[i + 1]) / diag[i]
+
+    g_left = flux[0] + (sign * d_left[0] + d_right[0]) * delta[0]
+    g_right = flux[-1] + (d_left[-1] + sign * d_right[-1]) * delta[-1]
+    interior = alpha[1:-1]
+    return (np.array(delta), (min(interior), max(interior)),
+            (g_left, g_right), sum(src) * dx, velocities)
+
+
+class TestSweepAgainstFaceReference:
+    # random iterates of phi in [5, 40] on the model whose alpha turns
+    # positive above phi = 20, so that the face velocity takes both signs;
+    # an engaged clamp cuts alpha at its median magnitude
+    @pytest.mark.parametrize("source", [False, True], ids=["plain", "mms"])
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "engaged"])
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("upwind", [False, True],
+                             ids=["central", "upwind"])
+    def test_matches_reference(self, finite_breakpoints_model, upwind,
+                               boundary, clamp, source):
+        model = finite_breakpoints_model
+        grid = SpatialGrid(-4.0, 4.0, 24)
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=20, upwind=upwind,
+                        dirichlet=walls(boundary, 30.0, 10.0),
+                        mms_source=((lambda x, tau: (1.0 + tau) * np.cos(x))
+                                    if source else None))
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            prev = rng.uniform(5.0, 40.0, grid.n_cells)
+            phi = prev + rng.uniform(-0.5, 0.5, grid.n_cells)
+            cutoff = None
+            if clamp:
+                a = pde.alpha_field(model, grid.centers, phi)[0]
+                cutoff = pde.CutoffBounds(m=float(np.median(np.abs(a))),
+                                          lam=0.0, horizon=1.0)
+                assert np.any(np.abs(a) > cutoff.upper)
+            geom = pde._Geometry(cfg, cutoff)
+            tau = 0.35
+            fixed, src_int = pde._fixed_residual(cfg, geom, prev, tau)
+            delta, alpha_range, fluxes = pde._sweep(model, cfg, geom, fixed,
+                                                    phi, tau)
+            ref_delta, ref_range, ref_fluxes, ref_src, velocities = \
+                face_by_face_sweep(model, cfg, cutoff, prev, phi, tau)
+            if upwind:
+                assert min(velocities) < 0.0 < max(velocities)
+            scale = np.max(np.abs(ref_delta))
+            assert np.max(np.abs(delta - ref_delta)) <= 1e-12 * scale
+            assert alpha_range == pytest.approx(ref_range, rel=1e-12)
+            assert fluxes == pytest.approx(ref_fluxes, rel=1e-12)
+            assert src_int == pytest.approx(ref_src, rel=1e-12, abs=0.0)
+
+
 class TestTridiagonalSolve:
     @pytest.mark.parametrize("n", [8, 57, 400])
     def test_matches_scipy_bitwise(self, n):
@@ -550,7 +685,8 @@ class TestTridiagonalSolve:
         phi = np.full(16, 2.0)
         k = 0.5 * 0.04 / grid.dx**2   # alpha slope sigma^2 / 2 over dx^2
         with pytest.raises(SolverError, match="tridiagonal solve") as exc:
-            pde._sweep(singleton_model, cfg, geom, phi, phi, None, 0.5)
+            pde._sweep(singleton_model, cfg, geom, phi * geom.inv_dtau, phi,
+                       0.5)
         # the reported range is that of the assembled diagonal, which the
         # solve leaves in place
         assert f"diag range [{k:.3e}, {2 * k:.3e}]" in str(exc.value)
