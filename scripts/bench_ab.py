@@ -4,15 +4,15 @@
 Usage:
 
     python3 scripts/bench_ab.py PARENT CHANGE [--pairs 10] [--workload all]
-                                [--seed 0] [--seconds 38] [--trace 0]
-                                [--out FILE]
+                                [--seed 0] [--trace 0]
 
 PARENT and CHANGE are the roots of two source checkouts. Each run is
 ``perfbench/run.py`` of that checkout, started from its root with the same
 arguments, so each side measures its own code with its own, unchanged
-benchmark. Pair i runs the parent first when i is even and the change first
-when i is odd. The last line of each run's standard output is its JSON
-summary; --out writes all of them to FILE.
+benchmark. Both sides run for the `run_seconds` of the change checkout's
+BENCHMARK.json. Pair i runs the parent first when i is even and the change
+first when i is odd. The last line of each run's standard output is its
+JSON summary.
 
 For every workload and metric the report gives each side's median and
 q1-q3 over the runs, the pairs the change won (ties count for neither) and
@@ -50,9 +50,7 @@ def parse_args(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=38.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -62,11 +60,11 @@ def parse_args(argv=None):
     return args
 
 
-def run_once(root: Path, args) -> dict:
-    """One benchmark run in `root`; its JSON summary with the metric names
-    prefixed by their workload."""
+def run_once(root: Path, args, seconds) -> dict:
+    """One benchmark run of `seconds` in `root`; its JSON summary with the
+    metric names prefixed by their workload."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -151,11 +149,8 @@ def main(argv=None) -> int:
         for side in order:
             print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr,
                   flush=True)
-            runs[side].append(run_once(getattr(args, side), args))
-    if args.out is not None:
-        args.out.write_text(json.dumps(
-            {"args": {k: str(v) for k, v in vars(args).items()}, **runs},
-            indent=1) + "\n")
+            runs[side].append(run_once(getattr(args, side), args,
+                                       metrics_doc["run_seconds"]))
     report(runs, metrics_doc)
     return 0
 

@@ -26,6 +26,7 @@ from riccati_hjb import (
     solve,
 )
 from riccati_hjb import pde
+from riccati_hjb.alpha import alpha_field
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
@@ -481,7 +482,7 @@ class TestTracedCallSites:
         last = np.cumsum(iters)
         for d, k in zip(sol.diagnostics, last):
             pe, ae = alpha_calls[k]
-            interior = pde.alpha_field(paper_model, 0.0, pe)[0][1:-1]
+            interior = alpha_field(paper_model, 0.0, pe)[0][1:-1]
             assert np.array_equal(interior, ae[1:-1])
             assert d.alpha_min == interior.min()
             assert d.alpha_max == interior.max()
