@@ -36,7 +36,6 @@ THREE_FUNDS = {"points": [[0.8, 0.2], [0.5, 0.5], [0.0, 1.0]]}
 PDE = {
     "x_min": -8.0, "x_max": 8.0, "n_cells": 400,
     "t_final": 10.0, "n_steps": 400,
-    "picard_tol": 1e-10, "picard_max": 100,
     "upwind": True,
 }
 

@@ -174,8 +174,7 @@ def contraction_budget(model: PortfolioModel,
     beta bounds the Lipschitz constants of the shifted-diffusion source and
     the clamped advective flux: beta = max(L, L Phi + M e^{lam T}) with Phi
     the a-priori solution bound (M e^{lam T} + max|h|) / omega, and M, lam
-    and T the run's own (its clamp level, or the auto level
-    M = max|alpha(x, phi0)| when the run had no clamp).
+    and T the run's own: its clamp level M = max|alpha(x, phi0)|.
     """
     bounds = lipschitz_bounds(model)
     centers = solution.grid.centers

@@ -219,10 +219,9 @@ def _diag_summary(sol):
         "max_residual": max(d.residual for d in sol.diagnostics),
         "alpha_range": [min(d.alpha_min for d in sol.diagnostics),
                         max(d.alpha_max for d in sol.diagnostics)],
-        "cutoff": None if sol.cutoff is None else {
-            "m": sol.cutoff.m, "lambda": sol.cutoff.lam,
-            "lower": sol.cutoff.lower, "upper": sol.cutoff.upper,
-            "excess": sol.cutoff_excess},
+        "cutoff": {"m": sol.bounds.m, "lambda": sol.bounds.lam,
+                   "lower": sol.bounds.lower, "upper": sol.bounds.upper,
+                   "excess": sol.cutoff_excess},
     }
 
 

@@ -216,8 +216,7 @@ def build_utility(doc: dict):
 def build_pde(doc: dict) -> PDEConfig:
     sec = _known(_require(doc, "pde", "config"), "pde",
                  ("x_min", "x_max", "n_cells", "t_final", "n_steps",
-                  "picard_tol", "picard_max", "cutoff_m", "boundary",
-                  "upwind"))
+                  "picard_tol", "picard_max", "boundary", "upwind"))
     try:
         grid = SpatialGrid(
             x_min=_number(sec, "x_min", "pde"),
@@ -238,9 +237,6 @@ def build_pde(doc: dict) -> PDEConfig:
     else:
         raise ConfigError(f"pde.boundary: expected 'neumann' or a Dirichlet "
                           f"object, got {boundary!r}")
-    cutoff = sec.get("cutoff_m", "auto")
-    if cutoff not in (None, "auto"):
-        cutoff = _number(sec, "cutoff_m", "pde")
     n_steps = _number(sec, "n_steps", "pde", integer=True)
     field = (n_steps + 1) * grid.n_cells
     if field > MAX_FIELD_VALUES:
@@ -257,7 +253,6 @@ def build_pde(doc: dict) -> PDEConfig:
             n_steps=n_steps,
             picard_tol=_number(sec, "picard_tol", "pde", 1e-10),
             picard_max=_number(sec, "picard_max", "pde", 100, integer=True),
-            cutoff_m=cutoff,
             dirichlet=dirichlet,
             upwind=upwind,
         )

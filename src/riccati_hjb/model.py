@@ -10,6 +10,7 @@ cash inflow profile is attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -313,6 +314,12 @@ class SpatialGrid:
             raise ModelError(f"empty domain [{self.x_min}, {self.x_max}]")
         if self.n_cells < 8:
             raise ModelError(f"need at least 8 cells, got {self.n_cells}")
+        # the scheme scales by 1/dx and 1/dx^2, which must be finite too
+        dx = self.dx
+        inv = 1.0 / dx if dx > 0.0 else math.inf
+        if not (math.isfinite(dx) and math.isfinite(inv * inv)):
+            raise ModelError(f"cell width {dx:.3e} is out of range: dx and "
+                             f"1/dx^2 must be finite")
 
     @property
     def dx(self) -> float:

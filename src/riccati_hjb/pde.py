@@ -30,19 +30,20 @@ the check for a non-finite correction to the max |delta| of the stop rule,
 which is nan or inf exactly when delta has such an entry. The part of the
 step residual that no sweep changes, phi_prev / dtau plus the
 manufactured source, is formed once per step. A sweep refills the run's
-ghost-extended buffer of phi, takes the interior range of alpha once (the
-clamp test adds the two ghost values, and the step diagnostics keep the
-range of the last sweep), and builds the couplings of the Newton system in
-their -1/dx-scaled form directly: 1/dx and 1/dx^2 are folded into the
+ghost-extended buffer of phi, takes the range of alpha over it once (the
+clamp test reads it, and the step diagnostics keep the range of the last
+sweep), and builds the couplings of the Newton system in their
+-1/dx-scaled form directly: 1/dx and 1/dx^2 are folded into the
 scaling of the face velocity and the alpha slope, and the diagonal is
 built from the couplings. The Newton update is applied in place. On the
 shipped two-asset upwind run (402 values) a sweep takes about 50 us on a
 2-core x86-64 VM (best of repeated timings), a quarter of it in
 `alpha_field` and a fifth in gtsv.
 
-w clamps alpha to +-M e^{lambda T}; on bounded runs it never activates and
-the scheme integrates the unclipped equation. `solve` works out M, lambda
-and T once per run and the solution carries them, clamped or not, for the
+w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
+M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
+integrates the unclipped equation. `solve` works out M, lambda and T once
+per run and the solution carries them, for `cutoff_excess` and the
 a-priori checks to read.
 The convergence-order check `mms_convergence_study` runs one fixed
 manufactured problem and takes no settings.
@@ -80,14 +81,14 @@ class SolverError(RuntimeError):
 
 
 class PicardError(SolverError):
-    """Inner iteration failed to meet the update tolerance."""
+    """The Newton sweeps of a step failed to meet the update tolerance."""
 
-    def __init__(self, step_index, residual, tol):
+    def __init__(self, step_index, tau, residual, tol):
         self.step_index = step_index
         self.residual = residual
         super().__init__(
-            f"Picard iteration stalled at step {step_index}: "
-            f"residual {residual:.3e} > tol {tol:.3e}"
+            f"Newton sweeps stalled at tau={tau:.6g} (step {step_index}): "
+            f"correction {residual:.3e} > tol {tol:.3e}"
         )
 
 
@@ -101,7 +102,6 @@ class PDEConfig:
     n_steps: int
     picard_tol: float = 1e-10
     picard_max: int = 100
-    cutoff_m: float | str | None = "auto"
     mms_source: Callable | None = None
     dirichlet: tuple | None = None
     upwind: bool = False
@@ -111,12 +111,14 @@ class PDEConfig:
             raise SolverError(f"t_final must be positive, got {self.t_final}")
         if self.n_steps < 1:
             raise SolverError(f"need n_steps >= 1, got {self.n_steps}")
+        # the step scales by 1/dtau, which a subnormal dtau overflows
+        if not (0.0 < self.dtau < math.inf and math.isfinite(1.0 / self.dtau)):
+            raise SolverError(f"time step t_final / n_steps = {self.dtau:.3e}"
+                              f" is out of range: 1/dtau is not finite")
         if self.picard_tol <= 0:
             raise SolverError("picard_tol must be positive")
         if self.picard_max < 1:
             raise SolverError(f"need picard_max >= 1, got {self.picard_max}")
-        if self.cutoff_m not in (None, "auto") and not self.cutoff_m > 0:
-            raise SolverError(f"cutoff_m must be positive, got {self.cutoff_m}")
         if self.dirichlet is not None and len(self.dirichlet) != 2:
             raise SolverError(f"dirichlet must be None or a (left, right) "
                               f"pair, got {self.dirichlet!r}")
@@ -159,14 +161,13 @@ class StepDiagnostics:
 @dataclass(frozen=True)
 class SolutionField:
     """phi on the space-time grid plus per-step solver diagnostics and the
-    run's a-priori constants, which the clamp used if `clamped`."""
+    run's a-priori constants, which give its clamp range."""
 
     phi: np.ndarray                 # (n_steps+1, n_cells)
     tau_values: np.ndarray
     grid: SpatialGrid
     diagnostics: tuple
     bounds: CutoffBounds
-    clamped: bool
 
     def __post_init__(self):
         for name in ("phi", "tau_values"):
@@ -179,18 +180,12 @@ class SolutionField:
         return float(self.tau_values[-1])
 
     @property
-    def cutoff(self) -> CutoffBounds | None:
-        """The clamp range, None for an unclamped run."""
-        return self.bounds if self.clamped else None
-
-    @property
     def cutoff_excess(self) -> float:
-        """Worst amount by which the unclamped alpha left the clamp range
-        over all steps and interior cells; 0 means the clamp never engaged
-        and the run integrated the unclipped equation."""
-        if self.cutoff is None:
-            return 0.0
-        lo, hi = self.cutoff.lower, self.cutoff.upper
+        """Worst amount by which the unclamped alpha left the clamp range at
+        the last sweep of a step, over all steps and cells, the two ghost
+        values included; 0 means the converged steps did not engage the
+        clamp."""
+        lo, hi = self.bounds.lower, self.bounds.upper
         worst = 0.0
         for d in self.diagnostics:
             worst = max(worst, lo - d.alpha_min, d.alpha_max - hi)
@@ -225,7 +220,7 @@ class _Geometry:
                  "sign", "offsets", "clamp", "_pe", "cell", "face", "lower",
                  "upper", "diag", "rhs")
 
-    def __init__(self, config: PDEConfig, cutoff: CutoffBounds | None):
+    def __init__(self, config: PDEConfig, cutoff: CutoffBounds):
         grid = config.grid
         n, self.dx = grid.n_cells, grid.dx
         self.inv_dx, self.inv_dtau = 1.0 / grid.dx, 1.0 / config.dtau
@@ -238,8 +233,7 @@ class _Geometry:
         else:
             gl, gr = config.dirichlet
             self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
-        self.clamp = ((-np.inf, np.inf) if cutoff is None
-                      else (cutoff.lower, cutoff.upper))
+        self.clamp = (cutoff.lower, cutoff.upper)
         self._pe, self.cell = np.empty((2, n + 2))
         self.face, self.lower, self.upper = np.empty((3, n + 1))
         self.diag, self.rhs = np.empty((2, n))
@@ -289,20 +283,19 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
 
     Returns (delta, alpha_range, fluxes) with phi_iter + delta the new
     iterate (delta lives in the run's buffer, which the next sweep
-    overwrites), alpha_range the (min, max) of alpha over the interior cells
-    at phi_iter and fluxes the linearized total face fluxes at the two
-    domain ends, so the discrete balance
+    overwrites), alpha_range the (min, max) of alpha at phi_iter over the
+    cells and the two ghost values, the values the clamp acts on, and
+    fluxes the linearized total face fluxes at the two domain ends, so the
+    discrete balance
     sum(u - phi_prev) dx = dtau (G_right - G_left + integral of source)
     holds to solver precision.
     """
     h, inv_dx2, sign = 0.5 * geom.inv_dx, geom.inv_dx2, geom.sign
     pe = geom.extend(phi_iter)
     ae, se, _ = alpha_field(model, geom.xe, pe)
-    a_int = ae[1:-1]
-    alpha_range = (float(a_int.min()), float(a_int.max()))
+    alpha_range = (float(ae.min()), float(ae.max()))
     lo, hi = geom.clamp
-    if (lo <= alpha_range[0] and alpha_range[1] <= hi
-            and lo <= ae[0] <= hi and lo <= ae[-1] <= hi):
+    if lo <= alpha_range[0] and alpha_range[1] <= hi:
         wc, dw = ae, se
     else:
         wc = np.clip(ae, lo, hi)
@@ -389,7 +382,7 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
         if residual <= config.picard_tol:
             return phi_iter, StepDiagnostics(it, residual, *alpha_range,
                                               *fluxes, src_int)
-    raise PicardError(step_index, residual, config.picard_tol)
+    raise PicardError(step_index, tau_next, residual, config.picard_tol)
 
 
 _PREDICTOR_LEVELS = 8  # most stored levels the start of a step reads
@@ -421,14 +414,11 @@ def _predict(phi, k):
 
 
 def _resolve_cutoff(model, config, phi0):
-    """The run's M, lambda and T: M is the manual level, else (unclamped
-    runs too) M = max |alpha(x, phi0)|; lambda = sup p(x); T = t_final."""
-    if config.cutoff_m is None or config.cutoff_m == "auto":
-        a0, _, _ = alpha_field(model, config.grid.centers, phi0)
-        m = float(np.max(np.abs(a0)))
-    else:
-        m = float(config.cutoff_m)
-    return CutoffBounds(m=m, lam=lambda_bound(model, config.grid),
+    """The run's M, lambda and T: M = max |alpha(x, phi0)|, the smallest
+    level the a-priori bound allows; lambda = sup p(x); T = t_final."""
+    a0, _, _ = alpha_field(model, config.grid.centers, phi0)
+    return CutoffBounds(m=float(np.max(np.abs(a0))),
+                        lam=lambda_bound(model, config.grid),
                         horizon=config.t_final)
 
 
@@ -438,8 +428,7 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     grid = config.grid
     phi0 = phi0_profile(utility, grid)
     bounds = _resolve_cutoff(model, config, phi0)
-    clamped = config.cutoff_m is not None
-    geom = _Geometry(config, bounds if clamped else None)
+    geom = _Geometry(config, bounds)
 
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))
@@ -451,8 +440,7 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
                                  tau_next, k)
         diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
-                         diagnostics=tuple(diags), bounds=bounds,
-                         clamped=clamped)
+                         diagnostics=tuple(diags), bounds=bounds)
 
 
 # --- manufactured-solution verification -------------------------------------

@@ -27,6 +27,7 @@ from riccati_hjb import analysis
 from riccati_hjb.alpha import closed_form_n2
 from riccati_hjb.model import InflowProfile
 from riccati_hjb.pde import lambda_bound
+from clamp_twin import clamp_level
 from two_asset_data import two_asset_sigma
 
 
@@ -211,14 +212,16 @@ class TestContractionBudget:
             np.ceil((2.0 - budget.t0) / (budget.t0 / 2)))
 
     def test_reads_the_runs_clamp(self, paper_model):
-        # a manual level of 0.03 clamps alpha (which spans about -0.067 to
-        # -0.057) and no inflow keeps it constant in time: the budget takes
-        # the clamp's upper bound 0.03, not the auto level of 0.067
+        # a run patched to clamp at 0.03 clips alpha (which spans about
+        # -0.067 to -0.057) and no inflow keeps the level constant in time:
+        # the budget takes the clamp's upper bound 0.03, not the run's own
+        # level of 0.067
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         grid = SpatialGrid(-8, 8, 80)
-        cfg = PDEConfig(grid=grid, t_final=2.0, n_steps=20, upwind=True,
-                        cutoff_m=0.03)
-        budget = contraction_budget(paper_model, solve(paper_model, util, cfg))
+        cfg = PDEConfig(grid=grid, t_final=2.0, n_steps=20, upwind=True)
+        with clamp_level(0.03):
+            sol = solve(paper_model, util, cfg)
+        budget = contraction_budget(paper_model, sol)
         # by hand, as in the singleton case, with M = 0.03
         h, _, _ = alpha_field(paper_model, grid.centers, np.zeros(80))
         h_max = float(np.max(np.abs(h)))
@@ -228,40 +231,34 @@ class TestContractionBudget:
             lip.omega, max(lip.big_l, lip.big_l * phi_bound + 0.03),
             phi_bound, 2.0)
         assert budget == manual
-        auto = contraction_budget(
-            paper_model,
-            solve(paper_model, util, dataclasses.replace(cfg, cutoff_m="auto")))
+        auto = contraction_budget(paper_model, solve(paper_model, util, cfg))
         assert auto.beta == pytest.approx(74.1, abs=0.05)
         assert budget.beta < auto.beta - 10.0
 
-    def test_unclamped_run_reports_its_auto_twin(self, paper_model):
-        # a run without a clamp carries the auto level M, lambda and T all
-        # the same, so the budget and the maximum principle's growth rate
-        # equal those of the auto-clamped twin; with inflow lambda > 0
+    def test_budget_reads_the_auto_level(self, paper_model):
+        # every run carries M = max|alpha(x, phi0)|, lambda and T, and the
+        # budget and the maximum principle's growth rate read them there;
+        # with inflow lambda > 0
         model = PortfolioModel(paper_model.mu, paper_model.sigma,
                                DecisionSet.simplex(2),
                                inflow=InflowProfile(1.0, 1.0, 2.0))
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = PDEConfig(grid=SpatialGrid(-8, 8, 80), t_final=2.0,
                         n_steps=20, upwind=True)
-        auto = solve(model, util, cfg)
-        free = solve(model, util, dataclasses.replace(cfg, cutoff_m=None))
-        assert free.cutoff is None and auto.cutoff is not None
-        assert free.bounds == auto.bounds
-        assert auto.bounds.lam > 0.0
-        budget = contraction_budget(model, free)
-        assert budget == contraction_budget(model, auto)
+        sol = solve(model, util, cfg)
+        assert sol.bounds.lam == lambda_bound(model, cfg.grid) > 0.0
+        assert sol.bounds.horizon == 2.0
+        budget = contraction_budget(model, sol)
         # by hand: M = max|alpha(x, phi0)|, Phi = (M e^{lam T} + max|h|)/omega
-        a0, _, _ = alpha_field(model, cfg.grid.centers, free.phi[0])
+        a0, _, _ = alpha_field(model, cfg.grid.centers, sol.phi[0])
         h, _, _ = alpha_field(model, cfg.grid.centers, np.zeros(80))
         big_m = float(np.max(np.abs(a0)))
-        assert free.bounds.m == big_m
-        phi_bound = ((big_m * np.exp(free.bounds.lam * 2.0)
+        assert sol.bounds.m == big_m
+        phi_bound = ((big_m * np.exp(sol.bounds.lam * 2.0)
                       + np.max(np.abs(h))) / lipschitz_bounds(model).omega)
         assert budget.phi_bound == pytest.approx(phi_bound, rel=1e-14)
-        lam = [maximum_principle_report(s, model).context["lambda"]
-               for s in (free, auto)]
-        assert lam == [auto.bounds.lam] * 2
+        rep = maximum_principle_report(sol, model)
+        assert rep.context["lambda"] == sol.bounds.lam
 
     def test_solution_respects_a_priori_sup_bound(self, paper_model):
         # |phi| never exceeds (M e^{lam T} + max|h|) / omega
@@ -520,8 +517,7 @@ class TestMaximumPrincipleReport:
         grid = SpatialGrid(-8, 8, 40)
         util = TabulatedPhi0(grid.centers, np.full(40, 2.0),
                              truncation_gamma=None)
-        cfg = PDEConfig(grid=grid, t_final=20.0, n_steps=20, upwind=True,
-                        cutoff_m=None)
+        cfg = PDEConfig(grid=grid, t_final=20.0, n_steps=20, upwind=True)
         sol = solve(model, util, cfg)
         assert sol.bounds.upper == np.inf
         rep = maximum_principle_report(sol, model)

@@ -233,14 +233,19 @@ class TestSolve:
         assert rows.shape == (80, 5)  # x, phi, alpha, theta_1, theta_2
         # the stepper's work, as the same solve reports it step by step
         _, model, utility, pde_cfg, _ = load_run(config_path)
-        sweeps = [d.picard_iterations
-                  for d in solve(model, utility, pde_cfg).diagnostics]
+        sol = solve(model, utility, pde_cfg)
+        sweeps = [d.picard_iterations for d in sol.diagnostics]
         diag = man["diagnostics"]
         assert diag["total_sweeps"] == sum(sweeps)
         assert diag["mean_sweeps_per_step"] == sum(sweeps) / SMALL_PDE["n_steps"]
         counts = diag["sweeps_per_step_counts"]
         assert sum(counts.values()) == SMALL_PDE["n_steps"]
         assert counts == {str(n): sweeps.count(n) for n in set(sweeps)}
+        # every run reports its clamp
+        bounds = sol.bounds
+        assert diag["cutoff"] == {"m": bounds.m, "lambda": bounds.lam,
+                                  "lower": bounds.lower,
+                                  "upper": bounds.upper, "excess": 0.0}
 
     def test_constant_profile_slices_flat(self, tmp_path):
         cfg = write_config(
@@ -368,6 +373,24 @@ class TestSolve:
         assert err.count("\n") == 1 and f"{named}: unknown key" in err
         assert not out.exists()
 
+    # dx overflows; 1/dx^2 overflows; dx is 0; 1/dtau overflows
+    @pytest.mark.parametrize("change", [
+        {"x_min": -1e308, "x_max": 1e308},
+        {"x_min": -1e-300, "x_max": 1e-300},
+        {"x_min": -5e-324, "x_max": 5e-324},
+        {"t_final": 1e-310, "n_steps": 10},
+    ], ids=["dx", "inv_dx2", "zero_dx", "inv_dtau"])
+    def test_degenerate_grid_or_step_exits_config(self, tmp_path, capsys,
+                                                  change):
+        cfg = write_config(tmp_path / "tiny.json", utility=DARA_UTIL,
+                           pde={**SMALL_PDE, **change})
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "configuration error: pde: ")
+        assert not out.exists()
+
     def test_missing_sections(self, tmp_path):
         cfg = write_config(tmp_path / "bare.json")  # model only
         assert main(["solve", "--config", str(cfg),
@@ -398,6 +421,11 @@ class TestSolve:
         ("model", "drift_mode", "nonsense", "drift_mode"),
         ("pde", "n_cells", 10**12, "pde.n_cells"),
         ("pde", "n_steps", 10**9, "pde.n_steps"),
+        # every run clamps at M = max|alpha(x, phi0)|: no level, auto level
+        # or unclamped run is a setting
+        ("pde", "cutoff_m", None, "pde.cutoff_m: unknown key"),
+        ("pde", "cutoff_m", "auto", "pde.cutoff_m: unknown key"),
+        ("pde", "cutoff_m", 0.5, "pde.cutoff_m: unknown key"),
     ])
     def test_malformed_config_exits_config(self, tmp_path, capsys, section,
                                            key, value, named):
@@ -489,8 +517,7 @@ class TestVerify:
             model_extra={"inflow": {"eps_rate": 50.0, "y_minus": 1.0,
                                     "y_plus": 1.5}},
             utility=DARA_UTIL,
-            pde={**SMALL_PDE, "n_cells": 40, "t_final": 20.0, "n_steps": 20,
-                 "cutoff_m": None})
+            pde={**SMALL_PDE, "n_cells": 40, "t_final": 20.0, "n_steps": 20})
         out = tmp_path / "v"
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
         payload = json.loads((out / "verify.json").read_text())

@@ -111,7 +111,7 @@ class TestPdeSection:
     def test_defaults_applied(self):
         cfg = build_pde(base_doc())
         assert cfg.picard_tol == 1e-10
-        assert cfg.cutoff_m == "auto"
+        assert cfg.picard_max == 100
         assert cfg.dirichlet is None
         assert not cfg.upwind
 
@@ -123,9 +123,12 @@ class TestPdeSection:
         assert cfg.dirichlet == (1.0, 2.0)
 
     def test_manual_cutoff_level(self):
+        # every run clamps at M = max|alpha(x, phi0)|, so a level named in
+        # the config is an unknown key
         doc = base_doc()
         doc["pde"]["cutoff_m"] = 0.5
-        assert build_pde(doc).cutoff_m == 0.5
+        with pytest.raises(ConfigError, match=r"pde\.cutoff_m: unknown"):
+            build_pde(doc)
 
     def test_invalid_grid_reported(self):
         doc = base_doc()

@@ -27,6 +27,7 @@ from riccati_hjb import (
 )
 from riccati_hjb import pde
 from riccati_hjb.alpha import alpha_field
+from clamp_twin import clamp_level
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
@@ -53,7 +54,7 @@ def one_step(model, state, cfg):
 def run_cutoff(model, util, grid, t_final):
     """The clamp range a one-step solve records for its run."""
     cfg = PDEConfig(grid=grid, t_final=t_final, n_steps=1)
-    return solve(model, util, cfg).cutoff
+    return solve(model, util, cfg).bounds
 
 
 def dense_reference_solve(model, phi0, grid, t_final, n_steps, tol=1e-12,
@@ -140,20 +141,22 @@ class TestAgainstDenseOracle:
         x = grid.centers
         phi0 = 2.0 + np.exp(-x**2)
         util = TabulatedPhi0(x, phi0, truncation_gamma=None)
-        cfg = PDEConfig(grid=grid, t_final=0.5, n_steps=6, picard_tol=1e-12,
-                        cutoff_m=None)
+        cfg = PDEConfig(grid=grid, t_final=0.5, n_steps=6, picard_tol=1e-12)
         sol = solve(singleton_model, util, cfg)
+        # the oracle has no clamp: the run's must not engage
+        assert sol.cutoff_excess == 0.0
         ref = dense_reference_solve(singleton_model, phi0, grid, 0.5, 6)
         assert np.max(np.abs(sol.phi - ref)) <= 1e-8
 
     def test_single_step_matches(self, singleton_model):
         grid = SpatialGrid(-4.0, 4.0, 24)
         phi0 = 2.0 + np.cos(np.pi * grid.centers / 4.0)
-        cfg = PDEConfig(grid=grid, t_final=0.1, n_steps=1, picard_tol=1e-12,
-                        cutoff_m=None)
-        mine = one_step(singleton_model, phi0, cfg)
+        cfg = PDEConfig(grid=grid, t_final=0.1, n_steps=1, picard_tol=1e-12)
+        util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
+        sol = solve(singleton_model, util, cfg)
+        assert sol.cutoff_excess == 0.0   # as the unclamped oracle
         ref = dense_reference_solve(singleton_model, phi0, grid, 0.1, 1)
-        assert np.max(np.abs(mine - ref[-1])) <= 1e-8
+        assert np.max(np.abs(sol.phi[1] - ref[-1])) <= 1e-8
 
 
 class TestCutoff:
@@ -184,23 +187,75 @@ class TestCutoff:
         assert cut.m == pytest.approx(np.max(np.abs(best)), abs=1e-9)
 
     def test_inactive_cutoff_is_bitwise_neutral(self, paper_model):
-        # manual level well above the solution range: the clamp is provably
-        # inactive and the two runs must agree bit for bit
+        # alpha stays in [-0.067, -0.057] on this run, so its clamp at
+        # M ~ 0.067 never engages in any sweep, nor does one at a level
+        # well above M; all three runs must agree bit for bit
         util = DaraUtility(9.0, 6.0, 2.0)
-        cfg_wide = paper_cfg(n_cells=80, n_steps=20, cutoff_m=1.0)
-        cfg_off = paper_cfg(n_cells=80, n_steps=20, cutoff_m=None)
-        a = solve(paper_model, util, cfg_wide)
-        b = solve(paper_model, util, cfg_off)
-        assert np.array_equal(a.phi, b.phi)
+        cfg = paper_cfg(n_cells=80, n_steps=20, upwind=True)
+        auto = solve(paper_model, util, cfg)
+        assert auto.cutoff_excess == 0.0
+        for level in (1.0, np.inf):
+            with clamp_level(level):
+                twin = solve(paper_model, util, cfg)
+            assert np.array_equal(auto.phi, twin.phi)
 
     def test_auto_cutoff_neutral_on_steady_state(self, paper_model):
         # the constant profile sits exactly on the auto clamp level, where
         # clipping returns the same float
         util = DaraUtility(9.0, 9.0, 0.0, truncation_gamma=None)
-        a = solve(paper_model, util, paper_cfg(n_cells=64, n_steps=10))
-        b = solve(paper_model, util,
-                  paper_cfg(n_cells=64, n_steps=10, cutoff_m=None))
+        cfg = paper_cfg(n_cells=64, n_steps=10)
+        a = solve(paper_model, util, cfg)
+        with clamp_level(np.inf):
+            b = solve(paper_model, util, cfg)
+        assert a.cutoff_excess == 0.0
         assert np.array_equal(a.phi, b.phi)
+
+    def test_excess_sees_the_ghost_cells(self, paper_model):
+        # the inflowing wall's ghost value 2 * 3 - phi carries alpha past
+        # the clamp range while the cells stay inside it: the clamp changes
+        # the run, and the excess reports it (9.8e-4)
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = paper_cfg(n_cells=100, n_steps=40, t_final=4.0, upwind=True,
+                        dirichlet=(9.0, 3.0))
+        sol = solve(paper_model, util, cfg)
+        with clamp_level(np.inf):
+            free = solve(paper_model, util, cfg)
+        assert np.max(np.abs(sol.phi - free.phi)) > 1e-3
+        assert sol.cutoff_excess > 1e-4
+
+    # over 300 seeded draws of these ranges, 147 runs had no excess, and
+    # their worst gap to the unclamped twin was 8.9e-6 picard_tol: the
+    # clamp may engage in an early sweep of a step, which the converged
+    # step does not keep. With the excess taken over the cells only, not
+    # the ghost values, 18 of 165 such runs broke the bound, by up to 0.86
+    @given(a0=st.floats(0.5, 15.0), a1=st.floats(0.5, 15.0),
+           x_star=st.floats(-3.0, 3.0), gamma=st.sampled_from([None, 8.0]),
+           n_cells=st.integers(10, 60), n_steps=st.integers(5, 20),
+           dtau=st.floats(0.05, 0.3), upwind=st.booleans(),
+           walls=st.one_of(st.none(), st.tuples(st.floats(1.0, 15.0),
+                                                st.floats(1.0, 15.0))),
+           picard_tol=st.sampled_from([1e-10, 1e-6]))
+    @settings(max_examples=60, deadline=None)
+    def test_unengaged_clamp_matches_unclamped_twin(
+            self, paper_model, a0, a1, x_star, gamma, n_cells, n_steps,
+            dtau, upwind, walls, picard_tol):
+        util = DaraUtility(a0, a1, x_star, truncation_gamma=gamma)
+        cfg = paper_cfg(n_cells=n_cells, n_steps=n_steps,
+                        t_final=n_steps * dtau, upwind=upwind,
+                        dirichlet=walls, picard_tol=picard_tol)
+        sol = solve(paper_model, util, cfg)
+        if sol.cutoff_excess == 0.0:
+            with clamp_level(np.inf):
+                free = solve(paper_model, util, cfg)
+            assert np.max(np.abs(sol.phi - free.phi)) <= picard_tol
+
+    def test_cutoff_level_is_not_a_setting(self, paper_model):
+        grid = SpatialGrid(-8.0, 8.0, 64)
+        with pytest.raises(TypeError):
+            PDEConfig(grid=grid, t_final=1.0, n_steps=4, cutoff_m=0.5)
+        sol = solve(paper_model, DaraUtility(9.0, 6.0, 2.0),
+                    PDEConfig(grid=grid, t_final=1.0, n_steps=4))
+        assert not hasattr(sol, "clamped") and not hasattr(sol, "cutoff")
 
     def test_positive_lambda_with_inflow(self):
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
@@ -309,14 +364,18 @@ class TestConservation:
         assert_mass_balance(solve(paper_model, util, cfg), cfg)
 
     def test_mass_balance_with_clamp_engaged(self, paper_model):
-        # alpha(phi0) spans about [-0.067, -0.057]: a level of 0.03 clips
-        # every cell, so the linearized flux carries no velocity slope
+        # the centered flux overshoots past the clamp level here (excess
+        # 1.2e-3); alpha(phi0) spans about [-0.067, -0.057], so a level of
+        # 0.03 clips every cell and the linearized flux carries no velocity
+        # slope
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
-        cfg = paper_cfg(n_cells=100, n_steps=50, t_final=2.0, upwind=True,
-                        cutoff_m=0.03)
-        sol = solve(paper_model, util, cfg)
-        assert sol.cutoff_excess > 0.0
-        assert_mass_balance(sol, cfg)
+        for level, upwind in ((None, False), (0.03, True)):
+            cfg = paper_cfg(n_cells=100, n_steps=50, t_final=2.0,
+                            upwind=upwind)
+            with clamp_level(level):
+                sol = solve(paper_model, util, cfg)
+            assert sol.cutoff_excess > 1e-3
+            assert_mass_balance(sol, cfg)
 
     def test_mass_balance_with_source(self, singleton_model):
         grid = SpatialGrid(-4.0, 4.0, 60)
@@ -327,25 +386,28 @@ class TestConservation:
 
     # dtau >= 0.1 keeps dx / dtau <= 16, which scales the rounding of the
     # summed change: over 9000 seeded draws of these ranges the balance
-    # held to 1e-13
+    # held to 1e-13. A level of None is the run's own clamp, inf none
     @given(a1=st.floats(0.5, 15.0), gap=st.floats(0.1, 5.0),
            x_star=st.floats(-3.0, 3.0), gamma=st.sampled_from([None, 8.0]),
            n_cells=st.integers(10, 60), n_steps=st.integers(5, 20),
            dtau=st.floats(0.1, 0.3), upwind=st.booleans(),
            boundary=st.sampled_from(["neumann", "dirichlet"]),
-           clamp=st.one_of(st.none(), st.just("auto"), st.floats(0.01, 0.1)),
+           level=st.one_of(st.none(), st.just(np.inf),
+                           st.floats(0.01, 0.1)),
            picard_tol=st.sampled_from([1e-10, 1e-4]))
     @settings(max_examples=60, deadline=None)
     def test_mass_balance_property(self, paper_model, a1, gap, x_star, gamma,
                                    n_cells, n_steps, dtau, upwind, boundary,
-                                   clamp, picard_tol):
+                                   level, picard_tol):
         a0 = a1 + gap  # decreasing absolute risk aversion
         util = DaraUtility(a0, a1, x_star, truncation_gamma=gamma)
         cfg = paper_cfg(n_cells=n_cells, n_steps=n_steps,
                         t_final=n_steps * dtau, upwind=upwind,
                         dirichlet=walls(boundary, a0, a1),
-                        cutoff_m=clamp, picard_tol=picard_tol)
-        assert_mass_balance(solve(paper_model, util, cfg), cfg)
+                        picard_tol=picard_tol)
+        with clamp_level(level):
+            sol = solve(paper_model, util, cfg)
+        assert_mass_balance(sol, cfg)
 
 
 class TestNewtonSweeps:
@@ -356,16 +418,17 @@ class TestNewtonSweeps:
     # eight levels it needs 1.21 there, 1.16 with the centered flux (whose
     # overshoot engages the auto clamp), 1.20 with every cell clamped and
     # 1.23 with Dirichlet walls
-    @pytest.mark.parametrize("kw", [
-        dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True),
-        dict(upwind=False),
-        dict(upwind=True, cutoff_m=0.03),
-        dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True,
-             dirichlet=(9.0, 6.0)),
+    @pytest.mark.parametrize("kw, level", [
+        (dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True), None),
+        (dict(upwind=False), None),
+        (dict(upwind=True), 0.03),
+        (dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True,
+              dirichlet=(9.0, 6.0)), None),
     ], ids=["shipped", "central", "clamped", "dirichlet"])
-    def test_sweeps_per_step(self, paper_model, kw):
+    def test_sweeps_per_step(self, paper_model, kw, level):
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
-        sol = solve(paper_model, util, paper_cfg(**kw))
+        with clamp_level(level):
+            sol = solve(paper_model, util, paper_cfg(**kw))
         sweeps = [d.picard_iterations for d in sol.diagnostics]
         assert np.mean(sweeps) <= 1.4
 
@@ -382,7 +445,7 @@ class TestNewtonSweeps:
     @staticmethod
     def newton_ratio(model, util, cfg):
         sol = solve(model, util, cfg)
-        geom = pde._Geometry(cfg, sol.cutoff)
+        geom = pde._Geometry(cfg, sol.bounds)
         prev, u = sol.phi[4], sol.phi[5]
         tau = float(sol.tau_values[5])
         fixed, _ = pde._fixed_residual(cfg, geom, prev, tau)
@@ -411,9 +474,10 @@ class TestNewtonSweeps:
         # a level of 0.03 clips every cell (alpha spans about -0.067 to
         # -0.057), so the advective coefficient carries no slope there
         cfg = paper_cfg(n_cells=40, n_steps=20, t_final=2.0, upwind=upwind,
-                        dirichlet=walls(boundary, 9.0, 6.0),
-                        cutoff_m=0.03 if clamp else "auto")
-        assert self.newton_ratio(paper_model, util, cfg) <= self.NEWTON_RATIO
+                        dirichlet=walls(boundary, 9.0, 6.0))
+        with clamp_level(0.03 if clamp else None):
+            ratio = self.newton_ratio(paper_model, util, cfg)
+        assert ratio <= self.NEWTON_RATIO
 
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
     def test_quadratic_convergence_both_upwind_directions(
@@ -429,16 +493,20 @@ class TestNewtonSweeps:
 
     def test_extrapolated_start_keeps_the_step(self, paper_model):
         # a one-step solve starts from the previous level, the run from the
-        # extrapolated one: both must land on the same implicit steps
+        # extrapolated one: both must land on the same implicit steps. The
+        # run's clamp does not engage, and a one-step solve would clamp at
+        # the level of its own start, so those run unclamped
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
-        cfg = paper_cfg(n_cells=400, n_steps=400, t_final=10.0, upwind=True,
-                        cutoff_m=None)
+        cfg = paper_cfg(n_cells=400, n_steps=400, t_final=10.0, upwind=True)
         sol = solve(paper_model, util, cfg)
+        assert sol.cutoff_excess == 0.0
         state = sol.phi[0]
         worst = 0.0
-        for k in range(cfg.n_steps):
-            state = one_step(paper_model, state, cfg)
-            worst = max(worst, float(np.max(np.abs(state - sol.phi[k + 1]))))
+        with clamp_level(np.inf):
+            for k in range(cfg.n_steps):
+                state = one_step(paper_model, state, cfg)
+                worst = max(worst,
+                            float(np.max(np.abs(state - sol.phi[k + 1]))))
         assert worst <= 1e-9
 
 
@@ -477,15 +545,14 @@ class TestTracedCallSites:
         iters = [d.picard_iterations for d in sol.diagnostics]
         assert len(alpha_calls) == sum(iters) + 1
         assert solves == sum(iters)
-        # each step's alpha range is that of the interior cells at the
-        # iterate of its last sweep
+        # each step's alpha range is that of the cells and the two ghost
+        # values at the iterate of its last sweep
         last = np.cumsum(iters)
         for d, k in zip(sol.diagnostics, last):
             pe, ae = alpha_calls[k]
-            interior = alpha_field(paper_model, 0.0, pe)[0][1:-1]
-            assert np.array_equal(interior, ae[1:-1])
-            assert d.alpha_min == interior.min()
-            assert d.alpha_max == interior.max()
+            assert np.array_equal(alpha_field(paper_model, 0.0, pe)[0], ae)
+            assert d.alpha_min == ae.min()
+            assert d.alpha_max == ae.max()
 
     def test_shipped_run_work(self, paper_model, monkeypatch):
         # the Newton work of the shipped 400x400 stocks/bonds DARA run: a
@@ -566,7 +633,7 @@ def face_by_face_sweep(model, cfg, clamp, prev, phi, tau):
     xe = [centers[0] - dx, *centers, centers[-1] + dx]
     ae, se, _ = pde.alpha_field(model, np.array(xe), np.array(pe))
     alpha, slope = ae.tolist(), se.tolist()
-    lo, hi = (-np.inf, np.inf) if clamp is None else (clamp.lower, clamp.upper)
+    lo, hi = clamp.lower, clamp.upper
     w = [min(max(a, lo), hi) for a in alpha]
     dw = [s if lo <= a <= hi else 0.0 for a, s in zip(alpha, slope)]
 
@@ -611,15 +678,15 @@ def face_by_face_sweep(model, cfg, clamp, prev, phi, tau):
 
     g_left = flux[0] + (sign * d_left[0] + d_right[0]) * delta[0]
     g_right = flux[-1] + (d_left[-1] + sign * d_right[-1]) * delta[-1]
-    interior = alpha[1:-1]
-    return (np.array(delta), (min(interior), max(interior)),
+    return (np.array(delta), (min(alpha), max(alpha)),
             (g_left, g_right), sum(src) * dx, velocities)
 
 
 class TestSweepAgainstFaceReference:
     # random iterates of phi in [5, 40] on the model whose alpha turns
     # positive above phi = 20, so that the face velocity takes both signs;
-    # an engaged clamp cuts alpha at its median magnitude
+    # an engaged clamp cuts alpha at its median magnitude, a free one sits
+    # at infinity
     @pytest.mark.parametrize("source", [False, True], ids=["plain", "mms"])
     @pytest.mark.parametrize("clamp", [False, True], ids=["free", "engaged"])
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
@@ -637,7 +704,7 @@ class TestSweepAgainstFaceReference:
         for _ in range(5):
             prev = rng.uniform(5.0, 40.0, grid.n_cells)
             phi = prev + rng.uniform(-0.5, 0.5, grid.n_cells)
-            cutoff = None
+            cutoff = pde.CutoffBounds(m=np.inf, lam=0.0, horizon=1.0)
             if clamp:
                 a = pde.alpha_field(model, grid.centers, phi)[0]
                 cutoff = pde.CutoffBounds(m=float(np.median(np.abs(a))),
@@ -765,6 +832,9 @@ class TestSolverErrors:
             solve(paper_model, util, cfg)
         assert err.value.step_index == 0
         assert err.value.residual > 1e-14
+        assert str(err.value) == (
+            f"Newton sweeps stalled at tau=0.2 (step 0): correction "
+            f"{err.value.residual:.3e} > tol 1.000e-14")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_update_is_solver_error(self, singleton_model, bad):
@@ -789,3 +859,7 @@ class TestSolverErrors:
             PDEConfig(grid=grid, t_final=1.0, n_steps=4, dirichlet=(1.0,))
         with pytest.raises(Exception, match="picard_max"):
             PDEConfig(grid=grid, t_final=1.0, n_steps=4, picard_max=0)
+        # 1/dtau overflows, and below that dtau itself is 0
+        for t_final in (1e-310, 5e-324):
+            with pytest.raises(SolverError, match="1/dtau is not finite"):
+                PDEConfig(grid=grid, t_final=t_final, n_steps=10)
