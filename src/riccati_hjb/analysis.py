@@ -3,13 +3,12 @@ for the diffusion function, the fixed-point contraction horizon, the energy
 estimate of a run and its refined twin, and pointwise bound verification.
 
 The verification bundle is the three checks that can fail: monotonicity,
-maximum-principle and energy-estimate. Each is packaged as a CheckReport
-carrying both sides of the inequality, the worst violation and a pass flag
-at a stated tolerance; a report with a nan or inf side or worst violation
-fails. The energy takes its H^-1 norm from the scheme's own operator,
-(I - D_xx)^-1 under the mirror boundary. The contraction budget is
-reported, not checked. All randomness is seeded, so reports are
-deterministic.
+maximum-principle and energy-estimate. Each is a CheckReport of the two
+sides of its inequality, in plain Python numbers, and a tolerance. The
+energy takes its H^-1 norm from the scheme's own operator, (I - D_xx)^-1
+under the mirror boundary. The contraction budget is reported, not
+checked. The seed of the monotonicity pairs is the bundle's one setting,
+so reports are deterministic.
 """
 
 from __future__ import annotations
@@ -36,76 +35,52 @@ __all__ = [
 
 _SPACE_DIM = 1  # spatial dimension of the PDE runs
 MIN_PAIR_GAP = 1e-6  # smallest |phi1 - phi2| of a sampled monotonicity pair
+_N_PAIRS = 1000  # monotonicity pairs per certificate
+_PHI_RANGE = (0.1, 50.0)  # the phi range the pairs are drawn from
+_MAX_PRINCIPLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one analytic-bound verification.
-
-    The check is bound_lhs <= bound_rhs up to `tolerance`, and
-    worst_violation is the check's worst case (0 when it holds). `passed` is
-    derived from it, never stored independently. A nan compares as no
-    violation, so a report with a non-finite side or worst violation fails,
-    with worst_violation set to inf.
-    """
+    """Outcome of one analytic-bound check, bound_lhs <= bound_rhs up to
+    `tolerance`. It derives worst_violation = max(0, bound_lhs - bound_rhs),
+    or inf when a side is nan or inf (max(0, nan) is 0), and passed =
+    worst_violation <= tolerance. dataclasses.asdict of it is its JSON."""
 
     check_name: str
     bound_lhs: float
     bound_rhs: float
     tolerance: float
-    worst_violation: float
+    worst_violation: float = field(init=False)
     passed: bool = field(init=False)
     context: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.bound_lhs, self.bound_rhs,
-                                       self.worst_violation))):
-            object.__setattr__(self, "worst_violation", math.inf)
-        object.__setattr__(self, "passed",
-                           bool(self.worst_violation <= self.tolerance))
-
-    def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "bound_lhs": self.bound_lhs,
-            "bound_rhs": self.bound_rhs,
-            "tolerance": self.tolerance,
-            "worst_violation": self.worst_violation,
-            "passed": self.passed,
-            "context": _jsonable(self.context),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+        worst = (max(0.0, self.bound_lhs - self.bound_rhs)
+                 if math.isfinite(self.bound_lhs)
+                 and math.isfinite(self.bound_rhs) else math.inf)
+        object.__setattr__(self, "worst_violation", worst)
+        object.__setattr__(self, "passed", worst <= self.tolerance)
 
 
 # --- strong monotonicity of alpha --------------------------------------------
 
-def monotonicity_certificate(model: PortfolioModel, *, n_pairs: int = 1000,
-                             seed: int = 42,
-                             phi_range=(0.1, 50.0)) -> CheckReport:
+def monotonicity_certificate(model: PortfolioModel,
+                             seed: int = 42) -> CheckReport:
     """Check omega <= (alpha(x,phi1) - alpha(x,phi2)) / (phi1 - phi2) <= L
-    over seeded random pairs from phi_range at x = 0, which covers every x:
-    alpha is a function of phi minus an inflow term of x alone, and that
-    term cancels in the quotient."""
+    over 1000 seeded random pairs from [0.1, 50] at x = 0, which covers
+    every x: alpha is a function of phi minus an inflow term of x alone, and
+    that term cancels in the quotient. The report's sides are those of the
+    bound with the larger gap."""
     bounds = lipschitz_bounds(model)
     rng = np.random.default_rng(seed)
-    lo, hi = phi_range
-    p1 = np.empty(n_pairs)
-    p2 = np.empty(n_pairs)
+    lo, hi = _PHI_RANGE
+    p1 = np.empty(_N_PAIRS)
+    p2 = np.empty(_N_PAIRS)
     have = 0
-    while have < n_pairs:
-        a = rng.uniform(lo, hi, size=n_pairs - have)
-        b = rng.uniform(lo, hi, size=n_pairs - have)
+    while have < _N_PAIRS:
+        a = rng.uniform(lo, hi, size=_N_PAIRS - have)
+        b = rng.uniform(lo, hi, size=_N_PAIRS - have)
         # keep the quotient well conditioned
         ok = np.abs(a - b) >= MIN_PAIR_GAP
         k = int(ok.sum())
@@ -116,21 +91,19 @@ def monotonicity_certificate(model: PortfolioModel, *, n_pairs: int = 1000,
     vb, _, _ = alpha_field(model, 0.0, p2)
     ratios = (va - vb) / (p1 - p2)
     min_ratio, max_ratio = float(ratios.min()), float(ratios.max())
-    # np.max carries a nan quotient into the worst violation
-    worst = np.max([0.0, bounds.omega - min_ratio, max_ratio - bounds.big_l])
+    # a nan quotient makes both ratios nan, and so a side of the report
     lhs, rhs = ((bounds.omega, min_ratio)
                 if bounds.omega - min_ratio >= max_ratio - bounds.big_l
                 else (max_ratio, bounds.big_l))
     return CheckReport(
         check_name="monotonicity",
-        bound_lhs=float(lhs),
-        bound_rhs=float(rhs),
+        bound_lhs=lhs,
+        bound_rhs=rhs,
         tolerance=1e-10 * max(1.0, bounds.big_l),
-        worst_violation=float(worst),
         context={
             "omega": bounds.omega, "big_l": bounds.big_l,
-            "min_ratio": float(min_ratio), "max_ratio": float(max_ratio),
-            "n_pairs": n_pairs, "seed": seed, "phi_range": list(phi_range),
+            "min_ratio": min_ratio, "max_ratio": max_ratio,
+            "n_pairs": _N_PAIRS, "seed": seed, "phi_range": list(_PHI_RANGE),
         },
     )
 
@@ -249,18 +222,18 @@ def energy_estimate_report(coarse: SolutionField, fine: SolutionField,
         bound_lhs=ratio_f,
         bound_rhs=bound,
         tolerance=1e-12,
-        worst_violation=float(np.maximum(0.0, ratio_f - bound)),
         context={"ratio_coarse": ratio_c, "ratio_fine": ratio_f, **runs},
     )
 
 
 # --- pointwise a-priori bounds ---------------------------------------------------
 
-def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
-                             tol: float = 1e-8) -> CheckReport:
+def maximum_principle_report(solution: SolutionField,
+                             model: PortfolioModel) -> CheckReport:
     """Verify psi_min e^{lam tau} <= alpha(x, phi(x,tau)) <= psi_max e^{lam tau}
     at every stored step, with psi_min/max the signed extremes of
-    alpha(x, phi0) capped at zero and lam the run's drift-gradient bound.
+    alpha(x, phi0) capped at zero and lam the run's drift-gradient bound:
+    the largest distance of alpha outside these bounds is at most 1e-8.
     The context's `capped_at_zero` lists the sides ("lower", "upper") whose
     extreme lay on the far side of zero, so that their psi is 0."""
     centers = solution.grid.centers
@@ -278,20 +251,19 @@ def maximum_principle_report(solution: SolutionField, model: PortfolioModel,
     # first worst entry in step, then lower-before-upper, then cell order
     gaps = np.stack([lower - a, a - upper], axis=1)
     k, side, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    # np.maximum carries a nan gap into the worst violation
-    worst = float(np.maximum(0.0, gaps[k, side, i]))
+    # np.maximum carries a nan gap into the distance
+    excess = float(np.maximum(0.0, gaps[k, side, i]))
     where = {"step": 0, "cell": 0, "side": "none"}
-    if worst != 0.0:
+    if excess != 0.0:
         where = {"step": int(k), "cell": int(i),
                  "side": ("lower", "upper")[side],
                  "tau": float(solution.tau_values[k]),
                  "x": float(centers[i]), "alpha": float(a[k, i])}
     return CheckReport(
         check_name="maximum-principle",
-        bound_lhs=worst,
+        bound_lhs=excess,
         bound_rhs=0.0,
-        tolerance=tol,
-        worst_violation=worst,
+        tolerance=_MAX_PRINCIPLE_TOL,
         context={"psi_lower": psi_lo, "psi_upper": psi_up,
                  "capped_at_zero": capped, "lambda": lam,
                  "worst_location": where},

@@ -70,7 +70,7 @@ def _manifest(out_dir: Path, doc, outputs, timings, extra=None):
     if extra:
         man.update(extra)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(man, indent=2, default=str) + "\n")
+    path.write_text(json.dumps(man, indent=2) + "\n")
     return path
 
 
@@ -284,11 +284,11 @@ def cmd_verify(args) -> int:
     }}
     payload = {
         "passed": all(r.passed for r in reports),
-        "checks": {r.check_name: r.to_dict() for r in reports},
+        "checks": {r.check_name: dataclasses.asdict(r) for r in reports},
         "info": info,
     }
     path = out / "verify.json"
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
     _manifest(out, doc, [path.name], {"verify": time.perf_counter() - t0})
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check_name}: "

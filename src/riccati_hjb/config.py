@@ -88,11 +88,10 @@ def _is_finite(v) -> bool:
 
 
 def _number(section, key: str, where: str, default=None, *,
-            integer: bool = False, low=None, high=None):
-    """section[key] as a float (an int when `integer`) of at least `low` and
-    at most `high`, or `default`, when one is given, for an absent key. JSON
-    booleans, strings and non-finite values raise a ConfigError naming
-    where.key."""
+            integer: bool = False, low=None):
+    """section[key] as a float (an int when `integer`) of at least `low`, or
+    `default`, when one is given, for an absent key. JSON booleans, strings
+    and non-finite values raise a ConfigError naming where.key."""
     if default is not None and key not in section:
         return default
     v = _require(section, key, where)
@@ -102,9 +101,6 @@ def _number(section, key: str, where: str, default=None, *,
         ok, kind = _is_finite(v), "a finite number"
     if low is not None:
         ok, kind = ok and v >= low, f"{kind} >= {low}"
-    if high is not None:
-        ok = ok and v <= high
-        kind = f"{kind}{' and' if low is not None else ''} <= {high}"
     if not ok:
         raise ConfigError(f"{where}.{key}: expected {kind}, got {v!r}")
     return v if integer else float(v)

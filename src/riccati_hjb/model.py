@@ -11,6 +11,7 @@ cash inflow profile is attached.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +93,8 @@ class InflowProfile:
 
     eps(y) = 0 for y <= y_minus, eps(y) = eps_rate for y >= y_plus, joined by
     the cubic smoothstep 3t^2 - 2t^3 so the profile is C^1 and monotone.
+    The bounds of the log-wealth term, |eps_rate| / y_minus, and of its
+    ramp's slope, 1.5 |eps_rate| / (y_plus - y_minus), must be finite.
     """
 
     eps_rate: float
@@ -103,6 +106,12 @@ class InflowProfile:
             raise ModelError(
                 f"need 0 < y_minus < y_plus, got ({self.y_minus}, {self.y_plus})"
             )
+        rate = abs(self.eps_rate)
+        if not (math.isfinite(rate / self.y_minus) and math.isfinite(
+                1.5 * rate / (self.y_plus - self.y_minus))):
+            raise ModelError(f"ramp {(self.eps_rate, self.y_minus, self.y_plus)}"
+                             f" is out of range: |eps_rate| / y_minus and 1.5 "
+                             f"|eps_rate| / (y_plus - y_minus) must be finite")
 
     def epsilon(self, y):
         t = np.clip((np.asarray(y, dtype=float) - self.y_minus)
@@ -114,14 +123,20 @@ class InflowProfile:
                     / (self.y_plus - self.y_minus), 0.0, 1.0)
         return self.eps_rate * 6.0 * t * (1.0 - t) / (self.y_plus - self.y_minus)
 
+    # the wealth e^x is raised to y_minus, where eps and eps' are 0, so that
+    # e^x = 0 gives no 0/0; e^x, or the ramp variable of a large wealth, may
+    # overflow to inf, where the terms take their limit 0
+
+    @np.errstate(over="ignore")
     def term(self, x):
         """Inflow contribution to the log-wealth drift: eps(e^x) e^{-x}."""
-        y = np.exp(np.asarray(x, dtype=float))
+        y = np.maximum(np.exp(np.asarray(x, dtype=float)), self.y_minus)
         return self.epsilon(y) / y
 
+    @np.errstate(over="ignore")
     def term_dx(self, x):
         """d/dx of eps(e^x) e^{-x}."""
-        y = np.exp(np.asarray(x, dtype=float))
+        y = np.maximum(np.exp(np.asarray(x, dtype=float)), self.y_minus)
         return self.epsilon_prime(y) - self.epsilon(y) / y
 
 
@@ -314,12 +329,14 @@ class SpatialGrid:
             raise ModelError(f"empty domain [{self.x_min}, {self.x_max}]")
         if self.n_cells < 8:
             raise ModelError(f"need at least 8 cells, got {self.n_cells}")
-        # the scheme scales by 1/dx and 1/dx^2, which must be finite too
+        # the scheme scales by 1/dx and 1/dx^2: both must be finite, and
+        # 1/dx^2 a normal float, below which the diffusion underflows
         dx = self.dx
         inv = 1.0 / dx if dx > 0.0 else math.inf
-        if not (math.isfinite(dx) and math.isfinite(inv * inv)):
-            raise ModelError(f"cell width {dx:.3e} is out of range: dx and "
-                             f"1/dx^2 must be finite")
+        if not (math.isfinite(dx)
+                and sys.float_info.min <= inv * inv < math.inf):
+            raise ModelError(f"cell width {dx:.3e} is out of range: dx must "
+                             f"be finite and 1/dx^2 a finite normal float")
 
     @property
     def dx(self) -> float:

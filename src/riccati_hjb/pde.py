@@ -122,6 +122,11 @@ class PDEConfig:
         if self.dirichlet is not None and len(self.dirichlet) != 2:
             raise SolverError(f"dirichlet must be None or a (left, right) "
                               f"pair, got {self.dirichlet!r}")
+        # the ghost of a wall at g holds 2 g minus the edge value
+        for g in self.dirichlet or ():
+            if not math.isfinite(2.0 * g):
+                raise SolverError(f"dirichlet wall value {g!r} is out of "
+                                  f"range: its ghost value 2 g must be finite")
 
     @property
     def dtau(self) -> float:

@@ -96,7 +96,7 @@ def test_criterion_02_breakpoints(paper_model, finite_breakpoints_model):
 
 
 def test_criterion_03_monotonicity_certificates(paper_model, fund_menu_model):
-    reps = [monotonicity_certificate(m, n_pairs=1000, seed=42)
+    reps = [monotonicity_certificate(m, seed=42)
             for m in (paper_model, fund_menu_model)]
     ok = all(r.passed for r in reps)
     worst = max(r.worst_violation for r in reps)
@@ -113,7 +113,7 @@ def test_criterion_04_steady_state(const_run):
 
 
 def test_criterion_05_maximum_principle(dara_run, paper_model):
-    rep = maximum_principle_report(dara_run, paper_model, tol=1e-8)
+    rep = maximum_principle_report(dara_run, paper_model)
     report(5, rep.passed,
            "piecewise initial profile respects the pointwise bounds at "
            "every step", f"worst violation {rep.worst_violation:.2e}")

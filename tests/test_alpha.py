@@ -12,6 +12,7 @@ from riccati_hjb import (
     PortfolioModel,
     alpha_field,
     closed_form_n2,
+    drift,
     InflowProfile,
     SpatialGrid,
     kkt_residual,
@@ -508,6 +509,69 @@ class TestAlphaField:
         for i, x in enumerate(xs):
             r = solve_alpha(model, float(x), 5.0)
             assert a[i] == pytest.approx(r.value, abs=1e-14)
+
+
+def objective(model, x, phi, theta):
+    """-drift(x, theta) + (phi/2) sigma(theta)^2, the quantity alpha is the
+    minimum of over the decision set."""
+    return -drift(model, x, theta) + 0.5 * phi * model.variance(theta)
+
+
+def oracle_models():
+    rng = np.random.default_rng(21)
+    g = rng.normal(size=(3, 3))
+    sigma3 = g @ g.T + 0.05 * np.eye(3)
+    mu3 = rng.normal(0.05, 0.05, 3)
+    two = (np.array([MU_S, MU_B]), two_asset_sigma())
+    menu = DecisionSet.discrete([[0.8, 0.2], [0.5, 0.5], [0.0, 1.0]])
+    ramp = InflowProfile(1.0, 1.0, 2.0)
+    return {
+        "simple_two": PortfolioModel(*two, DecisionSet.simplex(2)),
+        "simple_menu": PortfolioModel(*two, menu),
+        "simple_three": PortfolioModel(mu3, sigma3, DecisionSet.simplex(3)),
+        "log_two": PortfolioModel(*two, DecisionSet.simplex(2),
+                                  drift_mode="log_wealth"),
+        "log_menu": PortfolioModel(*two, menu, drift_mode="log_wealth"),
+        "inflow_one": PortfolioModel(np.array([0.06]), np.array([[0.04]]),
+                                     DecisionSet.simplex(1), inflow=ramp),
+        "inflow_two": PortfolioModel(*two, DecisionSet.simplex(2),
+                                     inflow=ramp),
+        "inflow_three": PortfolioModel(mu3, sigma3, DecisionSet.simplex(3),
+                                       inflow=InflowProfile(-0.5, 1.0, 3.0)),
+        "inflow_menu": PortfolioModel(*two, menu, inflow=ramp),
+    }
+
+
+class TestAlphaIsTheMinimum:
+    """alpha(x, phi) = min over theta of -drift(x, theta) + (phi/2)
+    sigma(theta)^2, built from the model's drift and variance alone: no
+    shift of phi and no sign of the inflow term is assumed."""
+
+    # x across the inflow ramp e^x in [y_minus, y_plus] and beyond it; phi
+    # on both sides of 0 and across the two-asset breakpoint near 1.78
+    XS = np.linspace(-1.5, 2.5, 9)
+    PHIS = np.array([-2.0, -0.5, 0.0, 0.7, 1.78, 5.0, 20.0])
+
+    @pytest.mark.parametrize("name", list(oracle_models()))
+    def test_alpha_is_the_minimum(self, name):
+        model = oracle_models()[name]
+        x, phi = (a.ravel() for a in np.meshgrid(self.XS, self.PHIS))
+        value, _, theta = alpha_field(model, x, phi)
+        if model.decision_set.kind == "discrete":
+            for i in range(x.size):
+                best = min(objective(model, x[i], phi[i], p)
+                           for p in model.decision_set.points)
+                assert value[i] == pytest.approx(
+                    best, rel=0.0, abs=1e-14 * (1.0 + abs(best)))
+            return
+        for i in range(x.size):
+            tol = 1e-14 * (1.0 + abs(value[i]))
+            assert abs(objective(model, x[i], phi[i], theta[i])
+                       - value[i]) <= tol
+            rivals = list(np.eye(model.n))
+            rivals.append(exhaustive_alpha(model, x[i], phi[i]).theta_hat)
+            for rival in rivals:
+                assert value[i] <= objective(model, x[i], phi[i], rival) + tol
 
 
 SUBNORMAL_PHIS = [5e-324, 1e-320, 1e-310]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -41,55 +42,94 @@ def dense_hminus1_sq(v, dx):
     return dx * v @ np.linalg.solve(eye - d_xx, v)
 
 
+def certificate_pairs(seed):
+    """The monotonicity certificate's pairs: 1000 seeded uniform draws from
+    [0.1, 50], keeping those at least 1e-6 apart, in draw order."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < 1000:
+        a = rng.uniform(0.1, 50.0, size=1000 - len(pairs))
+        b = rng.uniform(0.1, 50.0, size=1000 - len(pairs))
+        pairs += [(p, q) for p, q in zip(a, b) if abs(p - q) >= 1e-6]
+    return pairs
+
+
 class TestCheckReport:
     def test_pass_iff_within_tolerance(self):
-        ok = CheckReport("demo", bound_lhs=1.0, bound_rhs=1.0, tolerance=1e-12,
-                         worst_violation=0.0)
+        ok = CheckReport("demo", bound_lhs=1.0, bound_rhs=1.0, tolerance=1e-12)
         assert ok.passed and ok.worst_violation == 0.0
-        bad = CheckReport("demo", bound_lhs=2.0, bound_rhs=1.0, tolerance=0.5,
-                          worst_violation=1.0)
+        bad = CheckReport("demo", bound_lhs=2.0, bound_rhs=1.0, tolerance=0.5)
         assert not bad.passed and bad.worst_violation == 1.0
 
+    def test_worst_violation_is_not_an_input(self):
+        with pytest.raises(TypeError):
+            CheckReport("demo", bound_lhs=1.0, bound_rhs=1.0, tolerance=1e-12,
+                        worst_violation=0.0)
+
+    @given(lhs=st.floats(), rhs=st.floats(), tol=st.floats(0.0, 1e300))
+    def test_derived_from_the_sides(self, lhs, rhs, tol):
+        # max(0, nan) is 0, so a nan side would otherwise pass
+        rep = CheckReport("demo", lhs, rhs, tol)
+        if np.isfinite(lhs) and np.isfinite(rhs):
+            assert rep.worst_violation == max(0.0, lhs - rhs)
+        else:
+            assert rep.worst_violation == np.inf
+        assert rep.passed == (rep.worst_violation <= tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["bound_lhs", "bound_rhs",
-                                       "worst_violation"])
+    @pytest.mark.parametrize("where", ["bound_lhs", "bound_rhs"])
     def test_non_finite_number_fails(self, bad, where):
-        # max(0, nan) is 0, so a non-finite side would otherwise pass
-        numbers = {"bound_lhs": 1.0, "bound_rhs": 1.0, "worst_violation": 0.0}
+        numbers = {"bound_lhs": 1.0, "bound_rhs": 1.0}
         rep = CheckReport("demo", tolerance=1e-12, **{**numbers, where: bad})
         assert not rep.passed and rep.worst_violation == np.inf
 
     def test_json_round_trip(self):
-        import json
-        rep = CheckReport("demo", 1.0, 2.0, 1e-9, 0.0,
-                          context={"arr": np.arange(3), "v": np.float64(2.5)})
-        payload = json.dumps(rep.to_dict())
-        assert json.loads(payload)["check_name"] == "demo"
+        # dataclasses.asdict is the JSON document, fields in their order
+        rep = CheckReport("demo", 2.0, 1.0, 1e-9, context={"v": [2.5]})
+        doc = dataclasses.asdict(rep)
+        assert list(doc.items()) == [
+            ("check_name", "demo"), ("bound_lhs", 2.0), ("bound_rhs", 1.0),
+            ("tolerance", 1e-9), ("worst_violation", 1.0), ("passed", False),
+            ("context", {"v": [2.5]})]
+        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestMonotonicityCertificate:
     def test_singleton_zero_slack(self, singleton_model):
-        rep = monotonicity_certificate(singleton_model, n_pairs=100)
+        rep = monotonicity_certificate(singleton_model)
         assert rep.passed
         assert rep.context["min_ratio"] == pytest.approx(0.02, abs=1e-14)
         assert rep.context["max_ratio"] == pytest.approx(0.02, abs=1e-14)
 
     def test_two_asset_thousand_pairs(self, paper_model):
-        rep = monotonicity_certificate(paper_model, n_pairs=1000, seed=42)
+        rep = monotonicity_certificate(paper_model, seed=42)
         assert rep.passed
         assert rep.worst_violation <= 1e-12  # quotient roundoff only
         b = lipschitz_bounds(paper_model)
         assert rep.context["min_ratio"] >= b.omega - 1e-12
         assert rep.context["max_ratio"] <= b.big_l + 1e-12
+        assert rep.context["n_pairs"] == 1000
+        assert rep.context["phi_range"] == [0.1, 50.0]
 
     def test_menu_pairs(self, fund_menu_model):
-        rep = monotonicity_certificate(fund_menu_model, n_pairs=1000, seed=42)
+        rep = monotonicity_certificate(fund_menu_model, seed=42)
         assert rep.passed and rep.worst_violation <= 1e-12
 
+    @pytest.mark.parametrize("setting", [{"n_pairs": 100},
+                                         {"phi_range": (0.1, 1.0)}])
+    def test_seed_is_the_only_setting(self, paper_model, setting):
+        with pytest.raises(TypeError):
+            monotonicity_certificate(paper_model, **setting)
+
     def test_pairs_straddling_breakpoint(self, paper_model):
+        # about 6 % of the pairs lie on both sides of phi_lo (about 1.78),
+        # where the weights leave the stock vertex
         bp = closed_form_n2(paper_model).phi_lo
-        rep = monotonicity_certificate(paper_model,
-                                       phi_range=(bp - 0.5, bp + 0.5))
+        assert 1.7 < bp < 1.9
+        straddling = [(p, q) for p, q in certificate_pairs(42)
+                      if min(p, q) < bp < max(p, q)]
+        assert 30 <= len(straddling) <= 100
+        rep = monotonicity_certificate(paper_model, seed=42)
         assert rep.passed
 
     @pytest.mark.parametrize("which", ["two_asset", "menu", "three_asset_inflow"])
@@ -103,19 +143,11 @@ class TestMonotonicityCertificate:
                 rng.normal(0.05, 0.1, 3), g @ g.T + 0.05 * np.eye(3),
                 DecisionSet.simplex(3), inflow=InflowProfile(0.2, 1.0, 2.0)),
         }[which]
-        n_pairs, seed, (lo, hi) = 300, 9, (0.1, 50.0)
-        rep = monotonicity_certificate(model, n_pairs=n_pairs, seed=seed,
-                                       phi_range=(lo, hi))
-        # the certificate's seeded pair sampling, then one scalar QP per value
-        pairs_rng = np.random.default_rng(seed)
-        pairs = []
-        while len(pairs) < n_pairs:
-            a = pairs_rng.uniform(lo, hi, size=n_pairs - len(pairs))
-            b = pairs_rng.uniform(lo, hi, size=n_pairs - len(pairs))
-            pairs += [(p, q) for p, q in zip(a, b) if abs(p - q) >= 1e-6]
+        rep = monotonicity_certificate(model, seed=9)
+        # the certificate's seeded pairs, then one scalar QP per value
         ratios = [(solve_alpha(model, 0.0, p).value
                    - solve_alpha(model, 0.0, q).value) / (p - q)
-                  for p, q in pairs]
+                  for p, q in certificate_pairs(9)]
         assert rep.context["min_ratio"] == pytest.approx(min(ratios), abs=1e-12)
         assert rep.context["max_ratio"] == pytest.approx(max(ratios), abs=1e-12)
 
@@ -129,7 +161,7 @@ class TestMonotonicityCertificate:
             return scale * value, scale * slope, theta
 
         monkeypatch.setattr(analysis, "alpha_field", scaled_field)
-        rep = monotonicity_certificate(paper_model, n_pairs=200, seed=3)
+        rep = monotonicity_certificate(paper_model, seed=3)
         assert not rep.passed
         b = lipschitz_bounds(paper_model)
         if side == "lower":
@@ -149,14 +181,14 @@ class TestMonotonicityCertificate:
             return value, slope, theta
 
         monkeypatch.setattr(analysis, "alpha_field", field_with_nan)
-        rep = monotonicity_certificate(paper_model, n_pairs=200, seed=3)
+        rep = monotonicity_certificate(paper_model, seed=3)
         assert np.isnan(rep.context["min_ratio"])
         assert not rep.passed and rep.worst_violation == np.inf
 
     def test_deterministic_given_seed(self, paper_model):
-        a = monotonicity_certificate(paper_model, n_pairs=50, seed=7)
-        b = monotonicity_certificate(paper_model, n_pairs=50, seed=7)
-        assert a.to_dict() == b.to_dict()
+        a = monotonicity_certificate(paper_model, seed=7)
+        b = monotonicity_certificate(paper_model, seed=7)
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     @given(seed=st.integers(0, 5000), n=st.integers(1, 4))
     @settings(max_examples=15, deadline=None)
@@ -166,7 +198,7 @@ class TestMonotonicityCertificate:
         model = PortfolioModel(rng.normal(0.05, 0.1, n),
                                g @ g.T + 0.02 * np.eye(n),
                                DecisionSet.simplex(n))
-        rep = monotonicity_certificate(model, n_pairs=60, seed=seed)
+        rep = monotonicity_certificate(model, seed=seed)
         assert rep.passed
 
 
@@ -414,6 +446,12 @@ class TestMaximumPrincipleReport:
         assert rep.worst_violation <= 1e-14  # flat profile, roundoff only
         assert rep.context["lambda"] == 0.0
 
+    def test_tolerance_is_not_a_setting(self, paper_model):
+        sol = small_dara_run(paper_model)
+        with pytest.raises(TypeError):
+            maximum_principle_report(sol, paper_model, tol=1e-8)
+        assert maximum_principle_report(sol, paper_model).tolerance == 1e-8
+
     def test_report_is_deterministic(self, paper_model):
         util = DaraUtility(9.0, 6.0, 2.0)
         cfg = PDEConfig(grid=SpatialGrid(-8, 8, 64), t_final=1.0, n_steps=10,
@@ -421,7 +459,7 @@ class TestMaximumPrincipleReport:
         sol = solve(paper_model, util, cfg)
         a = maximum_principle_report(sol, paper_model)
         b = maximum_principle_report(sol, paper_model)
-        assert a.to_dict() == b.to_dict()
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     @pytest.mark.parametrize("which", ["dirichlet_lower", "dirichlet_upper",
                                        "inflow"])
@@ -527,3 +565,31 @@ class TestMaximumPrincipleReport:
         assert rep.worst_violation == a.max() > 0.0
         assert rep.context["worst_location"]["side"] == "upper"
         assert rep.context["worst_location"]["step"] == 20
+
+
+def plain_leaves(obj):
+    """The leaves of a nest of dicts and lists that are not str, int,
+    float, bool or None (numpy scalars included)."""
+    if isinstance(obj, dict):
+        return [v for x in obj.values() for v in plain_leaves(x)]
+    if isinstance(obj, list):
+        return [v for x in obj for v in plain_leaves(x)]
+    return [] if type(obj) in (str, int, float, bool, type(None)) else [obj]
+
+
+@pytest.mark.parametrize("run", ["flagship", "menu"])
+def test_reports_hold_plain_numbers(paper_model, fund_menu_model, run):
+    # the shipped 400x400 stocks/bonds DARA run, and the same run on the
+    # three-fund menu; the JSON written is dataclasses.asdict as it stands
+    model = paper_model if run == "flagship" else fund_menu_model
+    util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+    cfg = PDEConfig(grid=SpatialGrid(-8, 8, 400), t_final=10.0, n_steps=400,
+                    upwind=True)
+    sol = solve(model, util, cfg)
+    for rep in (monotonicity_certificate(model),
+                maximum_principle_report(sol, model),
+                energy_estimate_report(sol, sol, model)):
+        doc = dataclasses.asdict(rep)
+        assert plain_leaves(doc) == []
+        assert json.loads(json.dumps(doc)) == doc
+        assert rep.passed

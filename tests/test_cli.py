@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,33 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(
             "configuration error: pde: ")
+        assert not out.exists()
+
+    # 1/dx^2 underflows to 0 and the run would have no diffusion; the ghost
+    # value 2 * 1e308 of a wall overflows; 1 / y_minus of the ramp overflows
+    @pytest.mark.parametrize("pde_change, model_extra, named", [
+        ({"x_min": -1.79e308, "x_max": -1.7e308, "n_cells": 50,
+          "n_steps": 10}, None, "pde: cell width"),
+        ({"n_cells": 50, "n_steps": 10,
+          "boundary": {"left": 1e308, "right": 6.0}}, None,
+         "pde: dirichlet wall value"),
+        ({"n_cells": 50, "n_steps": 10},
+         {"inflow": {"eps_rate": 1.0, "y_minus": 1e-320, "y_plus": 2e-320}},
+         "model.inflow: ramp"),
+    ], ids=["grid", "walls", "ramp"])
+    def test_degenerate_input_exits_config(self, tmp_path, capsys,
+                                           pde_change, model_extra, named):
+        cfg = write_config(tmp_path / "edge.json", utility=DARA_UTIL,
+                           pde={**SMALL_PDE, **pde_change},
+                           model_extra=model_extra)
+        out = tmp_path / "sol"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            f"configuration error: {named}")
         assert not out.exists()
 
     def test_missing_sections(self, tmp_path):

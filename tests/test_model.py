@@ -1,4 +1,6 @@
 import io
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +116,43 @@ class TestInflow:
         assert np.all(np.diff(prof.epsilon(y)) <= 0)
 
 
+    @pytest.mark.parametrize("profile", [
+        (1e10, 1e-300, 2.0),  # |eps_rate| / y_minus overflows
+        (1.0, 1e-320, 2e-320),
+        (1e300, 1.0, 1.0 + 1e-10),  # the ramp's slope overflows
+        (np.inf, 1.0, 2.0),
+        (np.nan, 1.0, 2.0),
+    ])
+    def test_ramp_bounds_must_be_finite(self, profile):
+        with pytest.raises(ModelError, match="ramp"):
+            InflowProfile(*profile)
+
+    @pytest.mark.parametrize("profile", [
+        (1.0, 1.0, 2.0), (-0.5, 1.0, 2.0), (50.0, 1.0, 1.5),
+        (0.2, 1e-3, 3.0), (2.0, 0.5, 700.0)])
+    def test_term_is_finite_and_quiet_everywhere(self, profile):
+        # the unguarded formula with y = e^x overflows past x = 709.8 and
+        # divides 0 by 0 below x = -745; where it is finite, the term agrees
+        # with it bit for bit, signed zeros included
+        prof = InflowProfile(*profile)
+        x = np.linspace(-1000.0, 1000.0, 200_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term, term_dx = prof.term(x), prof.term_dx(x)
+        with np.errstate(all="ignore"):
+            y = np.exp(x)
+            ref = prof.epsilon(y) / y
+            ref_dx = prof.epsilon_prime(y) - prof.epsilon(y) / y
+        for got, want in ((term, ref), (term_dx, ref_dx)):
+            assert np.all(np.isfinite(got))
+            ok = np.isfinite(want)
+            assert np.count_nonzero(~ok) > 0
+            assert np.array_equal(got[ok], want[ok])
+            assert np.array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
+        # e^x overflows to inf, where the formula's limit is 0
+        assert np.all(term[x > 710.0] == 0.0)
+
+
 class TestDrift:
     def test_log_wealth_single_vertex_value(self):
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
@@ -223,6 +262,19 @@ class TestUtilities:
         grid = SpatialGrid(-8.0, 8.0, 32)
         assert np.all(phi0_profile(util, grid) == 9.0)
 
+    @pytest.mark.parametrize("util, xs", [
+        (DaraUtility(9.0, 6.0, 2.0), [-8.0, -3.0, 0.0, 1.9, 2.1, 4.0, 8.0]),
+        (DaraUtility(4.0, 2.5, 0.7), [-5.0, -1.0, 0.6, 0.8, 3.0]),
+        (ArctanUtility(), [-8.0, -2.0, -0.5, -0.1, 0.3, 1.0, 4.0, 8.0]),
+    ], ids=["dara", "dara_low", "arctan"])
+    def test_phi0_is_the_risk_aversion_of_u(self, util, xs):
+        # phi0 = -u''/u', with u'' from central differences of u'; the DARA
+        # points stay away from x_star, where u'' jumps
+        x, h = np.array(xs), 1e-5
+        u2 = (util.u_prime(x + h) - util.u_prime(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(util.phi0_raw(x), -u2 / util.u_prime(x),
+                                   rtol=1e-6, atol=0.0)
+
     @given(a0=st.floats(0.5, 20), a1=st.floats(0.5, 20),
            x_star=st.floats(-3, 3), gamma=st.floats(1.0, 10.0))
     @settings(max_examples=40, deadline=None)
@@ -248,6 +300,19 @@ class TestSpatialGrid:
             SpatialGrid(1.0, -1.0, 100)
         with pytest.raises(ModelError):
             SpatialGrid(-1.0, 1.0, 4)
+
+    @pytest.mark.parametrize("x_min, x_max", [
+        (-1.79e308, -1.7e308),  # 1/dx^2 underflows to 0
+        (0.0, 8 * 1e155),  # 1/dx^2 = 1e-310 is subnormal
+    ])
+    def test_inverse_square_width_must_be_normal(self, x_min, x_max):
+        with pytest.raises(ModelError, match="normal float"):
+            SpatialGrid(x_min, x_max, 8)
+
+    def test_widest_cell(self):
+        # 1/dx^2 at dx = 6.7e153 is the smallest normal float, 2.2e-308
+        assert 1.0 / (6.7e153)**2 >= sys.float_info.min
+        assert SpatialGrid(0.0, 8 * 6.7e153, 8).dx == 6.7e153
 
     def test_centers(self):
         grid = SpatialGrid(0.0, 1.0, 10)

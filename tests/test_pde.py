@@ -272,7 +272,7 @@ class TestMaximumPrincipleAndComparison:
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=200, n_steps=100, t_final=5.0, upwind=True)
         sol = solve(paper_model, util, cfg)
-        rep = maximum_principle_report(sol, paper_model, tol=1e-8)
+        rep = maximum_principle_report(sol, paper_model)
         assert rep.passed
         assert rep.context["psi_upper"] == 0.0  # alpha(phi0) is negative here
 
@@ -283,7 +283,7 @@ class TestMaximumPrincipleAndComparison:
         cfg = paper_cfg(n_cells=100, n_steps=40, t_final=4.0,
                         dirichlet=(6.0, 0.5))
         sol = solve(paper_model, util, cfg)
-        rep = maximum_principle_report(sol, paper_model, tol=1e-8)
+        rep = maximum_principle_report(sol, paper_model)
         assert not rep.passed
         loc = rep.context["worst_location"]
         assert loc["side"] == "lower"
@@ -787,7 +787,7 @@ class TestInflowRuns:
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=160, n_steps=80, t_final=2.0, upwind=True)
         sol = solve(inflow_model, util, cfg)
-        rep = maximum_principle_report(sol, inflow_model, tol=1e-8)
+        rep = maximum_principle_report(sol, inflow_model)
         assert rep.passed
         assert rep.context["lambda"] > 0  # drift gradient from the inflow
 
@@ -817,7 +817,7 @@ class TestArctanRun:
         util = ArctanUtility(truncation_gamma=8.0)
         cfg = paper_cfg(n_cells=160, n_steps=40, t_final=1.0, upwind=True)
         sol = solve(paper_model, util, cfg)
-        rep = maximum_principle_report(sol, paper_model, tol=1e-8)
+        rep = maximum_principle_report(sol, paper_model)
         assert rep.passed
         assert sol.phi[0].min() < 0 < sol.phi[0].max()
         assert np.all(np.isfinite(sol.phi))
@@ -863,3 +863,9 @@ class TestSolverErrors:
         for t_final in (1e-310, 5e-324):
             with pytest.raises(SolverError, match="1/dtau is not finite"):
                 PDEConfig(grid=grid, t_final=t_final, n_steps=10)
+        # the ghost value 2 g of a wall at g overflows, or g is not finite
+        for walls in ((1e308, 6.0), (6.0, -1e308), (np.nan, 6.0),
+                      (6.0, np.inf)):
+            with pytest.raises(SolverError, match="ghost value"):
+                PDEConfig(grid=grid, t_final=1.0, n_steps=4, dirichlet=walls)
+        PDEConfig(grid=grid, t_final=1.0, n_steps=4, dirichlet=(8e307, -8e307))
