@@ -45,10 +45,10 @@ __all__ = [
 
 _ACTIVE_TOL = 1e-12      # weights below this count as zero
 _KKT_TOL = 1e-10
-# below the smallest normal float rho * Sigma underflows and the working-set
-# system turns singular; the quadratic term is below rounding there, so the
-# lowest vertex is the minimizer to rounding, as for rho <= 0
-_RHO_TINY = np.finfo(float).tiny
+# below tiny / eps (about 1e-292) the working-set solve is inaccurate (at
+# rho = 2.2e-308 the QP cycled) and the quadratic term is below rounding, so
+# the lowest vertex is the minimizer to rounding, as for rho <= 0
+_RHO_TINY = np.finfo(float).tiny / np.finfo(float).eps
 
 
 class AlphaEngineError(RuntimeError):
@@ -219,8 +219,8 @@ def solve_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
     raises AlphaEngineError if it does not converge; discrete sets take the
     exact minimum over the menu's lines. For non-convex effective weights
     (phi at or below the convexity threshold) the minimum is attained at a
-    vertex and computed directly, as it is for a positive rho below the
-    smallest normal float.
+    vertex and computed directly, as it is for a positive rho below about
+    1e-292 (`_RHO_TINY`).
     """
     rho = _phi_eff(model, phi)
     if model.decision_set.kind == "discrete" or rho < _RHO_TINY:
@@ -400,8 +400,8 @@ def weights_path(model: PortfolioModel, phi_grid):
 
 
 def _convex_mask(rho: np.ndarray):
-    """None when every rho is convex (at least the smallest normal float),
-    the common case, else the mask of the convex rho."""
+    """None when every rho is convex (at least `_RHO_TINY`), the common
+    case, else the mask of the convex rho."""
     return None if rho.min(initial=np.inf) >= _RHO_TINY else rho >= _RHO_TINY
 
 
@@ -409,7 +409,7 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     """Exact minimizing weights at each effective weight rho, shape (N, n),
     for a menu or a simplex of n >= 3 assets: the lowest fund line on a
     menu, the per-point QP on the simplex, and the lowest vertex wherever
-    rho <= 0 or rho is subnormal."""
+    rho is below `_RHO_TINY`."""
     if model.decision_set.kind == "discrete":
         return _lowest_line(model, rho)
     convex = _convex_mask(rho)
@@ -426,8 +426,8 @@ def _n2_weights(model: PortfolioModel, rho: np.ndarray, a: float,
                b: float) -> np.ndarray:
     """Minimizing weights of two assets on the simplex at each rho, by rows:
     row 0 is the first weight t, the interior line a + b / rho clipped to
-    [0, 1], and the lowest vertex (t = 1 or 0) wherever rho <= 0 or rho is
-    subnormal; row 1 is 1 - t."""
+    [0, 1], and the lowest vertex (t = 1 or 0) wherever rho is below
+    `_RHO_TINY`; row 1 is 1 - t."""
     theta = np.empty((2, rho.size))
     t = theta[0]
     convex = _convex_mask(rho)

@@ -301,6 +301,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mms(args) -> int:
+    # looked up at call time: the traced benchmark wraps pde's name
     from .pde import mms_convergence_study
     out = _out_dir(args)
     t0 = time.perf_counter()

@@ -113,19 +113,23 @@ class InflowProfile:
                              f" is out of range: |eps_rate| / y_minus and 1.5 "
                              f"|eps_rate| / (y_plus - y_minus) must be finite")
 
+    @np.errstate(over="ignore")
+    def _ramp(self, y):
+        """The ramp variable in [0, 1]; an overflowing quotient clips to 1."""
+        return np.clip((np.asarray(y, dtype=float) - self.y_minus)
+                       / (self.y_plus - self.y_minus), 0.0, 1.0)
+
     def epsilon(self, y):
-        t = np.clip((np.asarray(y, dtype=float) - self.y_minus)
-                    / (self.y_plus - self.y_minus), 0.0, 1.0)
+        t = self._ramp(y)
         return self.eps_rate * t * t * (3.0 - 2.0 * t)
 
     def epsilon_prime(self, y):
-        t = np.clip((np.asarray(y, dtype=float) - self.y_minus)
-                    / (self.y_plus - self.y_minus), 0.0, 1.0)
+        t = self._ramp(y)
         return self.eps_rate * 6.0 * t * (1.0 - t) / (self.y_plus - self.y_minus)
 
     # the wealth e^x is raised to y_minus, where eps and eps' are 0, so that
-    # e^x = 0 gives no 0/0; e^x, or the ramp variable of a large wealth, may
-    # overflow to inf, where the terms take their limit 0
+    # e^x = 0 gives no 0/0; e^x may overflow to inf, where the terms take
+    # their limit 0
 
     @np.errstate(over="ignore")
     def term(self, x):

@@ -10,20 +10,16 @@ face flux w(alpha) phi through both the face velocity and the upwinded value
 correction. The sweeps stop once the correction is below the tolerance, so
 the converged iterate satisfies the fully implicit nonlinear step.
 
-`solve` starts each step's sweeps from a variable-order extrapolation in
-time, the predictor of Adams and BDF codes: one product with a constant
-matrix turns the last L <= 8 levels into the backward differences nabla^j
-of the newest, and the start is their sum cut before the smallest of them
-(max norm) among j >= 1, as an asymptotic series is truncated; the cut sum
-is one more product, of the levels with a row of partial sums of that
-matrix. On a smooth trajectory that start reaches order six and lands
-within the sweep tolerance on most steps, about 1.2 sweeps per step on the
-shipped run; after a kink in the history the higher differences grow
-instead of shrinking, so the cut falls back to a low order. The first two
-steps start from phi_0 and 2 phi_1 - phi_0. The stop rule is unchanged, so
-the converged step agrees to the sweep tolerance. The tridiagonal system
-goes straight to LAPACK gtsv, the routine behind scipy's banded solver for
-one band on each side, without the wrapper's validation and band-matrix
+`solve` starts each step's sweeps from the extrapolation in time through
+the last L = min(k + 1, 8) levels, the predictor of Adams and BDF codes:
+the value at the next step of the polynomial through them, one product of
+the levels with a row of signed binomials (phi_0 at step 0, 2 phi_1 -
+phi_0 at step 1). It is the whole Newton backward series; cutting the
+series before its smallest term cost sweeps on the shipped and benchmark
+runs. The start does not enter the stop rule, so the converged step agrees
+with any other start to the sweep tolerance. The tridiagonal system goes
+straight to LAPACK gtsv, the routine behind scipy's banded solver for one
+band on each side, without the wrapper's validation and band-matrix
 packing. A sweep is bound by numpy's per-call overhead on arrays of n + 2
 values, so it writes its temporaries into buffers kept per run, and leaves
 the check for a non-finite correction to the max |delta| of the stop rule,
@@ -197,18 +193,26 @@ class SolutionField:
         return max(0.0, worst)
 
 
-def lambda_bound(model: PortfolioModel, grid: SpatialGrid) -> float:
-    """sup of p(x) = max over theta of |d mu/dx|; nonzero only with inflow.
-
-    Evaluated on the run grid joined with a fine grid over the inflow ramp,
-    where the derivative peaks.
-    """
-    if model.inflow is None:
+def lambda_bound(model: PortfolioModel) -> float:
+    """sup over x of p(x) = max over theta of |d mu/dx|: 0 without inflow,
+    else the sup over y = e^x of |eps'(y) - eps(y)/y|, worked out exactly.
+    It is 0 below the ramp and |eps_rate|/y beyond it. On the ramp, with
+    t = (y - y_minus)/(y_plus - y_minus) and s = y_minus/(y_plus - y_minus),
+    y^2 times its y-derivative is proportional to
+    -8t^3 + (3 - 18s)t^2 + (6s - 12s^2)t + 6s^2, so the sup is at t = 0,
+    t = 1 (y_plus) or a real root in [0, 1]; the clipped real parts of all
+    three roots are points of the ramp, so the extra ones do no harm."""
+    inflow = model.inflow
+    if inflow is None:
         return 0.0
-    lo = min(grid.x_min, np.log(model.inflow.y_minus) - 2.0)
-    hi = max(grid.x_max, np.log(model.inflow.y_plus) + 2.0)
-    xs = np.concatenate([grid.centers, np.linspace(lo, hi, 4001)])
-    return float(np.max(np.abs(model.inflow.term_dx(xs))))
+    width = inflow.y_plus - inflow.y_minus
+    s = inflow.y_minus / width
+    roots = np.roots([-8.0, 3.0 - 18.0 * s, 6.0 * s - 12.0 * s * s,
+                      6.0 * s * s])
+    t = np.clip(np.concatenate([[0.0, 1.0], roots.real]), 0.0, 1.0)
+    y = inflow.y_minus + t * width
+    return float(np.max(np.abs(inflow.epsilon_prime(y)
+                               - inflow.epsilon(y) / y)))
 
 
 class _Geometry:
@@ -391,31 +395,20 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
 
 
 _PREDICTOR_LEVELS = 8  # most stored levels the start of a step reads
-# _BACKWARD[L] takes L levels phi_{k+1-L..k}, oldest first, to the rows
-# nabla^j phi_k, j < L; contiguous, as the product runs faster on them
-_BACKWARD = {n: np.array([[(-1) ** i * math.comb(j, i)
-                           for i in reversed(range(n))]
-                          for j in range(n)], dtype=float)
-             for n in range(1, _PREDICTOR_LEVELS + 1)}
-# row j of _PARTIAL[L] takes the same levels to sum_{i <= j} nabla^i phi_k;
-# its integer entries are exact
-_PARTIAL = {n: np.cumsum(b, axis=0) for n, b in _BACKWARD.items()}
+# _EXTRAPOLATE[L] takes L levels phi_{k+1-L..k}, oldest first, to the value
+# at k + 1 of the polynomial through them: (-1)^(L-1-i) C(L, i) at level i,
+# integers and so exact
+_EXTRAPOLATE = {n: np.array([(-1) ** (n - 1 - i) * math.comb(n, i)
+                             for i in range(n)], dtype=float)
+                for n in range(1, _PREDICTOR_LEVELS + 1)}
 
 
 def _predict(phi, k):
-    """Start of step k from the last L = min(k + 1, _PREDICTOR_LEVELS)
-    levels phi[k + 1 - L..k]: the Newton backward series sum_j nabla^j phi_k,
-    cut before its smallest term (max norm) among j >= 1, the usual
-    truncation of an asymptotic series, as one product of the cut's
-    partial-sum row with the levels. With at most two levels every term
-    is kept: phi_0 at the first step, 2 phi_1 - phi_0 at the second."""
+    """Start of step k: the value at k + 1 of the polynomial through the last
+    L = min(k + 1, _PREDICTOR_LEVELS) levels phi[k + 1 - L..k], as one
+    product. The first steps start from phi_0, 2 phi_1 - phi_0, and so on."""
     n = min(k + 1, _PREDICTOR_LEVELS)
-    levels = phi[k + 1 - n:k + 1]
-    order = n
-    if n > 2:
-        diffs = _BACKWARD[n][1:].dot(levels)
-        order = 1 + int(np.abs(diffs, out=diffs).max(axis=1).argmin())
-    return _PARTIAL[n][order - 1].dot(levels)
+    return _EXTRAPOLATE[n].dot(phi[k + 1 - n:k + 1])
 
 
 def _resolve_cutoff(model, config, phi0):
@@ -423,7 +416,7 @@ def _resolve_cutoff(model, config, phi0):
     level the a-priori bound allows; lambda = sup p(x); T = t_final."""
     a0, _, _ = alpha_field(model, config.grid.centers, phi0)
     return CutoffBounds(m=float(np.max(np.abs(a0))),
-                        lam=lambda_bound(model, config.grid),
+                        lam=lambda_bound(model),
                         horizon=config.t_final)
 
 

@@ -14,7 +14,6 @@ from riccati_hjb import (
     closed_form_n2,
     drift,
     InflowProfile,
-    SpatialGrid,
     kkt_residual,
     lipschitz_bounds,
     solve_alpha,
@@ -249,7 +248,7 @@ class TestEnvelopeGradientX:
     # inflow term does not depend on theta), and lambda_bound takes the sup
     # of p(x) = |d mu / dx|
     def test_no_inflow(self, paper_model):
-        assert lambda_bound(paper_model, SpatialGrid(-2.0, 2.0, 16)) == 0.0
+        assert lambda_bound(paper_model) == 0.0
 
     def test_zero_rate(self):
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
@@ -257,7 +256,7 @@ class TestEnvelopeGradientX:
                                inflow=InflowProfile(0.0, 1.0, 2.0))
         for x in (-1.0, 0.5, 2.0):
             assert model.inflow.term_dx(x) == 0.0
-        assert lambda_bound(model, SpatialGrid(-2.0, 2.0, 16)) == 0.0
+        assert lambda_bound(model) == 0.0
 
     def test_saturated_regime(self):
         inflow = InflowProfile(1.0, 1.0, 2.0)
@@ -270,8 +269,26 @@ class TestEnvelopeGradientX:
         xs = np.linspace(-10.0, 10.0, 2_000_001)
         sup = float(np.max(np.abs(inflow.term_dx(xs))))
         assert sup > 1.0 / 3.0
-        assert lambda_bound(model, SpatialGrid(-2.0, 2.0, 16)) == (
+        assert lambda_bound(model) == (
             pytest.approx(sup, rel=1e-5))
+
+    def test_exact_on_narrow_ramps(self):
+        # the sup of |eps'(y) - eps(y)/y| on the ramp, where it peaks, on
+        # random ramps as narrow as 1e-6 y_minus, narrower than any run's
+        # cells: at least the max of a dense sample and within 1e-9 of it
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            y_minus = 10.0 ** rng.uniform(-3.0, 3.0)
+            width = y_minus * 10.0 ** rng.uniform(-6.0, 2.0)
+            inflow = InflowProfile(float(rng.uniform(-50.0, 50.0)), y_minus,
+                                   y_minus + width)
+            model = PortfolioModel(np.array([0.06]), np.array([[0.04]]),
+                                   DecisionSet.simplex(1), inflow=inflow)
+            y = np.linspace(inflow.y_minus, inflow.y_plus, 1_000_001)
+            dense = float(np.max(np.abs(inflow.epsilon_prime(y)
+                                        - inflow.epsilon(y) / y)))
+            lam = lambda_bound(model)
+            assert dense <= lam <= dense * (1.0 + 1e-9)
 
 
 class TestWeightsPath:
@@ -604,6 +621,23 @@ class TestSubnormalRho:
                             dvalue_dphi=float(s[i]), active_set=())
             assert kkt_residual(model, 0.0, phi, r) <= 1e-10
             assert a[i] == solve_alpha(model, 0.0, phi).value
+
+    @pytest.mark.parametrize("phi", [np.finfo(float).tiny, 1e-300, 1e-293])
+    def test_qp_just_above_the_subnormals(self, phi):
+        # at the smallest normal float the working-set candidate of this
+        # model came out near overflow with the wrong sign, and the QP
+        # cycled until it gave up; the vertex of the higher mean is the
+        # minimizer to rounding
+        model = PortfolioModel(np.array([-0.11336972, 0.16373774]),
+                               np.array([[1.72959447, 1.24746572],
+                                         [1.24746572, 1.55771031]]),
+                               DecisionSet.simplex(2))
+        r = solve_alpha(model, 0.0, phi)
+        assert np.array_equal(r.theta_hat, [0.0, 1.0])
+        assert kkt_residual(model, 0.0, phi, r) <= 1e-10
+        a, s, theta = alpha_field(model, 0.0, np.array([phi]))
+        assert np.array_equal(theta[0], r.theta_hat)
+        assert (a[0], s[0]) == (r.value, r.dvalue_dphi)
 
 
 @st.composite

@@ -278,7 +278,7 @@ class TestContractionBudget:
         cfg = PDEConfig(grid=SpatialGrid(-8, 8, 80), t_final=2.0,
                         n_steps=20, upwind=True)
         sol = solve(model, util, cfg)
-        assert sol.bounds.lam == lambda_bound(model, cfg.grid) > 0.0
+        assert sol.bounds.lam == lambda_bound(model) > 0.0
         assert sol.bounds.horizon == 2.0
         budget = contraction_budget(model, sol)
         # by hand: M = max|alpha(x, phi0)|, Phi = (M e^{lam T} + max|h|)/omega
@@ -487,7 +487,7 @@ class TestMaximumPrincipleReport:
         # step order, lower side before upper, then cell order
         a0, _, _ = alpha_field(model, grid.centers, sol.phi[0])
         psi_up, psi_lo = max(0.0, a0.max()), min(0.0, a0.min())
-        lam = lambda_bound(model, grid)
+        lam = lambda_bound(model)
         worst, where = 0.0, {"step": 0, "cell": 0, "side": "none"}
         for k, tau in enumerate(sol.tau_values):
             a, _, _ = alpha_field(model, grid.centers, sol.phi[k])
@@ -506,6 +506,22 @@ class TestMaximumPrincipleReport:
         assert rep.context["psi_upper"] == psi_up
         if which != "inflow":
             assert where["side"] == which.split("_")[1]
+
+    def test_holds_under_a_narrow_ramp(self):
+        # inflow (5, 1, 1.001) rises over 1e-3 in x, less than the run's
+        # cell width: the upper bound 0.01 e^{lambda tau} holds under the
+        # exact lambda, 7497.5, and a lambda sampled on a grid (4.98) fails
+        # it by 0.176
+        model = PortfolioModel(np.array([0.06]), np.array([[0.04]]),
+                               DecisionSet.simplex(1),
+                               inflow=InflowProfile(5.0, 1.0, 1.001))
+        util = DaraUtility(2.5, 2.5, 0.0, truncation_gamma=None)
+        cfg = PDEConfig(grid=SpatialGrid(-8, 8, 160), t_final=2.0,
+                        n_steps=40, upwind=True)
+        rep = maximum_principle_report(solve(model, util, cfg), model)
+        assert rep.context["psi_upper"] == pytest.approx(0.01, rel=1e-12)
+        assert rep.context["lambda"] == pytest.approx(7497.5, rel=1e-6)
+        assert rep.passed and rep.worst_violation == 0.0
 
     @pytest.mark.parametrize("step", [0, -1])
     def test_fails_on_a_nan_sample(self, paper_model, step):

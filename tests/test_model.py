@@ -116,6 +116,13 @@ class TestInflow:
         assert np.all(np.diff(prof.epsilon(y)) <= 0)
 
 
+    def test_profile_is_quiet_beyond_a_narrow_ramp(self):
+        # the ramp variable (y - 1) / 0.5 of y = 1e308 overflows to inf,
+        # which is beyond the ramp; the suite turns warnings into errors
+        prof = InflowProfile(50.0, 1.0, 1.5)
+        assert prof.epsilon(1e308) == 50.0
+        assert prof.epsilon_prime(1e308) == 0.0
+
     @pytest.mark.parametrize("profile", [
         (1e10, 1e-300, 2.0),  # |eps_rate| / y_minus overflows
         (1.0, 1e-320, 2e-320),
