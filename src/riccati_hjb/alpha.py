@@ -119,11 +119,11 @@ def _menu_lines(model: PortfolioModel):
     """(points, slopes, intercepts) of the lines rho -> intercept + rho * slope,
     one per menu fund or, for the simplex, per vertex. Their lower envelope is
     alpha without the inflow shift: on a menu for every rho, on the simplex
-    for rho <= 0, where the objective is concave."""
-    if model.decision_set.kind == "discrete":
-        pts = model.decision_set.points
-        return pts, 0.5 * model.variance(pts), -(pts @ model.mu)
-    return np.eye(model.n), 0.5 * np.diag(model.sigma), -model.mu
+    for rho below `_RHO_TINY`, where the objective is concave or its
+    quadratic term is below rounding."""
+    pts = (model.decision_set.points if model.decision_set.kind == "discrete"
+           else np.eye(model.n))
+    return pts, 0.5 * model.variance(pts), -(pts @ model.mu)
 
 
 def _lowest_line(model: PortfolioModel, rho):
@@ -196,7 +196,7 @@ def _enumerate_supports(model: PortfolioModel, rho: float) -> np.ndarray:
 def exhaustive_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
     """Certify the QP by enumerating every support set (exponential in n)."""
     rho = _phi_eff(model, phi)
-    if rho <= 0:
+    if rho < _RHO_TINY:
         return _result(model, x, rho, _lowest_line(model, rho))
     return _result(model, x, rho, _enumerate_supports(model, rho))
 
@@ -238,7 +238,7 @@ def kkt_residual(model: PortfolioModel, x: float, phi: float,
     rho = _phi_eff(model, phi)
     viol = abs(theta.sum() - 1.0)
     viol = max(viol, float(-theta.min()) if theta.min() < 0 else 0.0)
-    if model.decision_set.kind == "discrete" or rho <= 0:
+    if model.decision_set.kind == "discrete" or rho < _RHO_TINY:
         # no menu fund (or simplex vertex) strictly better
         _, slopes, intercepts = _menu_lines(model)
         best = float(np.min(intercepts + rho * slopes))

@@ -35,7 +35,7 @@ __all__ = [
 
 _SPACE_DIM = 1  # spatial dimension of the PDE runs
 MIN_PAIR_GAP = 1e-6  # smallest |phi1 - phi2| of a sampled monotonicity pair
-_N_PAIRS = 1000  # monotonicity pairs per certificate
+_N_PAIRS = 1000  # monotonicity pairs drawn per certificate
 _PHI_RANGE = (0.1, 50.0)  # the phi range the pairs are drawn from
 _MAX_PRINCIPLE_TOL = 1e-8
 
@@ -68,28 +68,18 @@ class CheckReport:
 def monotonicity_certificate(model: PortfolioModel,
                              seed: int = 42) -> CheckReport:
     """Check omega <= (alpha(x,phi1) - alpha(x,phi2)) / (phi1 - phi2) <= L
-    over 1000 seeded random pairs from [0.1, 50] at x = 0, which covers
-    every x: alpha is a function of phi minus an inflow term of x alone, and
-    that term cancels in the quotient. The report's sides are those of the
-    bound with the larger gap."""
+    over up to 1000 seeded random pairs from [0.1, 50] at x = 0, which
+    covers every x: alpha is a function of phi minus an inflow term of x
+    alone, and that term cancels in the quotient. A pair closer than
+    MIN_PAIR_GAP is dropped, not redrawn. The report's sides are those of
+    the bound with the larger gap."""
     bounds = lipschitz_bounds(model)
-    rng = np.random.default_rng(seed)
-    lo, hi = _PHI_RANGE
-    p1 = np.empty(_N_PAIRS)
-    p2 = np.empty(_N_PAIRS)
-    have = 0
-    while have < _N_PAIRS:
-        a = rng.uniform(lo, hi, size=_N_PAIRS - have)
-        b = rng.uniform(lo, hi, size=_N_PAIRS - have)
-        # keep the quotient well conditioned
-        ok = np.abs(a - b) >= MIN_PAIR_GAP
-        k = int(ok.sum())
-        p1[have:have + k] = a[ok]
-        p2[have:have + k] = b[ok]
-        have += k
-    va, _, _ = alpha_field(model, 0.0, p1)
-    vb, _, _ = alpha_field(model, 0.0, p2)
-    ratios = (va - vb) / (p1 - p2)
+    pairs = np.random.default_rng(seed).uniform(*_PHI_RANGE,
+                                                size=(2, _N_PAIRS))
+    # keep the quotient well conditioned
+    pairs = pairs[:, np.abs(pairs[0] - pairs[1]) >= MIN_PAIR_GAP]
+    values, _, _ = alpha_field(model, 0.0, pairs)
+    ratios = (values[0] - values[1]) / (pairs[0] - pairs[1])
     min_ratio, max_ratio = float(ratios.min()), float(ratios.max())
     # a nan quotient makes both ratios nan, and so a side of the report
     lhs, rhs = ((bounds.omega, min_ratio)
@@ -103,7 +93,8 @@ def monotonicity_certificate(model: PortfolioModel,
         context={
             "omega": bounds.omega, "big_l": bounds.big_l,
             "min_ratio": min_ratio, "max_ratio": max_ratio,
-            "n_pairs": _N_PAIRS, "seed": seed, "phi_range": list(_PHI_RANGE),
+            "n_pairs": pairs.shape[1], "seed": seed,
+            "phi_range": list(_PHI_RANGE),
         },
     )
 
@@ -235,7 +226,10 @@ def maximum_principle_report(solution: SolutionField,
     alpha(x, phi0) capped at zero and lam the run's drift-gradient bound:
     the largest distance of alpha outside these bounds is at most 1e-8.
     The context's `capped_at_zero` lists the sides ("lower", "upper") whose
-    extreme lay on the far side of zero, so that their psi is 0."""
+    extreme lay on the far side of zero, so that their psi is 0. Its
+    `lambda_dx` (dx lam: the upwind scheme is monotone only up to about 1)
+    and `growth_overflows` (e^{lam T} is inf, so the bound of a nonzero psi
+    is vacuous) name the bound's premises; pass and fail do not read them."""
     centers = solution.grid.centers
     a, _, _ = alpha_field(model, centers, solution.phi)
     a0_min, a0_max = float(np.min(a[0])), float(np.max(a[0]))
@@ -266,5 +260,7 @@ def maximum_principle_report(solution: SolutionField,
         tolerance=_MAX_PRINCIPLE_TOL,
         context={"psi_lower": psi_lo, "psi_upper": psi_up,
                  "capped_at_zero": capped, "lambda": lam,
+                 "lambda_dx": lam * solution.grid.dx,
+                 "growth_overflows": bool(np.isinf(growth[-1, 0])),
                  "worst_location": where},
     )

@@ -639,6 +639,32 @@ class TestSubnormalRho:
         assert np.array_equal(theta[0], r.theta_hat)
         assert (a[0], s[0]) == (r.value, r.dvalue_dphi)
 
+    @pytest.mark.parametrize("phi", SUBNORMAL_PHIS + [1e-300, 1e-293])
+    @pytest.mark.parametrize("which", ["two_asset", "cycled", "three_asset"])
+    def test_oracles_share_the_vertex_rule(self, paper_model, which, phi):
+        # every oracle takes the lowest vertex below _RHO_TINY: support
+        # enumeration agrees with the QP, and the KKT certificate accepts
+        # both; "cycled" is the model whose QP once cycled at the smallest
+        # normal float
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(3, 3))
+        model = {
+            "two_asset": paper_model,
+            "cycled": PortfolioModel(np.array([-0.11336972, 0.16373774]),
+                                     np.array([[1.72959447, 1.24746572],
+                                               [1.24746572, 1.55771031]]),
+                                     DecisionSet.simplex(2)),
+            "three_asset": PortfolioModel(np.array([0.05, 0.09, 0.07]),
+                                          g @ g.T + 0.05 * np.eye(3),
+                                          DecisionSet.simplex(3)),
+        }[which]
+        r = solve_alpha(model, 0.0, phi)
+        e = exhaustive_alpha(model, 0.0, phi)
+        assert np.array_equal(e.theta_hat, r.theta_hat)
+        assert (e.value, e.dvalue_dphi) == (r.value, r.dvalue_dphi)
+        for res in (r, e):
+            assert kkt_residual(model, 0.0, phi, res) == 0.0
+
 
 @st.composite
 def field_models(draw):

@@ -42,16 +42,12 @@ def dense_hminus1_sq(v, dx):
     return dx * v @ np.linalg.solve(eye - d_xx, v)
 
 
-def certificate_pairs(seed):
-    """The monotonicity certificate's pairs: 1000 seeded uniform draws from
-    [0.1, 50], keeping those at least 1e-6 apart, in draw order."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < 1000:
-        a = rng.uniform(0.1, 50.0, size=1000 - len(pairs))
-        b = rng.uniform(0.1, 50.0, size=1000 - len(pairs))
-        pairs += [(p, q) for p, q in zip(a, b) if abs(p - q) >= 1e-6]
-    return pairs
+def certificate_pairs(seed, gap=1e-6):
+    """The monotonicity certificate's pairs: one seeded (2, 1000) uniform
+    draw from [0.1, 50], keeping the pairs at least `gap` apart, in draw
+    order."""
+    a, b = np.random.default_rng(seed).uniform(0.1, 50.0, size=(2, 1000))
+    return [(p, q) for p, q in zip(a, b) if abs(p - q) >= gap]
 
 
 class TestCheckReport:
@@ -148,6 +144,21 @@ class TestMonotonicityCertificate:
         ratios = [(solve_alpha(model, 0.0, p).value
                    - solve_alpha(model, 0.0, q).value) / (p - q)
                   for p, q in certificate_pairs(9)]
+        assert rep.context["min_ratio"] == pytest.approx(min(ratios), abs=1e-12)
+        assert rep.context["max_ratio"] == pytest.approx(max(ratios), abs=1e-12)
+
+    def test_drops_close_pairs_instead_of_redrawing(self, paper_model,
+                                                    monkeypatch):
+        # at a gap of 10 about 36 % of the pairs of [0.1, 50] are closer:
+        # the certificate keeps the rest of its one draw, and draws no more
+        monkeypatch.setattr(analysis, "MIN_PAIR_GAP", 10.0)
+        rep = monotonicity_certificate(paper_model, seed=9)
+        pairs = certificate_pairs(9, gap=10.0)
+        assert 400 <= len(pairs) <= 800
+        assert rep.context["n_pairs"] == len(pairs)
+        ratios = [(solve_alpha(paper_model, 0.0, p).value
+                   - solve_alpha(paper_model, 0.0, q).value) / (p - q)
+                  for p, q in pairs]
         assert rep.context["min_ratio"] == pytest.approx(min(ratios), abs=1e-12)
         assert rep.context["max_ratio"] == pytest.approx(max(ratios), abs=1e-12)
 
@@ -444,7 +455,8 @@ class TestMaximumPrincipleReport:
         rep = maximum_principle_report(sol, paper_model)
         assert rep.passed
         assert rep.worst_violation <= 1e-14  # flat profile, roundoff only
-        assert rep.context["lambda"] == 0.0
+        assert rep.context["lambda"] == rep.context["lambda_dx"] == 0.0
+        assert rep.context["growth_overflows"] is False
 
     def test_tolerance_is_not_a_setting(self, paper_model):
         sol = small_dara_run(paper_model)
@@ -523,6 +535,30 @@ class TestMaximumPrincipleReport:
         assert rep.context["lambda"] == pytest.approx(7497.5, rel=1e-6)
         assert rep.passed and rep.worst_violation == 0.0
 
+    @pytest.mark.parametrize("s2, psi_up, excess", [(0.2**2, 1.4e-17, 0.0),
+                                                    (0.04, 0.0, 0.5867)])
+    def test_names_its_premises(self, s2, psi_up, excess):
+        # the same narrow ramp over DARA (2, 2, 0): under the log-wealth drift
+        # alpha(x, phi0) peaks at -0.06 + (s2 / 2) 3, which is 1.4e-17 for a
+        # volatility of 0.2 (s2 = 0.04000000000000001) and 0 for s2 = 0.04.
+        # e^{lambda T} = e^{14995} overflows, so the first upper bound is inf
+        # and passes whatever alpha does, while the second stays 0 and alpha
+        # rises to 0.587: the scheme is not monotone at dx lambda = 749.75
+        model = PortfolioModel(np.array([0.06]), np.array([[s2]]),
+                               DecisionSet.simplex(1),
+                               inflow=InflowProfile(5.0, 1.0, 1.001))
+        util = DaraUtility(2.0, 2.0, 0.0, truncation_gamma=None)
+        cfg = PDEConfig(grid=SpatialGrid(-8, 8, 160), t_final=2.0,
+                        n_steps=40, upwind=True)
+        rep = maximum_principle_report(solve(model, util, cfg), model)
+        assert rep.context["lambda"] == pytest.approx(7497.50, abs=0.005)
+        assert rep.context["lambda_dx"] == pytest.approx(749.75, abs=5e-4)
+        assert rep.context["growth_overflows"] is True
+        assert rep.context["psi_upper"] == pytest.approx(psi_up, rel=0.01,
+                                                         abs=0.0)
+        assert rep.passed == (excess == 0.0)
+        assert rep.worst_violation == pytest.approx(excess, abs=5e-5)
+
     @pytest.mark.parametrize("step", [0, -1])
     def test_fails_on_a_nan_sample(self, paper_model, step):
         # a nan gap compared as no violation, as max(0, nan) = 0
@@ -575,6 +611,7 @@ class TestMaximumPrincipleReport:
         sol = solve(model, util, cfg)
         assert sol.bounds.upper == np.inf
         rep = maximum_principle_report(sol, model)
+        assert rep.context["growth_overflows"] is True
         a, _, _ = alpha_field(model, grid.centers, sol.phi)
         assert rep.context["psi_upper"] == 0.0
         assert not rep.passed
