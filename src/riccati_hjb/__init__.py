@@ -30,6 +30,7 @@ from .analysis import (
     ContractionBudget,
     contraction_budget,
     energy_estimate_report,
+    grid_convergence,
     maximum_principle_report,
     monotonicity_certificate,
 )

@@ -34,6 +34,7 @@ from .alpha import (  # noqa: F401
 from .analysis import (
     contraction_budget,
     energy_estimate_report,
+    grid_convergence,
     maximum_principle_report,
     monotonicity_certificate,
 )
@@ -260,18 +261,19 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
     sol = solve(model, utility, pde_cfg)
-    # the energy check compares the run with a twin on twice the cells and
-    # twice the steps
+    # the energy check and the grid-convergence record compare the run with
+    # a twin on twice the cells and twice the steps
     fine_cfg = dataclasses.replace(
         pde_cfg,
         grid=dataclasses.replace(pde_cfg.grid,
                                  n_cells=2 * pde_cfg.grid.n_cells),
         n_steps=2 * pde_cfg.n_steps,
     )
+    fine = solve(model, utility, fine_cfg)
     reports = [
         monotonicity_certificate(model, seed=seed),
         maximum_principle_report(sol, model),
-        energy_estimate_report(sol, solve(model, utility, fine_cfg), model),
+        energy_estimate_report(sol, fine, model),
     ]
     # informational: t0 is reported, not checked (it is 0 once M e^{lam T}
     # overflows), and horizons of many contraction windows are normal
@@ -281,7 +283,7 @@ def cmd_verify(args) -> int:
         "beta_tilde": budget.beta_tilde, "t0": budget.t0,
         "horizon": budget.horizon, "windows": budget.windows(),
         "horizon_exceeds_t0": budget.horizon > budget.t0,
-    }}
+    }, "grid-convergence": grid_convergence(sol, fine)}
     payload = {
         "passed": all(r.passed for r in reports),
         "checks": {r.check_name: dataclasses.asdict(r) for r in reports},
@@ -297,6 +299,9 @@ def cmd_verify(args) -> int:
     budget = info["contraction-budget"]
     print(f"INFO contraction-budget: t0 {budget['t0']:.3e}, "
           f"horizon {budget['horizon']:.6g}, windows {budget['windows']}")
+    grid = info["grid-convergence"]
+    print(f"INFO grid-convergence: horizon max {grid['horizon_max']:.3e} at "
+          f"x={grid['horizon_max_x']:.6g}, L1 {grid['horizon_l1']:.3e}")
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 

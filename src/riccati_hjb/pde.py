@@ -20,10 +20,12 @@ runs. The start does not enter the stop rule, so the converged step agrees
 with any other start to the sweep tolerance. The tridiagonal system goes
 straight to LAPACK gtsv, the routine behind scipy's banded solver for one
 band on each side, without the wrapper's validation and band-matrix
-packing. A sweep is bound by numpy's per-call overhead on arrays of n + 2
-values, so it writes its temporaries into buffers kept per run, and leaves
-the check for a non-finite correction to the max |delta| of the stop rule,
-which is nan or inf exactly when delta has such an entry. The part of the
+packing; `_lapack` loads it from scipy's LAPACK extension without the
+package init of `scipy.linalg`. A sweep is bound by numpy's per-call
+overhead on arrays of n + 2 values, so it writes its temporaries into
+buffers kept per run, and leaves the check for a non-finite correction to
+the max |delta| of the stop rule, which is nan or inf exactly when delta
+has such an entry. The part of the
 step residual that no sweep changes, phi_prev / dtau plus the
 manufactured source, is formed once per step. A sweep refills the run's
 ghost-extended buffer of phi, takes the range of alpha over it once (the
@@ -52,8 +54,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .alpha import alpha_field
 from .model import (DecisionSet, PortfolioModel, SpatialGrid, TabulatedPhi0,
                     UtilitySpec, phi0_profile)

@@ -18,6 +18,7 @@ from riccati_hjb import (
     alpha_field,
     contraction_budget,
     energy_estimate_report,
+    grid_convergence,
     lipschitz_bounds,
     maximum_principle_report,
     monotonicity_certificate,
@@ -445,6 +446,98 @@ class TestEnergyEstimate:
         assert rep.context["fine"]["energy"] > 0.0
         assert rep.context["ratio_fine"] == np.inf
         assert not rep.passed and rep.worst_violation == np.inf
+
+
+@pytest.fixture(scope="module")
+def shipped_twins(paper_model):
+    """The stocks/bonds DARA run of scripts/run_examples.py (400 cells, 400
+    steps) and its refined twin, as `verify` solves them."""
+    util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+    return tuple(solve(paper_model, util,
+                       PDEConfig(grid=SpatialGrid(-8, 8, 400 * k),
+                                 t_final=10.0, n_steps=400 * k, upwind=True))
+                 for k in (1, 2))
+
+
+def grid_convergence_loop(coarse, fine):
+    """The grid-convergence record, one level and one cell at a time."""
+    grid, dx = coarse.grid, coarse.grid.dx
+    levels = []
+    for k in range(coarse.phi.shape[0]):
+        row = []
+        for j in range(grid.n_cells):
+            pair = fine.phi[2 * k, 2 * j] + fine.phi[2 * k, 2 * j + 1]
+            row.append(abs(coarse.phi[k, j] - 0.5 * pair))
+        levels.append(row)
+    end = levels[-1]
+    i = max(range(grid.n_cells), key=lambda j: end[j])
+    k, j = max(((k, j) for k in range(len(levels))
+                for j in range(grid.n_cells)),
+               key=lambda kj: levels[kj[0]][kj[1]])
+    reach = (grid.x_max - grid.x_min) / 8.0
+    x = grid.centers
+    l1 = dx * sum(end)
+    end_l1 = dx * sum(end[j] for j in range(grid.n_cells)
+                      if min(x[j] - grid.x_min, grid.x_max - x[j]) < reach)
+    return {"horizon_max": end[i], "horizon_max_x": x[i], "horizon_l1": l1,
+            "max": levels[k][j], "max_tau": coarse.tau_values[k],
+            "max_x": x[j], "end_share": end_l1 / l1}
+
+
+class TestGridConvergence:
+    def test_shipped_run(self, shipped_twins):
+        # the horizon error sits at the right end; the largest difference is
+        # phi0's one-cell taper at tau = 0, which halves the end cell of the
+        # coarse grid and the outer half of it on the fine grid
+        rec = grid_convergence(*shipped_twins)
+        expected = {"horizon_max": 0.3869, "horizon_max_x": 7.98,
+                    "horizon_l1": 0.3556, "max": 2.25, "max_tau": 0.0,
+                    "max_x": -7.98, "end_share": 0.789}
+        assert set(rec) == set(expected)
+        for key, value in expected.items():
+            assert rec[key] == pytest.approx(value, abs=1e-3), key
+        assert all(type(v) is float for v in rec.values())
+
+    @pytest.mark.parametrize("run", ["shipped", "single_asset"])
+    def test_matches_per_cell_loop(self, shipped_twins, singleton_model, run):
+        if run == "shipped":
+            coarse, fine = shipped_twins
+        else:
+            util = DaraUtility(3.0, 1.0, 0.5, truncation_gamma=2.0)
+            coarse, fine = (
+                solve(singleton_model, util,
+                      PDEConfig(grid=SpatialGrid(-4, 4, 32 * k),
+                                t_final=1.0, n_steps=10 * k))
+                for k in (1, 2))
+        rec = grid_convergence(coarse, fine)
+        ref = grid_convergence_loop(coarse, fine)
+        for key in ("horizon_max", "horizon_max_x", "max", "max_tau",
+                    "max_x"):
+            assert rec[key] == ref[key], key
+        for key in ("horizon_l1", "end_share"):
+            assert rec[key] == pytest.approx(ref[key], rel=1e-12), key
+
+    def test_reads_only_the_shared_levels(self, paper_model):
+        # a fine run whose cell pairs repeat the coarse values at the shared
+        # levels differs by exactly 0 there, whatever its levels in between
+        coarse = small_dara_run(paper_model, 32, 5)
+        n_levels = coarse.phi.shape[0]
+        phi = np.repeat(coarse.phi, 2, axis=1)[
+            np.repeat(np.arange(n_levels), 2)[:-1]]
+        phi[1::2] += 1.0
+        fine = dataclasses.replace(
+            coarse, phi=phi,
+            tau_values=np.linspace(0.0, coarse.t_final, 2 * n_levels - 1))
+        rec = grid_convergence(coarse, fine)
+        assert rec["horizon_max"] == rec["horizon_l1"] == rec["max"] == 0.0
+        assert rec["end_share"] == 0.0
+
+    def test_rejects_a_run_that_is_not_the_twin(self, paper_model):
+        coarse = small_dara_run(paper_model, 32, 5)
+        with pytest.raises(ValueError, match="twin"):
+            grid_convergence(coarse, small_dara_run(paper_model, 64, 5))
+        with pytest.raises(ValueError, match="twin"):
+            grid_convergence(coarse, coarse)
 
 
 class TestMaximumPrincipleReport:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from riccati_hjb import AlphaEngineError, alpha, contraction_budget, solve
+from riccati_hjb import (AlphaEngineError, PDEConfig, SpatialGrid, alpha,
+                         contraction_budget, grid_convergence, solve)
 from riccati_hjb.config import load_run
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -478,7 +479,8 @@ class TestVerify:
         assert payload["passed"]
         assert set(payload["checks"]) == {
             "monotonicity", "maximum-principle", "energy-estimate"}
-        assert set(payload["info"]) == {"contraction-budget"}
+        assert set(payload["info"]) == {"contraction-budget",
+                                        "grid-convergence"}
         energy = payload["checks"]["energy-estimate"]["context"]
         for run in ("coarse", "fine"):
             assert set(energy[run]) == {
@@ -506,6 +508,25 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "INFO contraction-budget" in stdout
         assert "PASS contraction-budget" not in stdout
+
+    def test_grid_convergence_is_info(self, tmp_path, config_path, capsys):
+        # the record compares the run with the energy check's refined twin;
+        # it reports numbers and no pass/fail
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        _, model, utility, pde_cfg, _ = load_run(config_path)
+        fine_cfg = PDEConfig(
+            grid=SpatialGrid(pde_cfg.grid.x_min, pde_cfg.grid.x_max,
+                             2 * pde_cfg.grid.n_cells),
+            t_final=pde_cfg.t_final, n_steps=2 * pde_cfg.n_steps,
+            upwind=pde_cfg.upwind)
+        assert payload["info"]["grid-convergence"] == grid_convergence(
+            solve(model, utility, pde_cfg), solve(model, utility, fine_cfg))
+        stdout = capsys.readouterr().out
+        assert "INFO grid-convergence" in stdout
+        assert "PASS grid-convergence" not in stdout
 
     def test_adversarial_boundary_fails(self, tmp_path):
         pde = dict(SMALL_PDE)
