@@ -30,7 +30,10 @@ bound taken from the change checkout's BENCHMARK.json:
     no worse    none of these
     -           a metric without a bound and without a gain
 
-Failed operations are counted per side.
+Failed operations are counted per side. A run that exits non-zero ends
+the comparison: the report covers the pairs completed before it, and the
+script then exits 1, naming the pair, the side and the tail of the run's
+standard error.
 """
 
 from __future__ import annotations
@@ -60,16 +63,22 @@ def parse_args(argv=None):
     return args
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run exited non-zero; the message ends with the tail of
+    its standard error."""
+
+
 def run_once(root: Path, args, seconds) -> dict:
     """One benchmark run of `seconds` in `root`; its JSON summary with the
-    metric names prefixed by their workload."""
+    metric names prefixed by their workload. Raises RunFailed if the run
+    exits non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"bench_ab: {' '.join(cmd)} in {root} exited "
-                 f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RunFailed(f"{' '.join(cmd)} in {root} exited "
+                        f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     summary = json.loads(proc.stdout.splitlines()[-1])
     if args.workload != "all":
         summary["metrics"] = {f"{args.workload}.{k}": v
@@ -144,14 +153,27 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     metrics_doc = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
+    failure = None
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
+        try:
+            for side in order:
+                print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr,
+                      flush=True)
+                pair[side] = run_once(getattr(args, side), args,
+                                      metrics_doc["run_seconds"])
+        except RunFailed as exc:
+            failure = f"pair {i + 1}/{args.pairs}, {side}: {exc}"
+            break
         for side in order:
-            print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr,
-                  flush=True)
-            runs[side].append(run_once(getattr(args, side), args,
-                                       metrics_doc["run_seconds"]))
-    report(runs, metrics_doc)
+            runs[side].append(pair[side])
+    if runs["parent"]:
+        report(runs, metrics_doc)
+    if failure:
+        print(f"bench_ab: completed pairs: {len(runs['parent'])}; "
+              f"stopped at {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

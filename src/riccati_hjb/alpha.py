@@ -9,8 +9,9 @@ more assets take theta'mu and theta'Sigma theta from the (N, n) weights. One
 asset has the variance S11, and two assets on the simplex are written in
 the minimizing first weight t = clip(a + b/rho, 0, 1) alone, with a
 quadratic variance in t whose constants are worked out exactly once per
-model and rounded once: a few passes over 1-d arrays, about 13 us for the
-402 values of a Newton sweep on the shipped grid (2-core x86-64 VM, numpy
+model and rounded once: a few passes over 1-d arrays, about 12 us for the
+402 values of a Newton sweep on the shipped grid, and 10 us written into
+the sweep's own buffers with no weights formed (2-core x86-64 VM, numpy
 2.4, best of repeated timings). The active-set QP is the one simplex
 minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
 slope bound); support enumeration is only the test oracle
@@ -422,14 +423,12 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _n2_weights(model: PortfolioModel, rho: np.ndarray, a: float,
-               b: float) -> np.ndarray:
-    """Minimizing weights of two assets on the simplex at each rho, by rows:
-    row 0 is the first weight t, the interior line a + b / rho clipped to
+def _n2_first_weight(model: PortfolioModel, rho: np.ndarray, a: float,
+                     b: float, t: np.ndarray) -> np.ndarray:
+    """Write the minimizing first weight of two assets on the simplex at
+    each rho into t, and return t: the interior line a + b / rho clipped to
     [0, 1], and the lowest vertex (t = 1 or 0) wherever rho is below
-    `_RHO_TINY`; row 1 is 1 - t."""
-    theta = np.empty((2, rho.size))
-    t = theta[0]
+    `_RHO_TINY`."""
     convex = _convex_mask(rho)
     if convex is None:
         np.divide(b, rho, out=t)
@@ -443,11 +442,54 @@ def _n2_weights(model: PortfolioModel, rho: np.ndarray, a: float,
     np.maximum(t, 0.0, out=t)
     if convex is not None:
         t[~convex] = _lowest_line(model, rho[~convex])[:, 0]
-    np.subtract(1.0, t, out=theta[1])
-    return theta
+    return t
 
 
-def alpha_field(model: PortfolioModel, x, phi):
+def _fill(model: PortfolioModel, rho: np.ndarray, alpha: np.ndarray,
+          slope: np.ndarray, weights: bool):
+    """Write alpha without the inflow shift into `alpha` and its phi-slope
+    into `slope` at each effective weight rho, a 1-d array of their size
+    that overlaps neither. Returns the (N, n) minimizing weights if
+    `weights`, else None; one and two assets then form no weights."""
+    if model.decision_set.kind == "discrete" or model.n > 2:
+        theta = _weights(model, rho)
+        # row sums as a product with ones cost a fraction of sum(axis=1),
+        # and ndarray.dot less than @ on arrays this small
+        (theta.dot(model.sigma) * theta).dot(np.ones(model.n), out=slope)
+        np.multiply(rho, slope, out=alpha)
+        alpha *= 0.5
+        alpha -= theta.dot(model.mu)
+        slope *= 0.5
+        return theta if weights else None
+    if model.n == 1:
+        s11, mu1 = model.sigma[0, 0], model.mu[0]
+        # the operations of the general formula, which are exact here
+        np.multiply(rho, s11, out=alpha)
+        alpha *= 0.5
+        alpha -= mu1
+        slope.fill(0.5 * s11)
+        return np.ones((rho.size, 1)) if weights else None
+    a, b, half_q, half_c, m, mu2 = _n2_constants(model)
+    # the weights are filled by rows, which is cheaper than by columns, and
+    # returned as the transposed view; without them the first weight t
+    # lives in alpha until the mean overwrites it
+    theta = np.empty((2, rho.size)) if weights else None
+    t = _n2_first_weight(model, rho, a, b,
+                         alpha if theta is None else theta[0])
+    if theta is not None:
+        np.subtract(1.0, t, out=theta[1])
+    # half the variance, (q/2) (t - a)^2 + det(Sigma) / (2 q)
+    np.subtract(t, a, out=slope)
+    np.square(slope, out=slope)
+    slope *= half_q
+    slope += half_c
+    mean = np.multiply(t, m, out=alpha)
+    mean += mu2
+    np.subtract(rho * slope, mean, out=alpha)
+    return None if theta is None else theta.T
+
+
+def alpha_field(model: PortfolioModel, x, phi, out=None):
     """Vectorized (alpha, dalpha_dphi, theta) over broadcastable (x, phi)
     arrays; theta carries a trailing axis of length n.
 
@@ -458,49 +500,33 @@ def alpha_field(model: PortfolioModel, x, phi):
     weight t alone, with mean mu2 + (mu1 - mu2) t and variance
     q (t - a)^2 + det(Sigma) / q, so that evaluation is a handful of passes
     over 1-d arrays.
+
+    With out=(alpha, slope), two 1-d float arrays, x and phi must be 1-d
+    float arrays of their size that overlap neither. alpha and its slope
+    are then written into them, bitwise as the allocating form computes
+    them, with no conversion, broadcasting or reshaping of the inputs, and
+    (alpha, slope, None) is returned: no weights are formed for them,
+    except inside the per-point QP of three or more assets and on a menu.
+    The Newton sweep evaluates alpha so, in buffers it keeps per run.
     """
+    if out is not None:
+        alpha, slope = out
+        _fill(model, _phi_eff(model, phi), alpha, slope, False)
+        if model.inflow is not None:
+            alpha -= model.inflow.term(x)
+        return alpha, slope, None
     x = np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if x.shape != phi.shape:
         x, phi = np.broadcast_arrays(x, phi)
     rho = _phi_eff(model, phi.ravel())
-    if model.decision_set.kind == "discrete" or model.n > 2:
-        theta = _weights(model, rho)
-        # row sums as a product with ones cost a fraction of sum(axis=1),
-        # and ndarray.dot less than @ on arrays this small
-        var = (theta.dot(model.sigma) * theta).dot(np.ones(model.n))
-        alpha = rho * var
-        alpha *= 0.5
-        alpha -= theta.dot(model.mu)
-        var *= 0.5
-    elif model.n == 1:
-        s11, mu1 = model.sigma[0, 0], model.mu[0]
-        theta = np.ones((rho.size, 1))
-        # the operations of the general formula, which are exact here
-        alpha = rho * s11
-        alpha *= 0.5
-        alpha -= mu1
-        var = np.full(rho.size, 0.5 * s11)
-    else:
-        a, b, half_q, half_c, m, mu2 = _n2_constants(model)
-        theta = _n2_weights(model, rho, a, b)
-        t = theta[0]
-        # half the variance, (q/2) (t - a)^2 + det(Sigma) / (2 q)
-        var = t - a
-        np.square(var, out=var)
-        var *= half_q
-        var += half_c
-        alpha = rho * var
-        mean = t * m
-        mean += mu2
-        alpha -= mean
-        # filled by rows, which is cheaper than by columns; theta is the
-        # transposed view
-        theta = theta.T
+    # separate arrays: a caller that drops the slope frees it at once
+    alpha, slope = np.empty(rho.size), np.empty(rho.size)
+    theta = _fill(model, rho, alpha, slope, True)
     if model.inflow is not None:
         alpha -= model.inflow.term(x.ravel())
     if phi.ndim == 1:
-        return alpha, var, theta
+        return alpha, slope, theta
     shape = phi.shape
-    return (alpha.reshape(shape), var.reshape(shape),
+    return (alpha.reshape(shape), slope.reshape(shape),
             theta.reshape(shape + (model.n,)))

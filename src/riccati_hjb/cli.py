@@ -53,10 +53,10 @@ MAX_POINTS = 10**6
 
 def _write_csv(path: Path, header, rows):
     # repr floats give shortest round-trip text, so identical runs give
-    # byte-identical files
+    # byte-identical files; rows is a 2-d float array, whose tolist() hands
+    # over Python floats in one call
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -22,21 +22,24 @@ straight to LAPACK gtsv, the routine behind scipy's banded solver for one
 band on each side, without the wrapper's validation and band-matrix
 packing; `_lapack` loads it from scipy's LAPACK extension without the
 package init of `scipy.linalg`. A sweep is bound by numpy's per-call
-overhead on arrays of n + 2 values, so it writes its temporaries into
-buffers kept per run, and leaves the check for a non-finite correction to
-the max |delta| of the stop rule, which is nan or inf exactly when delta
-has such an entry. The part of the
-step residual that no sweep changes, phi_prev / dtau plus the
+overhead on arrays of n + 2 values, so it works in buffers kept per run:
+`alpha_field` writes alpha and its slope into two of them (its `out=`
+form, which forms no weights), the face and band views of the buffers
+are made once per run, and the check for a non-finite correction is left
+to the max |delta| of the stop rule, which is nan or inf exactly when
+delta has such an entry. The start of a step is written straight into its
+row of the solution, where the Newton update is applied in place. The
+part of the step residual that no sweep changes, phi_prev / dtau plus the
 manufactured source, is formed once per step. A sweep refills the run's
 ghost-extended buffer of phi, takes the range of alpha over it once (the
 clamp test reads it, and the step diagnostics keep the range of the last
 sweep), and builds the couplings of the Newton system in their
 -1/dx-scaled form directly: 1/dx and 1/dx^2 are folded into the
 scaling of the face velocity and the alpha slope, and the diagonal is
-built from the couplings. The Newton update is applied in place. On the
-shipped two-asset upwind run (402 values) a sweep takes about 50 us on a
-2-core x86-64 VM (best of repeated timings), a quarter of it in
-`alpha_field` and a fifth in gtsv.
+built from the couplings. On the shipped two-asset upwind run (402
+values) a sweep takes about 40 us on a 2-core x86-64 VM (Python 3.11,
+numpy 2.4, best of repeated timings), a quarter of it in `alpha_field`
+and a fifth in gtsv.
 
 w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
 M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
@@ -223,13 +226,19 @@ class _Geometry:
     (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals of the cell
     width, its square and the time step, and the clamp range of the
     advective coefficient; plus the run's buffers, which every sweep
-    refills: the ghost-extended phi and a per-cell value (n + 2 each), three
-    per-face values (n + 1) and the diagonal and right-hand side of the
-    Newton system (n)."""
+    refills: the ghost-extended phi, alpha and its slope and a per-cell
+    value (n + 2 each), three per-face values (n + 1) and the diagonal and
+    right-hand side of the Newton system (n). The fixed views of the
+    buffers that a sweep reads are made here once: the (left, right) face
+    views [:-1] and [1:] of each n + 2 buffer and of the face flux, the
+    interior bands [1:-1] of the two couplings and the parts [1:] and [:-1]
+    of them that the diagonal sums."""
 
     __slots__ = ("dx", "inv_dx", "inv_dx2", "inv_dtau", "centers", "xe",
-                 "sign", "offsets", "clamp", "_pe", "cell", "face", "lower",
-                 "upper", "diag", "rhs")
+                 "sign", "offsets", "clamp", "_pe", "_pe_cells", "alpha",
+                 "slope", "cell", "face", "lower", "upper", "diag", "rhs",
+                 "pe_faces", "alpha_faces", "slope_faces", "cell_faces",
+                 "flux_faces", "bands", "diag_parts")
 
     def __init__(self, config: PDEConfig, cutoff: CutoffBounds):
         grid = config.grid
@@ -245,15 +254,21 @@ class _Geometry:
             gl, gr = config.dirichlet
             self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
         self.clamp = (cutoff.lower, cutoff.upper)
-        self._pe, self.cell = np.empty((2, n + 2))
+        self._pe, self.alpha, self.slope, self.cell = np.empty((4, n + 2))
+        self._pe_cells = self._pe[1:-1]
         self.face, self.lower, self.upper = np.empty((3, n + 1))
         self.diag, self.rhs = np.empty((2, n))
+        self.pe_faces, self.alpha_faces, self.slope_faces, self.cell_faces, \
+            self.flux_faces = ((v[:-1], v[1:]) for v in (
+                self._pe, self.alpha, self.slope, self.cell, self.face))
+        self.bands = (self.lower[1:-1], self.upper[1:-1])
+        self.diag_parts = (self.lower[1:], self.upper[:-1])
 
     def extend(self, values):
         """values with ghost values attached per the boundary condition, in
         the run's buffer: the next call overwrites it."""
         out = self._pe
-        out[1:-1] = values
+        self._pe_cells[...] = values
         out[0] = self.offsets[0] + self.sign * float(values[0])
         out[-1] = self.offsets[1] + self.sign * float(values[-1])
         return out
@@ -303,14 +318,16 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     """
     h, inv_dx2, sign = 0.5 * geom.inv_dx, geom.inv_dx2, geom.sign
     pe = geom.extend(phi_iter)
-    ae, se, _ = alpha_field(model, geom.xe, pe)
+    ae, se, _ = alpha_field(model, geom.xe, pe, out=(geom.alpha, geom.slope))
     alpha_range = (float(ae.min()), float(ae.max()))
     lo, hi = geom.clamp
     if lo <= alpha_range[0] and alpha_range[1] <= hi:
         wc, dw = ae, se
+        (wc_l, wc_r), (dw_l, dw_r) = geom.alpha_faces, geom.slope_faces
     else:
         wc = np.clip(ae, lo, hi)
         dw = np.where((ae >= lo) & (ae <= hi), se, 0.0)
+        wc_l, wc_r, dw_l, dw_r = wc[:-1], wc[1:], dw[:-1], dw[1:]
 
     # Everything below is in units of 1/dx. For the face j+1/2 between
     # extended cells j and j+1, j = 0..n, flux holds G / dx, with G the
@@ -322,41 +339,47 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     # (c_right) the derivative of the advective flux over dx, which
     # adv_left and adv_right hold; the two coupling buffers serve as scratch
     # until then.
-    flux = np.subtract(ae[1:], ae[:-1], out=geom.face)
+    a_l, a_r = geom.alpha_faces
+    flux = np.subtract(a_r, a_l, out=geom.face)
     flux *= inv_dx2
     c_left, c_right = geom.lower, geom.upper
     if config.upwind:
         # face velocity over dx, with its parts upwinded from the left
         # (>= 0) and the right (< 0)
-        vel = np.add(wc[:-1], wc[1:], out=c_right)
+        pe_l, pe_r = geom.pe_faces
+        vel = np.add(wc_l, wc_r, out=c_right)
         vel *= h
-        pu = np.where(vel >= 0.0, pe[:-1], pe[1:])
+        pu = np.where(vel >= 0.0, pe_l, pe_r)
         flux -= np.multiply(vel, pu, out=c_left)
         v_left = np.maximum(vel, 0.0)
         adv_right = np.subtract(vel, v_left, out=vel)
         pu *= h     # the face velocity takes half of each alpha slope
-        adv_left = np.multiply(dw[:-1], pu, out=c_left)
+        adv_left = np.multiply(dw_l, pu, out=c_left)
         adv_left += v_left
-        pu *= dw[1:]
+        pu *= dw_r
         adv_right += pu
     else:
         q = np.multiply(wc, pe, out=geom.cell)
-        adv = np.add(q[:-1], q[1:], out=c_left)
+        q_l, q_r = geom.cell_faces
+        adv = np.add(q_l, q_r, out=c_left)
         adv *= h
         flux -= adv
         g = np.multiply(dw, pe, out=geom.cell)
         g += wc
         g *= h
-        adv_left, adv_right = g[:-1], g[1:]
+        adv_left, adv_right = geom.cell_faces
     se *= -inv_dx2      # se (and dw) are not read again
-    np.subtract(se[:-1], adv_left, out=c_left)
-    np.add(se[1:], adv_right, out=c_right)
+    s_l, s_r = geom.slope_faces
+    np.subtract(s_l, adv_left, out=c_left)
+    np.add(s_r, adv_right, out=c_right)
 
-    rhs = np.subtract(flux[1:], flux[:-1], out=geom.rhs)
+    f_l, f_r = geom.flux_faces
+    rhs = np.subtract(f_r, f_l, out=geom.rhs)
     rhs += fixed
-    rhs -= phi_iter * geom.inv_dtau
+    # the diagonal's buffer holds phi_iter / dtau until it is built
+    rhs -= np.multiply(phi_iter, geom.inv_dtau, out=geom.diag)
     # the diagonal of row i is 1/dtau - c_left[i+1] - c_right[i]
-    diag = np.add(c_left[1:], c_right[:-1], out=geom.diag)
+    diag = np.add(*geom.diag_parts, out=geom.diag)
     np.subtract(geom.inv_dtau, diag, out=diag)
     # fold the ghost corrections (sign * edge correction) into the end rows
     cl0, cln = float(c_left[0]), float(c_left[-1])
@@ -364,8 +387,9 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     diag[0] += sign * cl0
     diag[-1] += sign * crn
 
+    band_l, band_r = geom.bands
     try:
-        delta = solve_banded(c_left[1:-1], diag, c_right[1:-1], rhs)
+        delta = solve_banded(band_l, diag, band_r, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"tridiagonal solve failed at tau={tau_next:.6g}: {exc}; "
@@ -378,10 +402,11 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     return delta, alpha_range, (g_left, g_right)
 
 
-def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
-    """Newton sweeps of one implicit step from phi_prev, starting at start."""
+def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index):
+    """Newton sweeps of one implicit step from phi_prev, starting at
+    phi_iter, which they update in place to the step's solution; returns
+    the step's diagnostics."""
     fixed, src_int = _fixed_residual(config, geom, phi_prev, tau_next)
-    phi_iter = start   # a fresh array, updated in place
     for it in range(1, config.picard_max + 1):
         delta, alpha_range, fluxes = _sweep(model, config, geom, fixed,
                                             phi_iter, tau_next)
@@ -391,8 +416,8 @@ def _advance(model, config, geom, phi_prev, start, tau_next, step_index):
         if not math.isfinite(residual):
             raise SolverError(f"non-finite update at tau={tau_next:.6g}")
         if residual <= config.picard_tol:
-            return phi_iter, StepDiagnostics(it, residual, *alpha_range,
-                                              *fluxes, src_int)
+            return StepDiagnostics(it, residual, *alpha_range, *fluxes,
+                                   src_int)
     raise PicardError(step_index, tau_next, residual, config.picard_tol)
 
 
@@ -406,11 +431,12 @@ _EXTRAPOLATE = {n: np.array([(-1) ** (n - 1 - i) * math.comb(n, i)
 
 
 def _predict(phi, k):
-    """Start of step k: the value at k + 1 of the polynomial through the last
-    L = min(k + 1, _PREDICTOR_LEVELS) levels phi[k + 1 - L..k], as one
-    product. The first steps start from phi_0, 2 phi_1 - phi_0, and so on."""
+    """Start of step k, written into phi[k + 1] and returned: the value at
+    k + 1 of the polynomial through the last L = min(k + 1,
+    _PREDICTOR_LEVELS) levels phi[k + 1 - L..k], as one product. The first
+    steps start from phi_0, 2 phi_1 - phi_0, and so on."""
     n = min(k + 1, _PREDICTOR_LEVELS)
-    return _EXTRAPOLATE[n].dot(phi[k + 1 - n:k + 1])
+    return np.dot(_EXTRAPOLATE[n], phi[k + 1 - n:k + 1], out=phi[k + 1])
 
 
 def _resolve_cutoff(model, config, phi0):
@@ -435,10 +461,8 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     phi[0] = phi0
     diags = []
     for k, tau_next in enumerate(tau[1:].tolist()):
-        start = _predict(phi, k)
-        phi[k + 1], d = _advance(model, config, geom, phi[k], start,
-                                 tau_next, k)
-        diags.append(d)
+        diags.append(_advance(model, config, geom, phi[k], _predict(phi, k),
+                              tau_next, k))
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
                          diagnostics=tuple(diags), bounds=bounds)
 

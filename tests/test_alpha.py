@@ -797,6 +797,36 @@ class TestSmallSimplexField:
         assert np.all(at_vertex[convex & ((line <= 0.0) | (line >= 1.0))])
 
 
+def assert_buffer_form_matches(model, x, phis):
+    """alpha_field with out= fills and returns the given buffers, with no
+    weights, bitwise equal to the allocating form (nan and -0.0 included)."""
+    xs = np.full(phis.size, x)
+    a, s, _ = alpha_field(model, xs, phis)
+    buffers = (np.full(phis.size, np.nan), np.full(phis.size, np.nan))
+    out = alpha_field(model, xs, phis, out=buffers)
+    assert out[0] is buffers[0] and out[1] is buffers[1] and out[2] is None
+    assert out[0].tobytes() == a.tobytes()
+    assert out[1].tobytes() == s.tobytes()
+
+
+def vertex_path_models():
+    """Simplex and menu models of one to three assets in both drift modes,
+    the log-wealth ones with and without inflow."""
+    rng = np.random.default_rng(7)
+    models = []
+    for n in (1, 2, 3):
+        g = rng.normal(size=(n, n))
+        sigma, mu = g @ g.T + 0.05 * np.eye(n), rng.normal(0.05, 0.1, size=n)
+        for ds in (DecisionSet.simplex(n),
+                   DecisionSet.discrete(rng.dirichlet(np.ones(n),
+                                                      size=min(n, 3)))):
+            models += [PortfolioModel(mu, sigma, ds),
+                       PortfolioModel(mu, sigma, ds, drift_mode="log_wealth"),
+                       PortfolioModel(mu, sigma, ds,
+                                      inflow=InflowProfile(0.3, 1.0, 2.0))]
+    return models
+
+
 class TestAlphaFieldProperties:
     @given(model=field_models(), x=st.floats(-3.0, 3.0),
            phis=st.lists(PHIS, min_size=1, max_size=6))
@@ -808,6 +838,24 @@ class TestAlphaFieldProperties:
             r = solve_alpha(model, x, float(phi))
             assert abs(a[i] - r.value) <= 1e-12 * (1.0 + abs(r.value))
             assert abs(s[i] - r.dvalue_dphi) <= 1e-12 * (1.0 + abs(r.value))
+
+    @given(model=field_models(), x=st.floats(-3.0, 3.0),
+           phis=st.lists(PHIS, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_buffer_form_matches_the_allocating_form(self, model, x, phis):
+        with np.errstate(all="ignore"):   # rho = 0 or subnormal
+            assert_buffer_form_matches(model, x, np.array(phis))
+
+    # rho below _RHO_TINY (about 1e-292) and rho <= 0 take the vertex path,
+    # mixed with convex rho and alone; -1 and -1.5 are rho = 0 and -0.5
+    # under the log-wealth drift
+    @pytest.mark.parametrize("phis", [
+        [0.0, -0.0, -0.5, 1e-300, 5e-324, -5e-324, -1.0, -1.5, 2.0],
+        [0.0, -0.5, 1e-300, 5e-324, -1.0, -1.5]], ids=["mixed", "vertex"])
+    @pytest.mark.parametrize("model", vertex_path_models())
+    def test_buffer_form_on_the_vertex_path(self, model, phis):
+        with np.errstate(all="ignore"):
+            assert_buffer_form_matches(model, 0.5, np.array(phis))
 
     @given(model=field_models(), x=st.floats(-3.0, 3.0),
            phis=st.lists(PHIS, min_size=1, max_size=6))

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,59 @@ class TestVerdict:
     def test_no_bound_and_no_gain(self):
         change = [v + 0.001 for v in PARENT]
         assert verdict(PARENT, change, True, None) == ("-", 0)
+
+
+def checkouts(tmp_path):
+    """Parent and change roots that pass the argument checks, the change
+    holding a BENCHMARK.json with one end-to-end metric."""
+    roots = []
+    for name in ("parent", "change"):
+        root = tmp_path / name
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").touch()
+        roots.append(root)
+    (roots[1] / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [
+            {"name": "wall_ref_s", "better": "lower", "bound": 0.25}]}))
+    return roots
+
+
+class TestFailedRun:
+    def test_completed_pairs_are_reported(self, tmp_path, monkeypatch,
+                                          capsys):
+        calls = []
+
+        def run_once(root, args, seconds):
+            calls.append(root.name)
+            if len(calls) == 3:
+                raise bench_ab.RunFailed("run.py exited 1:\nboom at the end")
+            return {"metrics": {"w.wall_ref_s": {"value": 1.0 - 0.1 * (
+                        root.name == "change")}},
+                    "failed": 0, "attempted": 4}
+
+        monkeypatch.setattr(bench_ab, "run_once", run_once)
+        parent, change = checkouts(tmp_path)
+        code = bench_ab.main([str(parent), str(change), "--pairs", "3"])
+        assert code == 1
+        # pair 2 runs the change first, and that run fails
+        assert calls == ["parent", "change", "change"]
+        out, err = capsys.readouterr()
+        row = next(line for line in out.splitlines()
+                   if line.startswith("w.wall_ref_s"))
+        assert "1/1" in row and "gain" in row
+        assert "parent: 0 of 4 operations failed" in out
+        last = err.strip().splitlines()
+        assert "completed pairs: 1; stopped at pair 2/3, change" in last[-2]
+        assert last[-1] == "boom at the end"
+
+    def test_a_non_zero_exit_raises_with_the_stderr_tail(self, tmp_path,
+                                                         monkeypatch):
+        def failing(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, 2, "", "x" * 3000 + "end")
+
+        monkeypatch.setattr(bench_ab.subprocess, "run", failing)
+        args = bench_ab.parse_args(
+            [str(root) for root in checkouts(tmp_path)])
+        with pytest.raises(bench_ab.RunFailed, match="exited 2") as info:
+            bench_ab.run_once(tmp_path, args, 1)
+        assert str(info.value).endswith("x" * 1997 + "end")

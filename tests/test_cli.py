@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 from riccati_hjb import (AlphaEngineError, PDEConfig, SpatialGrid, alpha,
-                         contraction_budget, grid_convergence, solve)
+                         cli, contraction_budget, grid_convergence, solve)
 from riccati_hjb.config import load_run
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -89,6 +89,23 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
         assert not out.exists()
+
+
+class TestCsv:
+    def test_rows_are_the_repr_of_each_float(self, tmp_path):
+        # shortest round-trip text of every value: signed zero, the least
+        # subnormal, a rounded sum, a large float, integer-valued floats
+        # and the non-finite ones
+        rows = np.array([[-0.0, 5e-324, 0.1 + 0.2, 1e16, 3.0],
+                         [2.0, -7.0, 1e-7, np.inf, np.nan]])
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, ["a", "b", "c", "d", "e"], rows)
+        expected = "a,b,c,d,e\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+        assert path.read_text().splitlines()[1:] == [
+            "-0.0,5e-324,0.30000000000000004,1e+16,3.0",
+            "2.0,-7.0,1e-07,inf,nan"]
 
 
 class TestAlphaCurve:

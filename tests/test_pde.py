@@ -522,9 +522,10 @@ class TestTracedCallSites:
         alpha_calls, solves = [], [0]
         field, banded = pde.alpha_field, pde.solve_banded
 
-        def counted_field(model, x, phi):
-            out = field(model, x, phi)
-            # phi may be the run's ghost buffer, refilled by the next sweep
+        def counted_field(model, x, phi, **kwargs):
+            out = field(model, x, phi, **kwargs)
+            # phi and alpha may be the run's buffers, refilled by the next
+            # sweep
             alpha_calls.append((np.array(phi), out[0].copy()))
             return out
 
@@ -574,11 +575,18 @@ class TestPredictor:
         # levels carry degree 7
         rng = np.random.default_rng(degree)
         coef = rng.uniform(-1.0, 1.0, size=(degree + 1, 5))
-        phi = np.polynomial.polynomial.polyval(0.1 * np.arange(14), coef).T
+        # C-ordered rows, as solve keeps its levels
+        phi = np.ascontiguousarray(
+            np.polynomial.polynomial.polyval(0.1 * np.arange(14), coef).T)
         first = degree if degree <= 1 else degree + 1
         for k in range(first, 13):
+            # the start is written into phi[k + 1]: keep the exact level
+            exact = phi[k + 1].copy()
             start = pde._predict(phi, k)
-            np.testing.assert_allclose(start, phi[k + 1], rtol=0, atol=1e-12)
+            assert np.shares_memory(start, phi[k + 1])
+            np.testing.assert_allclose(start, exact, rtol=0, atol=1e-12)
+            # later steps extrapolate through the exact levels
+            phi[k + 1] = exact
 
     def test_sweeps_across_models(self, paper_model, fund_menu_model,
                                   singleton_model, inflow_model):
