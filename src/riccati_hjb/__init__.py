@@ -27,7 +27,6 @@ from .alpha import (
 )
 from .analysis import (
     CheckReport,
-    ContractionBudget,
     contraction_budget,
     energy_estimate_report,
     grid_convergence,

@@ -50,6 +50,9 @@ _KKT_TOL = 1e-10
 # rho = 2.2e-308 the QP cycled) and the quadratic term is below rounding, so
 # the lowest vertex is the minimizer to rounding, as for rho <= 0
 _RHO_TINY = np.finfo(float).tiny / np.finfo(float).eps
+# above 1 / _RHO_TINY (about 1e292) rho Sigma may overflow, so the QP
+# divides its problem by rho
+_RHO_HUGE = 1.0 / _RHO_TINY
 
 
 class AlphaEngineError(RuntimeError):
@@ -139,17 +142,19 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
 
     Primal active-set iteration starting from the uniform weight vector.
     Returns the weights theta, which satisfy the KKT conditions; a failure
-    raises AlphaEngineError naming rho and n.
+    raises AlphaEngineError naming rho and n. Above `_RHO_HUGE` it solves
+    the same problem divided by rho, with mean mu / rho and weight w = 1.
     """
     n = len(mu)
+    mu, w = (mu / rho, 1.0) if rho > _RHO_HUGE else (mu, rho)
     theta = np.full(n, 1.0 / n)
     free = set(range(n))
     for _ in range(50 * n + 50):
-        cand, lam = _solve_working_set(rho, sigma, mu, sorted(free))
+        cand, lam = _solve_working_set(w, sigma, mu, sorted(free))
         if min(cand[sorted(free)]) >= -_ACTIVE_TOL:
             theta = np.maximum(cand, 0.0)
             theta /= theta.sum()
-            grad = rho * (sigma @ theta) - mu
+            grad = w * (sigma @ theta) - mu
             bound = [i for i in range(n) if i not in free]
             if not bound:
                 return theta
@@ -298,15 +303,15 @@ class ClosedFormN2:
 
     def evaluate(self, phi):
         phi = np.asarray(phi, dtype=float)
-        # b/phi overflows only below phi_lo, where the vertex line replaces it
+        # a piece may overflow far outside its interval, where another is used
         with np.errstate(over="ignore"):
             out = self.a_const - self.b_const / phi + self.c_const * phi
-        if self.phi_lo > 0 and not np.isnan(self.e_minus):
-            out = np.where(phi <= self.phi_lo,
-                           self.e_minus * phi + self.d_minus, out)
-        if np.isfinite(self.phi_hi):
-            out = np.where(phi >= self.phi_hi,
-                           self.e_plus * phi + self.d_plus, out)
+            if self.phi_lo > 0 and not np.isnan(self.e_minus):
+                out = np.where(phi <= self.phi_lo,
+                               self.e_minus * phi + self.d_minus, out)
+            if np.isfinite(self.phi_hi):
+                out = np.where(phi >= self.phi_hi,
+                               self.e_plus * phi + self.d_plus, out)
         return out if out.ndim else float(out)
 
 

@@ -8,8 +8,10 @@ maximum-principle and energy-estimate. Each is a CheckReport of the two
 sides of its inequality, in plain Python numbers, and a tolerance. The
 energy takes its H^-1 norm from the scheme's own operator, (I - D_xx)^-1
 under the mirror boundary. The contraction budget and the grid-convergence
-record are reported, not checked. The seed of the monotonicity pairs is
-the bundle's one setting, so reports are deterministic.
+record are reported, not checked, as the dicts `verify` writes. The
+bounds psi e^{lam tau} of the maximum principle take the clamp's growth
+rule. The seed of the monotonicity pairs is the bundle's one setting, so
+reports are deterministic.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from ._lapack import dpttrf, dpttrs
 # solve_alpha is unused here, but the traced benchmark wraps it as a boundary
 from .alpha import alpha_field, lipschitz_bounds, solve_alpha  # noqa: F401
 from .model import PortfolioModel
-from .pde import SolutionField
+from .pde import SolutionField, _grown
 
 __all__ = [
     "CheckReport",
-    "ContractionBudget",
     "monotonicity_certificate",
     "contraction_budget",
     "energy_estimate_report",
@@ -103,44 +104,18 @@ def monotonicity_certificate(model: PortfolioModel,
 
 # --- contraction horizon ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionBudget:
-    """Constants of the fixed-point argument: the source maps have Lipschitz
-    constant beta, beta_tilde^2 = 2 (1 + d) beta^2 with d = 1, and the map
-    contracts on horizons below t0 = 2 omega / beta_tilde^2. phi_bound is
-    the a-priori solution bound and horizon the run's t_final."""
-
-    omega: float
-    beta: float
-    phi_bound: float
-    horizon: float
-
-    @property
-    def beta_tilde(self) -> float:
-        return math.sqrt(2.0 * (1 + _SPACE_DIM)) * self.beta
-
-    @property
-    def t0(self) -> float:
-        return 2.0 * self.omega / self.beta_tilde**2
-
-    def windows(self) -> int | None:
-        """Continuation windows needed to cover the horizon: the first window
-        spans t0, every later restart extends coverage by t0/2. None when
-        t0 is 0, which it is once M e^{lam T} overflows to inf."""
-        t0 = self.t0
-        if t0 == 0.0:
-            return None
-        return 1 + max(0, math.ceil((self.horizon - t0) / (t0 / 2.0)))
-
-
 def contraction_budget(model: PortfolioModel,
-                       solution: SolutionField) -> ContractionBudget:
-    """Conservative contraction constants for a run.
+                       solution: SolutionField) -> dict:
+    """Conservative contraction constants of a run: the record that
+    `verify` reports, not a check.
 
-    beta bounds the Lipschitz constants of the shifted-diffusion source and
-    the clamped advective flux: beta = max(L, L Phi + M e^{lam T}) with Phi
-    the a-priori solution bound (M e^{lam T} + max|h|) / omega, and M, lam
-    and T the run's own: its clamp level M = max|alpha(x, phi0)|.
+    The source maps have Lipschitz constant beta = max(L, L Phi +
+    M e^{lam T}), with Phi = phi_bound = (M e^{lam T} + max|h|) / omega the
+    a-priori solution bound and M e^{lam T} the run's clamp level. With
+    beta_tilde^2 = 2 (1 + d) beta^2, d = 1, the map contracts on horizons
+    below t0 = 2 omega / beta_tilde^2. The first of the `windows` spans t0,
+    every later restart adds t0/2; None when t0 is 0, as it is once
+    M e^{lam T} overflows to inf.
     """
     bounds = lipschitz_bounds(model)
     centers = solution.grid.centers
@@ -148,8 +123,14 @@ def contraction_budget(model: PortfolioModel,
     me_lt = solution.bounds.upper
     phi_bound = (me_lt + float(np.max(np.abs(h)))) / bounds.omega
     beta = max(bounds.big_l, bounds.big_l * phi_bound + me_lt)
-    return ContractionBudget(bounds.omega, beta, phi_bound,
-                             solution.bounds.horizon)
+    beta_tilde = math.sqrt(2.0 * (1 + _SPACE_DIM)) * beta
+    t0 = 2.0 * bounds.omega / beta_tilde**2
+    horizon = solution.bounds.horizon
+    windows = (None if t0 == 0.0
+               else 1 + max(0, math.ceil((horizon - t0) / (t0 / 2.0))))
+    return {"omega": bounds.omega, "beta": beta, "phi_bound": phi_bound,
+            "beta_tilde": beta_tilde, "t0": t0, "horizon": horizon,
+            "windows": windows, "horizon_exceeds_t0": horizon > t0}
 
 
 # --- energy estimate -----------------------------------------------------------
@@ -273,10 +254,8 @@ def maximum_principle_report(solution: SolutionField,
     capped = [side for side, far in (("lower", a0_min > 0.0),
                                      ("upper", a0_max < 0.0)) if far]
     lam = solution.bounds.lam
-    # e^{lam tau} may overflow to inf, where a zero bound stays 0
-    with np.errstate(over="ignore"):
-        growth = np.exp(lam * solution.tau_values)[:, None]
-    lower, upper = (psi * growth if psi else 0.0 for psi in (psi_lo, psi_up))
+    lower, upper = (_grown(psi, lam, solution.tau_values)[:, None]
+                    for psi in (psi_lo, psi_up))
     # gaps (step, side, cell), positive = violation; the flat argmax is the
     # first worst entry in step, then lower-before-upper, then cell order
     gaps = np.stack([lower - a, a - upper], axis=1)
@@ -297,6 +276,7 @@ def maximum_principle_report(solution: SolutionField,
         context={"psi_lower": psi_lo, "psi_upper": psi_up,
                  "capped_at_zero": capped, "lambda": lam,
                  "lambda_dx": lam * solution.grid.dx,
-                 "growth_overflows": bool(np.isinf(growth[-1, 0])),
+                 "growth_overflows": bool(np.isinf(
+                     _grown(1.0, lam, solution.t_final))),
                  "worst_location": where},
     )

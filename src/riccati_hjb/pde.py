@@ -45,7 +45,8 @@ w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
 M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
 integrates the unclipped equation. `solve` works out M, lambda and T once
 per run and the solution carries them, for `cutoff_excess` and the
-a-priori checks to read.
+a-priori checks to read; the clamp and the maximum principle grow their
+levels by one rule, `_grown`, which keeps a level of 0 at 0.
 The convergence-order check `mms_convergence_study` runs one fixed
 manufactured problem and takes no settings.
 """
@@ -134,10 +135,20 @@ class PDEConfig:
         return self.t_final / self.n_steps
 
 
+def _grown(level, lam, horizon):
+    """The a-priori bound level e^{lam horizon}, elementwise over an array
+    horizon: 0 for a zero level, where 0 inf would be nan, and +-inf where
+    the product overflows."""
+    with np.errstate(over="ignore"):  # an overflow is the bound +-inf
+        growth = np.exp(lam * np.asarray(horizon, dtype=float))
+        return level * growth if level else np.zeros_like(growth)
+
+
 @dataclass(frozen=True)
 class CutoffBounds:
     """A run's a-priori constants: the level m, the growth rate lam and the
-    horizon, which give the clamp levels +-m e^{lam * horizon}."""
+    horizon, which give the clamp levels +-m e^{lam * horizon}; a zero
+    level stays 0 where e^{lam * horizon} overflows."""
 
     m: float
     lam: float
@@ -149,8 +160,7 @@ class CutoffBounds:
 
     @property
     def upper(self) -> float:
-        with np.errstate(over="ignore"):  # an overflow is the bound inf
-            return self.m * float(np.exp(self.lam * self.horizon))
+        return float(_grown(self.m, self.lam, self.horizon))
 
 
 @dataclass(frozen=True)

@@ -180,12 +180,12 @@ def test_criterion_09_contraction_budget(singleton_model):
     omega = 0.02
     beta = max(omega, omega * ((0.02 + 0.06) / omega) + 0.02)
     t0_exact = 2.0 * omega / (4.0 * beta**2)
-    ok = (abs(budget.t0 - t0_exact) <= 1e-12
-          and budget.beta_tilde**2 == 4.0 * budget.beta**2
-          and abs(budget.beta - beta) <= 1e-15)
+    ok = (abs(budget["t0"] - t0_exact) <= 1e-12
+          and budget["beta_tilde"]**2 == 4.0 * budget["beta"]**2
+          and abs(budget["beta"] - beta) <= 1e-15)
     report(9, ok, "single-asset contraction horizon matches the closed form "
                   "and the dimension factor is exact",
-           f"t0 {budget.t0:.6f} vs {t0_exact:.6f}")
+           f"t0 {budget['t0']:.6f} vs {t0_exact:.6f}")
 
 
 def test_criterion_10_menu_geometry(paper_model, fund_menu_model):

@@ -666,6 +666,38 @@ class TestSubnormalRho:
             assert kkt_residual(model, 0.0, phi, res) == 0.0
 
 
+# a model whose QP gave a wrong vertex once rho Sigma overflowed
+HUGE_RHO_MODEL = PortfolioModel(np.array([0.1, 0.05, 0.07]),
+                                np.array([[4.0, 0.1, 0.0], [0.1, 1.0, 0.0],
+                                          [0.0, 0.0, 2.0]]),
+                                DecisionSet.simplex(3))
+
+
+class TestHugeRho:
+    # rho Sigma overflows once rho max Sigma_ii passes the largest float;
+    # above 1e292 the QP solves the problem divided by rho, whose minimizer
+    # there is the minimum-variance portfolio (the weights of the slope
+    # bound's QP) to rounding. kkt_residual works in unscaled units, where
+    # the right weights read about 1e291, so the tests compare weights
+
+    @staticmethod
+    def min_variance(model):
+        return alpha._active_set_qp(model.sigma, np.zeros(model.n), 1.0)
+
+    @pytest.mark.parametrize("phi", [1e300, 1e307, 5e307, 1e308, 1.7e308])
+    def test_scalar_oracle(self, phi):
+        r = solve_alpha(HUGE_RHO_MODEL, 0.0, phi)
+        expected = self.min_variance(HUGE_RHO_MODEL)
+        assert np.max(np.abs(r.theta_hat - expected)) <= 1e-12
+        assert expected == pytest.approx([0.1325, 0.5740, 0.2936], abs=1e-4)
+
+    def test_field(self):
+        phis = np.array([1e300, 5e307, 1e308])
+        _, _, theta = alpha_field(HUGE_RHO_MODEL, 0.0, phis)
+        expected = self.min_variance(HUGE_RHO_MODEL)
+        assert np.max(np.abs(theta - expected)) <= 1e-12
+
+
 @st.composite
 def field_models(draw):
     """A random simplex (n = 1..5) or fund-menu model in either drift mode,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from riccati_hjb import (
     CheckReport,
-    ContractionBudget,
     DaraUtility,
     DecisionSet,
     PDEConfig,
@@ -214,6 +213,12 @@ class TestMonotonicityCertificate:
         assert rep.passed
 
 
+def small_budget_run(model):
+    return solve(model, DaraUtility(9.0, 6.0, 2.0),
+                 PDEConfig(grid=SpatialGrid(-8, 8, 40), t_final=1.0,
+                           n_steps=4))
+
+
 class TestContractionBudget:
     def test_singleton_closed_form(self, singleton_model):
         # by hand: omega = L = s^2/2, M = |alpha at the initial profile|,
@@ -229,31 +234,47 @@ class TestContractionBudget:
                                     solve(singleton_model, util, cfg))
         phi_bound = (big_m + m) / omega
         beta = max(omega, omega * phi_bound + big_m)
-        assert budget.beta == pytest.approx(beta, rel=1e-15)
-        assert budget.t0 == pytest.approx(2 * omega / (4 * beta**2), rel=1e-12)
-        assert budget.beta_tilde**2 == 4.0 * beta**2
+        assert budget["phi_bound"] == pytest.approx(phi_bound, rel=1e-15)
+        assert budget["beta"] == pytest.approx(beta, rel=1e-15)
+        assert budget["t0"] == pytest.approx(2 * omega / (4 * beta**2),
+                                             rel=1e-12)
+        assert budget["beta_tilde"]**2 == 4.0 * beta**2
 
-    def test_t0_linear_in_omega(self):
-        a = ContractionBudget(omega=1e-3, beta=2.0, phi_bound=1.0, horizon=1.0)
-        b = ContractionBudget(omega=2e-3, beta=2.0, phi_bound=1.0, horizon=1.0)
-        assert b.t0 == pytest.approx(2 * a.t0, rel=1e-15)
+    def test_record_keys(self, singleton_model):
+        # the record is what verify.json writes, in this order
+        sol = small_budget_run(singleton_model)
+        assert list(contraction_budget(singleton_model, sol)) == [
+            "omega", "beta", "phi_bound", "beta_tilde", "t0", "horizon",
+            "windows", "horizon_exceeds_t0"]
 
-    def test_beta_tilde_dimension_factor(self):
-        budget = ContractionBudget(omega=0.5, beta=3.0, phi_bound=1.0,
-                                   horizon=1.0)
-        assert budget.beta_tilde**2 == pytest.approx(4 * 9.0, rel=1e-15)
+    def test_t0_linear_in_omega(self, singleton_model, paper_model):
+        # t0 = 2 omega / beta_tilde^2: at a given beta_tilde, linear in
+        # omega
+        for model in (singleton_model, paper_model):
+            budget = contraction_budget(model, small_budget_run(model))
+            assert budget["omega"] == lipschitz_bounds(model).omega
+            assert budget["t0"] == pytest.approx(
+                2.0 * budget["omega"] / budget["beta_tilde"]**2, rel=1e-15)
+
+    def test_beta_tilde_dimension_factor(self, singleton_model, paper_model):
+        # beta_tilde^2 = 2 (1 + d) beta^2 with d = 1
+        for model in (singleton_model, paper_model):
+            budget = contraction_budget(model, small_budget_run(model))
+            assert budget["beta_tilde"]**2 == pytest.approx(
+                4.0 * budget["beta"]**2, rel=1e-15)
 
     def test_from_solution_field(self, paper_model):
         util = DaraUtility(9.0, 6.0, 2.0)
         cfg = PDEConfig(grid=SpatialGrid(-8, 8, 80), t_final=2.0, n_steps=20)
         sol = solve(paper_model, util, cfg)
         budget = contraction_budget(paper_model, sol)
-        assert budget.t0 > 0
-        assert budget.horizon == pytest.approx(2.0)
-        assert budget.windows() >= 1
+        assert budget["t0"] > 0
+        assert budget["horizon"] == pytest.approx(2.0)
+        assert budget["windows"] >= 1
         # horizon far beyond the contraction window for this data set
-        assert budget.windows() == 1 + int(
-            np.ceil((2.0 - budget.t0) / (budget.t0 / 2)))
+        assert budget["horizon_exceeds_t0"]
+        assert budget["windows"] == 1 + int(
+            np.ceil((2.0 - budget["t0"]) / (budget["t0"] / 2)))
 
     def test_reads_the_runs_clamp(self, paper_model):
         # a run patched to clamp at 0.03 clips alpha (which spans about
@@ -271,13 +292,13 @@ class TestContractionBudget:
         h_max = float(np.max(np.abs(h)))
         lip = lipschitz_bounds(paper_model)
         phi_bound = (0.03 + h_max) / lip.omega
-        manual = ContractionBudget(
-            lip.omega, max(lip.big_l, lip.big_l * phi_bound + 0.03),
-            phi_bound, 2.0)
-        assert budget == manual
+        manual = {"omega": lip.omega,
+                  "beta": max(lip.big_l, lip.big_l * phi_bound + 0.03),
+                  "phi_bound": phi_bound, "horizon": 2.0}
+        assert {k: budget[k] for k in manual} == manual
         auto = contraction_budget(paper_model, solve(paper_model, util, cfg))
-        assert auto.beta == pytest.approx(74.1, abs=0.05)
-        assert budget.beta < auto.beta - 10.0
+        assert auto["beta"] == pytest.approx(74.1, abs=0.05)
+        assert budget["beta"] < auto["beta"] - 10.0
 
     def test_budget_reads_the_auto_level(self, paper_model):
         # every run carries M = max|alpha(x, phi0)|, lambda and T, and the
@@ -300,7 +321,7 @@ class TestContractionBudget:
         assert sol.bounds.m == big_m
         phi_bound = ((big_m * np.exp(sol.bounds.lam * 2.0)
                       + np.max(np.abs(h))) / lipschitz_bounds(model).omega)
-        assert budget.phi_bound == pytest.approx(phi_bound, rel=1e-14)
+        assert budget["phi_bound"] == pytest.approx(phi_bound, rel=1e-14)
         rep = maximum_principle_report(sol, model)
         assert rep.context["lambda"] == sol.bounds.lam
 
@@ -311,7 +332,7 @@ class TestContractionBudget:
                         n_steps=40, upwind=True)
         sol = solve(paper_model, util, cfg)
         budget = contraction_budget(paper_model, sol)
-        assert np.max(np.abs(sol.phi)) <= budget.phi_bound + 1e-8
+        assert np.max(np.abs(sol.phi)) <= budget["phi_bound"] + 1e-8
 
 
 def small_dara_run(model, cells=64, steps=10, t_final=1.0):

@@ -192,6 +192,30 @@ class TestAlphaCurve:
         assert np.all(np.isfinite(rows))
         assert rows[0, -1] == rows[0, 1]  # the closed form's vertex line
 
+    @pytest.mark.parametrize("mu, sigma", [
+        ([0.1, 0.05, 0.07], [[4.0, 0.1, 0.0], [0.1, 1.0, 0.0],
+                             [0.0, 0.0, 2.0]]),
+        ([0.1, 0.05], [[4.0, 0.1], [0.1, 1.0]])], ids=["n3", "n2"])
+    def test_huge_phi_gives_the_minimum_variance_weights(self, tmp_path, mu,
+                                                         sigma):
+        # rho Sigma overflows near the largest float: the QP solves the
+        # problem divided by rho, and the two-asset closed form forms its
+        # vertex pieces at every phi; neither may warn, which the suite
+        # turns into a failure
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": {
+            "assets": {"mu": mu}, "covariance": sigma,
+            "decision_set": "simplex"}}))
+        out = tmp_path / "x"
+        assert main(["alpha-curve", "--config", str(cfg), "--out", str(out),
+                     "--phi-min", "1", "--phi-max", "1e308",
+                     "--n-points", "3"]) == 0
+        rows = np.loadtxt(out / "alpha_curve.csv", delimiter=",", skiprows=1)
+        _, model, _, _, _ = load_run(cfg)
+        expected = alpha._active_set_qp(model.sigma, np.zeros(model.n), 1.0)
+        theta = rows[1:, 3:3 + model.n]
+        assert np.max(np.abs(theta - expected)) <= 1e-12
+
     def test_gnuplot_script_emitted_and_listed(self, tmp_path, config_path):
         out = tmp_path / "gp"
         assert main(["alpha-curve", "--config", str(config_path),
@@ -512,13 +536,9 @@ class TestVerify:
                      "--out", str(out)]) == 0
         payload = json.loads((out / "verify.json").read_text())
         _, model, utility, pde_cfg, _ = load_run(config_path)
-        budget = contraction_budget(model, solve(model, utility, pde_cfg))
         info = payload["info"]["contraction-budget"]
-        assert info == {
-            "omega": budget.omega, "beta": budget.beta,
-            "beta_tilde": budget.beta_tilde, "t0": budget.t0,
-            "horizon": budget.horizon, "windows": budget.windows(),
-            "horizon_exceeds_t0": budget.horizon > budget.t0}
+        assert info == contraction_budget(model,
+                                          solve(model, utility, pde_cfg))
         assert info["windows"] > 1   # far beyond one contraction window
         assert payload["passed"] == all(
             c["passed"] for c in payload["checks"].values())
@@ -604,6 +624,21 @@ class TestVerify:
         bad.write_text("{ not json")
         assert main(["verify", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_after_a_command(self, tmp_path, config_path):
+        # the kept parser holds no state of an earlier call
+        out = tmp_path / "curve"
+        assert main(["alpha-curve", "--config", str(config_path),
+                     "--out", str(out), "--n-points", "5"]) == 0
+        assert main(["alpha-curve", "--out", str(out)]) == 2
+        assert main(["verify"]) == 2
+        assert main(["alpha-curve", "--config", str(config_path),
+                     "--out", str(out), "--n-points", "5"]) == 0
 
 
 class TestMms:

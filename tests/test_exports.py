@@ -17,11 +17,12 @@ def test_every_exported_name_resolves(name):
 
 
 @pytest.mark.parametrize("name", ["step", "cutoff_level",
-                                  "envelope_gradient_x", "sobolev_norm"])
+                                  "envelope_gradient_x", "sobolev_norm",
+                                  "ContractionBudget"])
 def test_removed_entry_points_are_gone(name):
     # a run's M, lambda and T come from solve alone, one-step solves replace
-    # the separate stepper, and the energy check takes its norms from the
-    # scheme's own operator
+    # the separate stepper, the energy check takes its norms from the
+    # scheme's own operator, and the contraction budget is a plain record
     assert name not in riccati_hjb.__all__
     assert not hasattr(riccati_hjb, name)
     for module in MODULES[1:]:

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -19,13 +21,15 @@ from riccati_hjb import (
     SpatialGrid,
     TabulatedPhi0,
     closed_form_n2,
+    contraction_budget,
     maximum_principle_report,
     mms_convergence_study,
     phi0_profile,
     singleton_mms,
     solve,
 )
-from riccati_hjb import pde
+from riccati_hjb import cli, pde
+from riccati_hjb.config import load_run
 from riccati_hjb.alpha import alpha_field
 from clamp_twin import clamp_level
 from two_asset_data import MU_S, MU_B, two_asset_sigma
@@ -248,6 +252,44 @@ class TestCutoff:
             with clamp_level(np.inf):
                 free = solve(paper_model, util, cfg)
             assert np.max(np.abs(sol.phi - free.phi)) <= picard_tol
+
+    def test_zero_level_stays_zero_where_growth_overflows(self, tmp_path):
+        # one asset with inflow runs under the log-wealth drift, so
+        # phi0 = 2 gives alpha = -m + (s^2/2)(phi0 + 1) = 0 below the
+        # inflow ramp, where the whole grid lies: M = 0, and the steep ramp
+        # gives lambda = 7497.5, so e^{lambda T} is inf. The clamp stays
+        # [0, 0] and the steady state is exact
+        doc = {"model": {"assets": {"mu": [0.06]}, "covariance": [[0.04]],
+                         "decision_set": "simplex",
+                         "inflow": {"eps_rate": 5.0, "y_minus": 1.0,
+                                    "y_plus": 1.001}},
+               "utility": {"kind": "dara", "a0": 2.0, "a1": 2.0,
+                           "x_star": 0.0, "truncation_gamma": None},
+               "pde": {"x_min": -8.0, "x_max": -1.0, "n_cells": 40,
+                       "t_final": 1.0, "n_steps": 10, "upwind": True}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        _, model, util, cfg, _ = load_run(path)
+        sol = solve(model, util, cfg)
+        assert sol.bounds.m == 0.0
+        assert sol.bounds.lam == pytest.approx(7497.5, abs=0.01)
+        assert sol.bounds.upper == 0.0 and sol.bounds.lower == 0.0
+        assert sol.cutoff_excess == 0.0
+        assert [d.picard_iterations for d in sol.diagnostics] == [1] * 10
+        assert np.all(sol.phi == 2.0)
+        budget = contraction_budget(model, sol)
+        assert all(math.isfinite(v) for v in budget.values())
+        rep = maximum_principle_report(sol, model)
+        assert rep.passed and rep.context["growth_overflows"]
+
+    def test_nonzero_level_grows_to_inf(self):
+        # only a zero level is kept at 0: any other overflows to +-inf
+        bounds = pde.CutoffBounds(1e-300, 7497.5, 1.0)
+        assert bounds.upper == np.inf and bounds.lower == -np.inf
+        assert pde.CutoffBounds(0.0, 7497.5, 1.0).upper == 0.0
+        assert pde.CutoffBounds(1e300, 100.0, 10.0).upper == np.inf
 
     def test_cutoff_level_is_not_a_setting(self, paper_model):
         grid = SpatialGrid(-8.0, 8.0, 64)
@@ -803,6 +845,52 @@ class TestSteadyViscousShock:
             # is first order too at these cell Peclet numbers (|alpha| dx /
             # slope at most 0.9), but its shock is narrower
             assert np.sum(error * np.sign(grid.centers)) > 0.0
+
+
+class TestTravellingViscousShock:
+    # the time-dependent case of the same oracle: u = c - A tanh(A (x -
+    # c tau) / (2 nu)) solves viscous Burgers, a shock moving at speed c.
+    # With A = 0.1 and c = 0.05 it moves by 1 over T = 20 on [-9, 9], so
+    # A (L - |c| T) / (2 nu) = 20 and the exact values at the walls stay
+    # constant to rounding: the walls hold them. The ladder of 50, 100, 200
+    # and 400 cells takes 10, 40, 160 and 640 steps, dtau refined as dx^2,
+    # so that the first-order time error falls with the second-order space
+    # error. Observed orders: centered 1.51, 1.97, 2.00; upwind 1.46, 0.98,
+    # 1.00. cutoff_excess stays at rounding (at most 2.8e-14, against
+    # M = 0.055)
+    AMP, SPEED, X_MAX, T_FINAL = 0.1, 0.05, 9.0, 20.0
+    LADDER = ((50, 10), (100, 40), (200, 160), (400, 640))
+
+    @classmethod
+    def shock(cls, x, tau, m=0.06, s2=0.04):
+        u = cls.SPEED - cls.AMP * np.tanh(cls.AMP * (x - cls.SPEED * tau)
+                                          / s2)
+        return (m + u) / s2
+
+    @pytest.mark.parametrize("upwind, order", [(False, 2.0), (True, 1.0)])
+    def test_order_against_the_moving_profile(self, singleton_model,
+                                              upwind, order):
+        errors = []
+        for n, steps in self.LADDER:
+            grid = SpatialGrid(-self.X_MAX, self.X_MAX, n)
+            util = TabulatedPhi0(grid.centers, self.shock(grid.centers, 0.0),
+                                 truncation_gamma=None)
+            walls = (self.shock(-self.X_MAX, 0.0),
+                     self.shock(self.X_MAX, 0.0))
+            assert walls == (self.shock(-self.X_MAX, self.T_FINAL),
+                             self.shock(self.X_MAX, self.T_FINAL))
+            cfg = PDEConfig(grid=grid, t_final=self.T_FINAL, n_steps=steps,
+                            upwind=upwind, dirichlet=walls)
+            sol = solve(singleton_model, util, cfg)
+            assert sol.cutoff_excess <= 1e-12
+            error = sol.phi[-1] - self.shock(grid.centers, self.T_FINAL)
+            errors.append(np.max(np.abs(error)))
+        assert abs(np.log2(errors[-2] / errors[-1]) - order) <= 0.1
+        if upwind:
+            # the upwind shock is the wider one, as in the steady case: a
+            # downwinded flux gives first order too, with a narrower shock
+            centre = self.SPEED * self.T_FINAL
+            assert np.sum(error * np.sign(grid.centers - centre)) > 0.0
 
 
 @pytest.fixture(scope="module")
