@@ -4,23 +4,24 @@ its minimizer path, slope bounds and the two-asset closed form.
 
 `alpha_field` is the one vectorized evaluator: the minimizing weights depend
 on rho (phi, or phi + 1 under the log-wealth drift) alone, and turn into
-alpha, shifted by an x-only inflow term. Menus and simplices of three or
-more assets take theta'mu and theta'Sigma theta from the (N, n) weights. One
-asset has the variance S11, and two assets on the simplex are written in
-the minimizing first weight t = clip(a + b/rho, 0, 1) alone, with a
-quadratic variance in t whose constants are worked out exactly once per
-model and rounded once: a few passes over 1-d arrays, about 12 us for the
-402 values of a Newton sweep on the shipped grid, and 10 us written into
-the sweep's own buffers with no weights formed (2-core x86-64 VM, numpy
-2.4, best of repeated timings). The active-set QP is the one simplex
+alpha, shifted by an x-only inflow term. Each decision-set kind gives the
+mean theta'mu and half the variance, and one line turns them into
+alpha = rho * (variance / 2) - mean, which is finite wherever alpha is.
+Menus and simplices of three or more assets take both from the (N, n)
+weights. One asset has the variance S11, and two assets on the simplex are
+written in the minimizing first weight t = clip(a + b/rho, 0, 1) alone,
+with a quadratic variance in t whose constants are worked out exactly once
+per model and rounded once: a few passes over 1-d arrays, about 12 us for
+the 402 values of a Newton sweep on the shipped grid, and 10 us written
+into the sweep's own buffers with no weights formed (2-core x86-64 VM,
+numpy 2.4, best of repeated timings). The active-set QP is the one simplex
 minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
-slope bound); support enumeration is only the test oracle
-`exhaustive_alpha`. All operations are pure.
+slope bound); support enumeration is a test helper, `exhaustive_alpha` in
+the tests' `oracles` module. All operations are pure.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "weights_path",
     "alpha_field",
     "kkt_residual",
-    "exhaustive_alpha",
 ]
 
 _ACTIVE_TOL = 1e-12      # weights below this count as zero
@@ -178,33 +178,6 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
                     f"active set emptied out at rho={rho!r}, n={n}")
     raise AlphaEngineError(
         f"active-set iteration did not converge at rho={rho!r}, n={n}")
-
-
-def _enumerate_supports(model: PortfolioModel, rho: float) -> np.ndarray:
-    """Weights of the best feasible working-set solution over every support
-    set, rho > 0 (exponential in n)."""
-    best_val, best_theta = np.inf, None
-    n = model.n
-    for k in range(1, n + 1):
-        for f in itertools.combinations(range(n), k):
-            try:
-                theta, _ = _solve_working_set(rho, model.sigma, model.mu, f)
-            except np.linalg.LinAlgError:
-                continue
-            if min(theta[list(f)]) < -_ACTIVE_TOL:
-                continue
-            val = float(-model.mu @ theta + 0.5 * rho * model.variance(theta))
-            if val < best_val - 1e-15:
-                best_val, best_theta = val, np.maximum(theta, 0.0)
-    return best_theta
-
-
-def exhaustive_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
-    """Certify the QP by enumerating every support set (exponential in n)."""
-    rho = _phi_eff(model, phi)
-    if rho < _RHO_TINY:
-        return _result(model, x, rho, _lowest_line(model, rho))
-    return _result(model, x, rho, _enumerate_supports(model, rho))
 
 
 def _result(model: PortfolioModel, x, rho: float, theta: np.ndarray) -> AlphaResult:
@@ -454,44 +427,43 @@ def _fill(model: PortfolioModel, rho: np.ndarray, alpha: np.ndarray,
           slope: np.ndarray, weights: bool):
     """Write alpha without the inflow shift into `alpha` and its phi-slope
     into `slope` at each effective weight rho, a 1-d array of their size
-    that overlaps neither. Returns the (N, n) minimizing weights if
-    `weights`, else None; one and two assets then form no weights."""
+    that overlaps neither: each kind writes the mean theta'mu and half the
+    variance, which meets rho only once halved, and one line forms alpha.
+    Returns the (N, n) minimizing weights if `weights`, else None; one and
+    two assets then form no weights."""
+    theta = None
     if model.decision_set.kind == "discrete" or model.n > 2:
         theta = _weights(model, rho)
         # row sums as a product with ones cost a fraction of sum(axis=1),
         # and ndarray.dot less than @ on arrays this small
         (theta.dot(model.sigma) * theta).dot(np.ones(model.n), out=slope)
-        np.multiply(rho, slope, out=alpha)
-        alpha *= 0.5
-        alpha -= theta.dot(model.mu)
         slope *= 0.5
-        return theta if weights else None
-    if model.n == 1:
-        s11, mu1 = model.sigma[0, 0], model.mu[0]
-        # the operations of the general formula, which are exact here
-        np.multiply(rho, s11, out=alpha)
-        alpha *= 0.5
-        alpha -= mu1
-        slope.fill(0.5 * s11)
-        return np.ones((rho.size, 1)) if weights else None
-    a, b, half_q, half_c, m, mu2 = _n2_constants(model)
-    # the weights are filled by rows, which is cheaper than by columns, and
-    # returned as the transposed view; without them the first weight t
-    # lives in alpha until the mean overwrites it
-    theta = np.empty((2, rho.size)) if weights else None
-    t = _n2_first_weight(model, rho, a, b,
-                         alpha if theta is None else theta[0])
-    if theta is not None:
-        np.subtract(1.0, t, out=theta[1])
-    # half the variance, (q/2) (t - a)^2 + det(Sigma) / (2 q)
-    np.subtract(t, a, out=slope)
-    np.square(slope, out=slope)
-    slope *= half_q
-    slope += half_c
-    mean = np.multiply(t, m, out=alpha)
-    mean += mu2
-    np.subtract(rho * slope, mean, out=alpha)
-    return None if theta is None else theta.T
+        theta.dot(model.mu, out=alpha)
+    elif model.n == 1:
+        slope.fill(0.5 * model.sigma[0, 0])
+        alpha.fill(model.mu[0])
+        if weights:
+            theta = np.ones((rho.size, 1))
+    else:
+        a, b, half_q, half_c, m, mu2 = _n2_constants(model)
+        # the weights are filled by rows, which is cheaper than by columns,
+        # and returned as the transposed view; without them the first
+        # weight t lives in alpha until the mean overwrites it
+        rows = np.empty((2, rho.size)) if weights else None
+        t = _n2_first_weight(model, rho, a, b,
+                             alpha if rows is None else rows[0])
+        if weights:
+            np.subtract(1.0, t, out=rows[1])
+            theta = rows.T
+        # half the variance, (q/2) (t - a)^2 + det(Sigma) / (2 q)
+        np.subtract(t, a, out=slope)
+        np.square(slope, out=slope)
+        slope *= half_q
+        slope += half_c
+        np.multiply(t, m, out=alpha)
+        alpha += mu2
+    np.subtract(rho * slope, alpha, out=alpha)
+    return theta if weights else None
 
 
 def alpha_field(model: PortfolioModel, x, phi, out=None):
@@ -504,7 +476,8 @@ def alpha_field(model: PortfolioModel, x, phi, out=None):
     variance S11; two assets on the simplex are written in the first
     weight t alone, with mean mu2 + (mu1 - mu2) t and variance
     q (t - a)^2 + det(Sigma) / q, so that evaluation is a handful of passes
-    over 1-d arrays.
+    over 1-d arrays. The allocating form converts and broadcasts x and phi
+    and runs the same formulas on flat views of two arrays of phi's shape.
 
     With out=(alpha, slope), two 1-d float arrays, x and phi must be 1-d
     float arrays of their size that overlap neither. alpha and its slope
@@ -514,24 +487,18 @@ def alpha_field(model: PortfolioModel, x, phi, out=None):
     except inside the per-point QP of three or more assets and on a menu.
     The Newton sweep evaluates alpha so, in buffers it keeps per run.
     """
-    if out is not None:
+    if out is None:
+        x = np.asarray(x, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        if x.shape != phi.shape:
+            x, phi = np.broadcast_arrays(x, phi)
+        # separate arrays: a caller that drops the slope frees it at once
+        alpha, slope = np.empty(phi.shape), np.empty(phi.shape)
+        theta = _fill(model, _phi_eff(model, phi.ravel()), alpha.ravel(),
+                      slope.ravel(), True).reshape(phi.shape + (model.n,))
+    else:
         alpha, slope = out
-        _fill(model, _phi_eff(model, phi), alpha, slope, False)
-        if model.inflow is not None:
-            alpha -= model.inflow.term(x)
-        return alpha, slope, None
-    x = np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if x.shape != phi.shape:
-        x, phi = np.broadcast_arrays(x, phi)
-    rho = _phi_eff(model, phi.ravel())
-    # separate arrays: a caller that drops the slope frees it at once
-    alpha, slope = np.empty(rho.size), np.empty(rho.size)
-    theta = _fill(model, rho, alpha, slope, True)
+        theta = _fill(model, _phi_eff(model, phi), alpha, slope, False)
     if model.inflow is not None:
-        alpha -= model.inflow.term(x.ravel())
-    if phi.ndim == 1:
-        return alpha, slope, theta
-    shape = phi.shape
-    return (alpha.reshape(shape), slope.reshape(shape),
-            theta.reshape(shape + (model.n,)))
+        alpha -= model.inflow.term(x)
+    return alpha, slope, theta

@@ -127,21 +127,14 @@ class InflowProfile:
         t = self._ramp(y)
         return self.eps_rate * 6.0 * t * (1.0 - t) / (self.y_plus - self.y_minus)
 
-    # the wealth e^x is raised to y_minus, where eps and eps' are 0, so that
-    # e^x = 0 gives no 0/0; e^x may overflow to inf, where the terms take
-    # their limit 0
-
     @np.errstate(over="ignore")
     def term(self, x):
-        """Inflow contribution to the log-wealth drift: eps(e^x) e^{-x}."""
+        """Inflow contribution to the log-wealth drift: eps(e^x) e^{-x}.
+        The wealth e^x is raised to y_minus, where eps is 0, so that e^x = 0
+        gives no 0/0; e^x may overflow to inf, where the term takes its
+        limit 0."""
         y = np.maximum(np.exp(np.asarray(x, dtype=float)), self.y_minus)
         return self.epsilon(y) / y
-
-    @np.errstate(over="ignore")
-    def term_dx(self, x):
-        """d/dx of eps(e^x) e^{-x}."""
-        y = np.maximum(np.exp(np.asarray(x, dtype=float)), self.y_minus)
-        return self.epsilon_prime(y) - self.epsilon(y) / y
 
 
 @dataclass(frozen=True)

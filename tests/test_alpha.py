@@ -20,8 +20,9 @@ from riccati_hjb import (
     weights_path,
 )
 from riccati_hjb import alpha
-from riccati_hjb.alpha import _n2_constants, exhaustive_alpha
+from riccati_hjb.alpha import _n2_constants
 from riccati_hjb.pde import lambda_bound
+from oracles import exhaustive_alpha, term_dx
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 
@@ -244,7 +245,7 @@ class TestLipschitzBounds:
 
 
 class TestEnvelopeGradientX:
-    # alpha_x = -d mu / dx = -inflow.term_dx(x) by the envelope theorem (the
+    # alpha_x = -d mu / dx = -term_dx(inflow, x) by the envelope theorem (the
     # inflow term does not depend on theta), and lambda_bound takes the sup
     # of p(x) = |d mu / dx|
     def test_no_inflow(self, paper_model):
@@ -255,7 +256,7 @@ class TestEnvelopeGradientX:
                                DecisionSet.simplex(2),
                                inflow=InflowProfile(0.0, 1.0, 2.0))
         for x in (-1.0, 0.5, 2.0):
-            assert model.inflow.term_dx(x) == 0.0
+            assert term_dx(model.inflow, x) == 0.0
         assert lambda_bound(model) == 0.0
 
     def test_saturated_regime(self):
@@ -263,11 +264,11 @@ class TestEnvelopeGradientX:
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
                                DecisionSet.simplex(2), inflow=inflow)
         # beyond y_plus the term is e^{-x}, so d mu / dx = -1/3 at y = 3
-        assert inflow.term_dx(np.log(3.0)) == pytest.approx(-1.0 / 3.0,
-                                                            abs=1e-12)
+        assert term_dx(inflow, np.log(3.0)) == pytest.approx(-1.0 / 3.0,
+                                                             abs=1e-12)
         # the sup of p(x) sits on the ramp; brute force over a fine grid
         xs = np.linspace(-10.0, 10.0, 2_000_001)
-        sup = float(np.max(np.abs(inflow.term_dx(xs))))
+        sup = float(np.max(np.abs(term_dx(inflow, xs))))
         assert sup > 1.0 / 3.0
         assert lambda_bound(model) == (
             pytest.approx(sup, rel=1e-5))
@@ -696,6 +697,27 @@ class TestHugeRho:
         _, _, theta = alpha_field(HUGE_RHO_MODEL, 0.0, phis)
         expected = self.min_variance(HUGE_RHO_MODEL)
         assert np.max(np.abs(theta - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, phis, value", [
+        ("simplex", [1e308, 1e300], 1.1744e308), ("menu", [1e308], 1.36e308)],
+        ids=["simplex", "menu"])
+    def test_field_is_finite_where_alpha_is(self, kind, phis, value):
+        # with Sigma four times larger, rho theta'Sigma theta overflows at
+        # phi = 1e308 while alpha = (rho/2) theta'Sigma theta - theta'mu
+        # does not; the field halves the variance before it meets rho, so
+        # both forms agree with the scalar oracle and raise no warning
+        ds = (DecisionSet.simplex(3) if kind == "simplex" else
+              DecisionSet.discrete([[0.0, 0.5, 0.5], [0.0, 0.6, 0.4]]))
+        model = PortfolioModel(HUGE_RHO_MODEL.mu, 4.0 * HUGE_RHO_MODEL.sigma,
+                               ds)
+        phis = np.array(phis)
+        a, s, _ = alpha_field(model, 0.0, phis)
+        assert a[0] == pytest.approx(value, rel=1e-4)
+        for i, phi in enumerate(phis):
+            r = solve_alpha(model, 0.0, float(phi))
+            assert a[i] == pytest.approx(r.value, rel=1e-12, abs=0.0)
+            assert s[i] == pytest.approx(r.dvalue_dphi, rel=1e-12, abs=0.0)
+        assert_buffer_form_matches(model, 0.0, phis)
 
 
 @st.composite

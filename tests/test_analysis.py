@@ -673,6 +673,32 @@ class TestMaximumPrincipleReport:
         assert rep.passed == (excess == 0.0)
         assert rep.worst_violation == pytest.approx(excess, abs=5e-5)
 
+    @pytest.mark.parametrize("n_cells, lambda_dx, excess, phi_min", [
+        (40, 52.46, 0.4995, -0.913), (160, 13.12, 0.3610, -0.941),
+        (640, 3.279, 0.3451, -4.58), (2560, 0.8198, 0.0, -7.59)],
+        ids=["40", "160", "640", "2560"])
+    def test_fails_exactly_while_lambda_dx_exceeds_one(
+            self, n_cells, lambda_dx, excess, phi_min):
+        # one asset under the inflow (50, 1, 1.5), where alpha(x, phi0) <= 0
+        # gives the upper bound 0: alpha stays below it for the problem
+        # itself, so an excess is the scheme's, and the upwind scheme leaves
+        # the bound only while dx lambda > 1. phi < 0 is the problem's: the
+        # minimum over levels falls further under refinement
+        model = PortfolioModel(np.array([0.06]), np.array([[0.04]]),
+                               DecisionSet.simplex(1),
+                               inflow=InflowProfile(50.0, 1.0, 1.5))
+        util = DaraUtility(2.0, 2.0, 0.0, truncation_gamma=None)
+        cfg = PDEConfig(grid=SpatialGrid(-8, 8, n_cells), t_final=2.0,
+                        n_steps=20, upwind=True)
+        sol = solve(model, util, cfg)
+        rep = maximum_principle_report(sol, model)
+        assert rep.context["psi_upper"] == 0.0
+        assert rep.context["growth_overflows"] is False
+        assert rep.context["lambda_dx"] == pytest.approx(lambda_dx, rel=1e-3)
+        assert rep.passed == (rep.context["lambda_dx"] <= 1.0)
+        assert rep.worst_violation == pytest.approx(excess, abs=5e-4)
+        assert sol.phi.min() == pytest.approx(phi_min, abs=5e-3)
+
     @pytest.mark.parametrize("step", [0, -1])
     def test_fails_on_a_nan_sample(self, paper_model, step):
         # a nan gap compared as no violation, as max(0, nan) = 0

@@ -18,7 +18,7 @@ def test_every_exported_name_resolves(name):
 
 @pytest.mark.parametrize("name", ["step", "cutoff_level",
                                   "envelope_gradient_x", "sobolev_norm",
-                                  "ContractionBudget"])
+                                  "ContractionBudget", "exhaustive_alpha"])
 def test_removed_entry_points_are_gone(name):
     # a run's M, lambda and T come from solve alone, one-step solves replace
     # the separate stepper, the energy check takes its norms from the

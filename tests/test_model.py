@@ -20,6 +20,7 @@ from riccati_hjb import (
     ingest_market_data,
     phi0_profile,
 )
+from oracles import term_dx
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
 MU_CSV = f"mean_return\n{MU_S}\n{MU_B}\n"
@@ -145,12 +146,12 @@ class TestInflow:
         x = np.linspace(-1000.0, 1000.0, 200_001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            term, term_dx = prof.term(x), prof.term_dx(x)
+            term, term_slope = prof.term(x), term_dx(prof, x)
         with np.errstate(all="ignore"):
             y = np.exp(x)
             ref = prof.epsilon(y) / y
             ref_dx = prof.epsilon_prime(y) - prof.epsilon(y) / y
-        for got, want in ((term, ref), (term_dx, ref_dx)):
+        for got, want in ((term, ref), (term_slope, ref_dx)):
             assert np.all(np.isfinite(got))
             ok = np.isfinite(want)
             assert np.count_nonzero(~ok) > 0
@@ -210,7 +211,8 @@ class TestDrift:
             np.array([MU_S, MU_B]), two_asset_sigma(), DecisionSet.simplex(2),
             inflow=InflowProfile(1.0, 1.0, 2.0))
         xs = np.linspace(-3.0, 4.0, 800)
-        p_sup = np.max(np.abs(model.inflow.term_dx(np.linspace(-5, 6, 20001))))
+        p_sup = np.max(np.abs(term_dx(model.inflow,
+                                   np.linspace(-5, 6, 20001))))
         h = 1e-6
         for theta in ([1.0, 0.0], [0.25, 0.75], [0.0, 1.0]):
             up = np.array([drift(model, x + h, theta) for x in xs])
