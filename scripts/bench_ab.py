@@ -12,7 +12,10 @@ arguments, so each side measures its own code with its own, unchanged
 benchmark. Both sides run for the `run_seconds` of the change checkout's
 BENCHMARK.json. Pair i runs the parent first when i is even and the change
 first when i is odd. The last line of each run's standard output is its
-JSON summary.
+JSON summary. Each side runs with PYTHONPYCACHEPREFIX set to a fresh
+temporary directory of its own, deleted at the end, so neither side reads
+or writes a __pycache__ in its checkout: both compile from their sources
+alike.
 
 For every workload and metric the report gives each side's median and
 q1-q3 over the runs, the pairs the change won (ties count for neither) and
@@ -40,9 +43,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -54,6 +59,8 @@ def parse_args(argv=None):
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    # the byte-code cache directory of the side being run, set by main
+    ap.set_defaults(pycache=None)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -69,13 +76,15 @@ class RunFailed(RuntimeError):
 
 
 def run_once(root: Path, args, seconds) -> dict:
-    """One benchmark run of `seconds` in `root`; its JSON summary with the
-    metric names prefixed by their workload. Raises RunFailed if the run
-    exits non-zero."""
+    """One benchmark run of `seconds` in `root`, with its byte code cached
+    under `args.pycache`; its JSON summary with the metric names prefixed by
+    their workload. Raises RunFailed if the run exits non-zero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": args.pycache}
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0:
         raise RunFailed(f"{' '.join(cmd)} in {root} exited "
                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -126,6 +135,8 @@ def report(runs, metrics_doc) -> None:
     names = sorted(set(runs["parent"][0]["metrics"])
                    & set(runs["change"][0]["metrics"]))
     n = len(runs["parent"])
+    print("each side ran with its own fresh PYTHONPYCACHEPREFIX; no "
+          "__pycache__ of either checkout was read")
     print(f"{'metric':48s} {'parent median (q1-q3)':>34s} "
           f"{'change median (q1-q3)':>34s} {'wins':>6s}  verdict")
     for name in names:
@@ -154,20 +165,25 @@ def main(argv=None) -> int:
     metrics_doc = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
     failure = None
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {}
-        try:
+    with tempfile.TemporaryDirectory() as parent_cache, \
+            tempfile.TemporaryDirectory() as change_cache:
+        pycache = {"parent": parent_cache, "change": change_cache}
+        for i in range(args.pairs):
+            order = (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))
+            pair = {}
+            try:
+                for side in order:
+                    print(f"pair {i + 1}/{args.pairs}: {side}",
+                          file=sys.stderr, flush=True)
+                    args.pycache = pycache[side]
+                    pair[side] = run_once(getattr(args, side), args,
+                                          metrics_doc["run_seconds"])
+            except RunFailed as exc:
+                failure = f"pair {i + 1}/{args.pairs}, {side}: {exc}"
+                break
             for side in order:
-                print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr,
-                      flush=True)
-                pair[side] = run_once(getattr(args, side), args,
-                                      metrics_doc["run_seconds"])
-        except RunFailed as exc:
-            failure = f"pair {i + 1}/{args.pairs}, {side}: {exc}"
-            break
-        for side in order:
-            runs[side].append(pair[side])
+                runs[side].append(pair[side])
     if runs["parent"]:
         report(runs, metrics_doc)
     if failure:

@@ -53,11 +53,10 @@ MAX_POINTS = 10**6
 
 
 def _write_csv(path: Path, header, rows):
-    # repr floats give shortest round-trip text, so identical runs give
-    # byte-identical files; rows is a 2-d float array, whose tolist() hands
-    # over Python floats in one call
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    # rows of Python values: str gives a float's shortest round-trip text,
+    # so identical runs give byte-identical files (an array's tolist()
+    # hands over Python floats in one call)
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -147,7 +146,7 @@ def cmd_alpha_curve(args) -> int:
     except AlphaEngineError:
         pass
     csv_path = out / "alpha_curve.csv"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, rows.tolist())
     outputs = [csv_path.name]
     if args.gnuplot:
         gp = out / "alpha_curve.gp"
@@ -167,7 +166,7 @@ def cmd_weights_path(args) -> int:
     t0 = time.perf_counter()
     header, rows = _path_table(model, grid)
     csv_path = out / "weights_path.csv"
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, header, rows.tolist())
     _manifest(out, doc, [csv_path.name],
               {"weights_path": time.perf_counter() - t0})
     print(f"wrote {csv_path}")
@@ -205,7 +204,7 @@ def _emit_slices(out, model, sol, wanted):
         header = ["x", "phi", "alpha"] + [f"theta_{i + 1}" for i in range(model.n)]
         rows = np.column_stack([sol.grid.centers, phi_row, alpha, theta])
         name = f"slice_tau_{tau:.6g}.csv"
-        _write_csv(out / name, header, rows)
+        _write_csv(out / name, header, rows.tolist())
         outputs.append(name)
     return outputs
 
@@ -256,9 +255,10 @@ def cmd_verify(args) -> int:
     doc, model, utility, pde_cfg, checks = load_run(args.config)
     if utility is None or pde_cfg is None:
         raise ConfigError("verify needs both a utility and a pde section")
-    seed = checks["seed"] if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError(f"need --seed >= 0, got {args.seed}")
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"need --seed >= 0, got {args.seed}")
+        checks["seed"] = args.seed
     out = _out_dir(args)
     t0 = time.perf_counter()
     sol = solve(model, utility, pde_cfg)
@@ -272,7 +272,7 @@ def cmd_verify(args) -> int:
     )
     fine = solve(model, utility, fine_cfg)
     reports = [
-        monotonicity_certificate(model, seed=seed),
+        monotonicity_certificate(model, **checks),
         maximum_principle_report(sol, model),
         energy_estimate_report(sol, fine, model),
     ]
@@ -307,16 +307,12 @@ def cmd_mms(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
     study = mms_convergence_study()
-    rows = []
-    for kind in ("spatial", "temporal"):
-        tab = study[kind]
-        for i in range(len(tab["error"])):
-            rows.append((kind, tab["n_cells"][i], tab["n_steps"][i],
-                         tab["error"][i]))
-    lines = ["refinement,n_cells,n_steps,max_error"]
-    lines += [f"{k},{c},{s},{e!r}" for k, c, s, e in rows]
+    rows = [(kind, *row) for kind in ("spatial", "temporal")
+            for row in zip(study[kind]["n_cells"], study[kind]["n_steps"],
+                           study[kind]["error"])]
     csv_path = out / "mms_convergence.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_csv(csv_path, ["refinement", "n_cells", "n_steps", "max_error"],
+               rows)
     _manifest(out, {"mms": "builtin single-asset"}, [csv_path.name],
               {"mms": time.perf_counter() - t0},
               {"orders": {"spatial": study["spatial"]["orders"],

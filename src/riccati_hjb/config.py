@@ -1,6 +1,8 @@
 """JSON run configuration: one document with sections model / utility /
 pde / checks. Builders raise ConfigError with the offending key path, also
-for a key they do not read, so that a misspelled setting is not ignored."""
+for a key they do not read, so that a misspelled setting is not ignored.
+An optional setting reaches its constructor only when the document gives
+it, so each default is the constructor's own."""
 
 from __future__ import annotations
 
@@ -131,11 +133,17 @@ def build_model(doc: dict) -> PortfolioModel:
         _known(cov, "model.covariance", ("volatilities", "correlation"))
         vols = _floats(_require(cov, "volatilities", "model.covariance"),
                        "model.covariance.volatilities")
+        if not np.all(vols > 0.0):
+            raise ConfigError(f"model.covariance.volatilities: each must be "
+                              f"> 0, got {cov['volatilities']!r}")
         corr = _floats(_require(cov, "correlation", "model.covariance"),
                        "model.covariance.correlation")
         if corr.shape != (vols.size, vols.size):
             raise ConfigError("model.covariance: correlation shape does not "
                               "match volatilities")
+        if not (np.array_equal(corr, corr.T) and np.all(np.diag(corr) == 1.0)):
+            raise ConfigError("model.covariance.correlation: must equal its "
+                              "transpose and have a diagonal of exactly 1")
         sigma = corr * np.outer(vols, vols)
     else:
         sigma = _floats(cov, "model.covariance")
@@ -152,12 +160,13 @@ def build_model(doc: dict) -> PortfolioModel:
         raise ConfigError(f"model.decision_set: expected 'simplex' or "
                           f"{{'points': [...]}}, got {ds_spec!r}")
 
-    inflow = None
+    # absent or null inflow and drift_mode leave the model's defaults
+    opts = {}
     if sec.get("inflow") is not None:
         inf = _known(sec["inflow"], "model.inflow",
                      ("eps_rate", "y_minus", "y_plus"))
         try:
-            inflow = InflowProfile(
+            opts["inflow"] = InflowProfile(
                 eps_rate=_number(inf, "eps_rate", "model.inflow"),
                 y_minus=_number(inf, "y_minus", "model.inflow"),
                 y_plus=_number(inf, "y_plus", "model.inflow"),
@@ -165,16 +174,14 @@ def build_model(doc: dict) -> PortfolioModel:
         except ModelError as exc:
             raise ConfigError(f"model.inflow: {exc}") from None
 
-    # absent or null selects the default, as for inflow
     drift_mode = sec.get("drift_mode")
-    if drift_mode is None:
-        drift_mode = ""
-    elif not isinstance(drift_mode, str):
-        raise ConfigError(f"model.drift_mode: expected a string, got "
-                          f"{drift_mode!r}")
+    if drift_mode is not None:
+        if not isinstance(drift_mode, str):
+            raise ConfigError(f"model.drift_mode: expected a string, got "
+                              f"{drift_mode!r}")
+        opts["drift_mode"] = drift_mode
     try:
-        return PortfolioModel(mu, sigma, ds, inflow=inflow,
-                              drift_mode=drift_mode)
+        return PortfolioModel(mu, sigma, ds, **opts)
     except ModelError as exc:
         raise ConfigError(f"model: {exc}") from None
 
@@ -185,25 +192,28 @@ def build_utility(doc: dict):
     if not (isinstance(kind, str) and kind in _UTILITY_KEYS):
         raise ConfigError(f"utility.kind: unknown kind {kind!r}")
     _known(sec, "utility", ("kind", "truncation_gamma", *_UTILITY_KEYS[kind]))
-    gamma = sec.get("truncation_gamma", 8.0)
-    if gamma is not None:
-        gamma = _number(sec, "truncation_gamma", "utility", gamma)
+    # an absent truncation_gamma leaves the kind's default, null disables it
+    opts = {}
+    if "truncation_gamma" in sec:
+        opts["truncation_gamma"] = (
+            None if sec["truncation_gamma"] is None
+            else _number(sec, "truncation_gamma", "utility"))
     try:
         if kind == "dara":
             return DaraUtility(
                 a0=_number(sec, "a0", "utility"),
                 a1=_number(sec, "a1", "utility"),
                 x_star=_number(sec, "x_star", "utility"),
-                truncation_gamma=gamma,
+                **opts,
             )
         if kind == "arctan":
-            return ArctanUtility(truncation_gamma=gamma)
+            return ArctanUtility(**opts)
         if kind == "tabulated":
             return TabulatedPhi0(
                 x=_floats(_require(sec, "x", "utility"), "utility.x"),
                 values=_floats(_require(sec, "phi0", "utility"),
                                "utility.phi0"),
-                truncation_gamma=gamma if "truncation_gamma" in sec else None,
+                **opts,
             )
     except ModelError as exc:
         raise ConfigError(f"utility: {exc}") from None
@@ -222,15 +232,14 @@ def build_pde(doc: dict) -> PDEConfig:
     except ModelError as exc:
         raise ConfigError(f"pde: {exc}") from None
 
+    opts = {}
     boundary = sec.get("boundary", "neumann")
-    if boundary == "neumann":
-        dirichlet = None
-    elif (isinstance(boundary, dict)
-          and boundary.get("kind", "dirichlet") == "dirichlet"):
+    if (isinstance(boundary, dict)
+            and boundary.get("kind", "dirichlet") == "dirichlet"):
         _known(boundary, "pde.boundary", ("kind", "left", "right"))
-        dirichlet = (_number(boundary, "left", "pde.boundary", 0.0),
-                     _number(boundary, "right", "pde.boundary", 0.0))
-    else:
+        opts["dirichlet"] = (_number(boundary, "left", "pde.boundary", 0.0),
+                             _number(boundary, "right", "pde.boundary", 0.0))
+    elif boundary != "neumann":
         raise ConfigError(f"pde.boundary: expected 'neumann' or a Dirichlet "
                           f"object, got {boundary!r}")
     n_steps = _number(sec, "n_steps", "pde", integer=True)
@@ -239,28 +248,28 @@ def build_pde(doc: dict) -> PDEConfig:
         raise ConfigError(f"pde.n_cells, pde.n_steps: the stored field of "
                           f"(n_steps + 1) * n_cells = {field} values "
                           f"exceeds {MAX_FIELD_VALUES}")
-    upwind = sec.get("upwind", False)
-    if not isinstance(upwind, bool):
-        raise ConfigError(f"pde.upwind: expected true or false, got {upwind!r}")
+    if "upwind" in sec:
+        if not isinstance(sec["upwind"], bool):
+            raise ConfigError(f"pde.upwind: expected true or false, got "
+                              f"{sec['upwind']!r}")
+        opts["upwind"] = sec["upwind"]
+    t_final = _number(sec, "t_final", "pde")
+    for key, integer in (("picard_tol", False), ("picard_max", True)):
+        if key in sec:
+            opts[key] = _number(sec, key, "pde", integer=integer)
     try:
-        return PDEConfig(
-            grid=grid,
-            t_final=_number(sec, "t_final", "pde"),
-            n_steps=n_steps,
-            picard_tol=_number(sec, "picard_tol", "pde", 1e-10),
-            picard_max=_number(sec, "picard_max", "pde", 100, integer=True),
-            dirichlet=dirichlet,
-            upwind=upwind,
-        )
+        return PDEConfig(grid=grid, t_final=t_final, n_steps=n_steps, **opts)
     except SolverError as exc:
         raise ConfigError(f"pde: {exc}") from None
 
 
 def build_checks(doc: dict) -> dict:
-    """The checks section: the seed of the monotonicity certificate's pairs.
+    """The checks section: the keyword arguments of the monotonicity
+    certificate that the document gives, so far only the seed of its pairs.
     The rest of the verification bundle has no settings."""
     sec = _known(doc.get("checks", {}), "checks", ("seed",))
-    return {"seed": _number(sec, "seed", "checks", 42, integer=True, low=0)}
+    return {key: _number(sec, key, "checks", integer=True, low=0)
+            for key in sec}
 
 
 def load_run(path):

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
+import py_compile
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +135,65 @@ class TestFailedRun:
         with pytest.raises(bench_ab.RunFailed, match="exited 2") as info:
             bench_ab.run_once(tmp_path, args, 1)
         assert str(info.value).endswith("x" * 1997 + "end")
+
+
+class TestBytecodeCache:
+    def test_each_side_compiles_in_its_own_fresh_cache(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # each checkout holds probe.py and, in its __pycache__, a valid
+        # byte-code file of older source of the same size and mtime: a run
+        # that read the checkout's cache would import the stale value
+        parent, change = checkouts(tmp_path)
+        planted = {}
+        for root in (parent, change):
+            src = root / "probe.py"
+            src.write_text("VALUE = 'old'\n")
+            pyc = (root / "__pycache__"
+                   / f"probe.{sys.implementation.cache_tag}.pyc")
+            py_compile.compile(
+                str(src), cfile=str(pyc),
+                invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+            planted[root.name] = pyc
+            stat = src.stat()
+            src.write_text("VALUE = 'new'\n")
+            os.utime(src, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        planted_bytes = {k: p.read_bytes() for k, p in planted.items()}
+        probe = [sys.executable, "-c", "import probe; print(probe.VALUE)"]
+        plain = {k: v for k, v in os.environ.items()
+                 if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
+        stale = subprocess.run(probe, cwd=parent, capture_output=True,
+                               text=True, env=plain)
+        assert stale.stdout.strip() == "old"  # the plant is live
+
+        seen = []
+        real_run = subprocess.run
+
+        def run(cmd, *, cwd, env, **kwargs):
+            prefix = env["PYTHONPYCACHEPREFIX"]
+            fresh = not any(p == prefix for _, p, _, _ in seen)
+            if fresh:
+                assert os.listdir(prefix) == []
+            value = real_run(probe, cwd=cwd,
+                             env={**plain, "PYTHONPYCACHEPREFIX": prefix},
+                             capture_output=True, text=True).stdout.strip()
+            seen.append((Path(cwd).name, prefix, fresh, value))
+            summary = {"metrics": {"w.wall_ref_s": {"value": 1.0}},
+                       "failed": 0, "attempted": 1}
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(summary),
+                                               "")
+
+        monkeypatch.setattr(bench_ab.subprocess, "run", run)
+        assert bench_ab.main([str(parent), str(change), "--pairs", "2"]) == 0
+        assert [side for side, *_ in seen] == ["parent", "change", "change",
+                                               "parent"]
+        prefixes = {side: prefix for side, prefix, _, _ in seen}
+        assert prefixes["parent"] != prefixes["change"]
+        # one prefix per side over all pairs, fresh at its first run
+        assert {prefix for _, prefix, _, _ in seen} == set(prefixes.values())
+        assert [fresh for *_, fresh, _ in seen] == [True, True, False, False]
+        assert all(value == "new" for *_, value in seen)
+        assert not any(Path(p).exists() for p in prefixes.values())
+        assert {k: p.read_bytes() for k, p in planted.items()} == \
+            planted_bytes
+        assert capsys.readouterr().out.splitlines()[0].startswith(
+            "each side ran with its own fresh PYTHONPYCACHEPREFIX")

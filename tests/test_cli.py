@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import scipy
 
 from riccati_hjb import (AlphaEngineError, PDEConfig, SpatialGrid, alpha,
                          cli, contraction_budget, grid_convergence, solve)
+from riccati_hjb.analysis import monotonicity_certificate
 from riccati_hjb.config import load_run
+from riccati_hjb.pde import mms_convergence_study
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
 
@@ -510,6 +513,26 @@ class TestSolve:
         assert err.count("\n") == 1 and named in err
         assert not out.exists()
 
+    # positive definite covariances that the volatilities and correlations
+    # do not describe: variances doubled, rho's sign flipped, rho set to 0
+    @pytest.mark.parametrize("vols, corr, named", [
+        ([0.169, 0.0082], [[2.0, -0.1151], [-0.1151, 2.0]], "correlation"),
+        ([-0.169, 0.0082], [[1.0, -0.1151], [-0.1151, 1.0]], "volatilities"),
+        ([0.169, 0.0082], [[1.0, -0.1151], [0.1151, 1.0]], "correlation"),
+    ], ids=["diagonal-2", "negative-vol", "asymmetric"])
+    def test_inconsistent_covariance_exits_config(self, tmp_path, capsys,
+                                                  vols, corr, named):
+        cfg = write_config(
+            tmp_path / "bad.json", utility=DARA_UTIL, pde=SMALL_PDE,
+            model_extra={"covariance": {"volatilities": vols,
+                                        "correlation": corr}})
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"configuration error: model.covariance.{named}: " in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_standard_run_passes(self, tmp_path, config_path):
@@ -588,6 +611,26 @@ class TestVerify:
         assert err.count("\n") == 1 and f"checks.{next(iter(checks))}" in err
         assert not out.exists()  # rejected before the solve
 
+    @pytest.mark.parametrize("doc_seed, flag_seed, used", [
+        (None, None, "default"), (7, None, 7), (7, 3, 3), (None, 0, 0)])
+    def test_seed_of_the_certificate(self, tmp_path, doc_seed, flag_seed,
+                                     used):
+        # --seed overrides the document's seed; with neither, the
+        # certificate's own default applies
+        default = inspect.signature(
+            monotonicity_certificate).parameters["seed"].default
+        cfg = write_config(
+            tmp_path / "run.json", utility=DARA_UTIL, pde=SMALL_PDE,
+            checks=None if doc_seed is None else {"seed": doc_seed})
+        out = tmp_path / "v"
+        argv = ["verify", "--config", str(cfg), "--out", str(out)]
+        if flag_seed is not None:
+            argv += ["--seed", str(flag_seed)]
+        assert main(argv) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        seed = payload["checks"]["monotonicity"]["context"]["seed"]
+        assert seed == (default if used == "default" else used)
+
     def test_negative_seed_exit_config(self, tmp_path, config_path, capsys):
         out = tmp_path / "v"
         assert main(["verify", "--config", str(config_path), "--out", str(out),
@@ -649,6 +692,20 @@ class TestMms:
         assert all(o >= 1.7 for o in man["orders"]["spatial"])
         assert all(o >= 0.7 for o in man["orders"]["temporal"])
         assert (out / "mms_convergence.csv").exists()
+
+    def test_csv_lines_are_the_study(self, tmp_path):
+        out = tmp_path / "mms"
+        assert main(["mms", "--out", str(out)]) == 0
+        study = mms_convergence_study()
+        expected = ["refinement,n_cells,n_steps,max_error"]
+        for kind in ("spatial", "temporal"):
+            tab = study[kind]
+            expected += [f"{kind},{cells},{steps},{error!r}"
+                         for cells, steps, error in zip(
+                             tab["n_cells"], tab["n_steps"], tab["error"])]
+        assert len(expected) > 2
+        assert (out / "mms_convergence.csv").read_text() == \
+            "\n".join(expected) + "\n"
 
 
 class TestExamplesScript:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riccati_hjb.analysis import monotonicity_certificate
 from riccati_hjb.config import (
     ConfigError,
     build_model,
@@ -14,6 +17,15 @@ from riccati_hjb.config import (
     load_document,
     load_run,
 )
+from riccati_hjb.model import (
+    ArctanUtility,
+    DaraUtility,
+    DecisionSet,
+    PortfolioModel,
+    SpatialGrid,
+    TabulatedPhi0,
+)
+from riccati_hjb.pde import PDEConfig
 from two_asset_data import MU_S, MU_B, VOL_S, VOL_B, CORR, two_asset_sigma
 
 
@@ -70,6 +82,27 @@ class TestModelSection:
         doc["model"]["covariance"] = {"volatilities": [0.1, 0.2],
                                       "correlation": [[1.0]]}
         with pytest.raises(ConfigError, match="correlation shape"):
+            build_model(doc)
+
+    # each of these gives a positive definite covariance that is not the
+    # one its volatilities and correlations describe: a diagonal of 2
+    # doubles each variance, a negative volatility flips the sign of rho,
+    # and an antisymmetric rho is symmetrized to 0
+    @pytest.mark.parametrize("vols, corr, named", [
+        ([0.2, 0.1], [[2.0, 0.3], [0.3, 2.0]], "correlation"),
+        ([-0.2, 0.1], [[1.0, 0.3], [0.3, 1.0]], "volatilities"),
+        ([0.2, 0.0], [[1.0, 0.3], [0.3, 1.0]], "volatilities"),
+        ([0.2, 0.1], [[1.0, 0.3], [-0.3, 1.0]], "correlation"),
+        ([0.2, 0.1], [[1.0, 0.3], [0.3, 1.0 - 1e-16]], "correlation"),
+    ], ids=["diagonal-2", "negative-vol", "zero-vol", "asymmetric",
+            "diagonal-below-1"])
+    def test_volatilities_and_correlation_are_checked(self, vols, corr,
+                                                      named):
+        doc = base_doc()
+        doc["model"]["covariance"] = {"volatilities": vols,
+                                      "correlation": corr}
+        with pytest.raises(ConfigError,
+                           match=rf"^model\.covariance\.{named}: "):
             build_model(doc)
 
 
@@ -139,7 +172,8 @@ class TestPdeSection:
 
 class TestChecksAndDocument:
     def test_checks_defaults(self):
-        assert build_checks({}) == {"seed": 42}
+        # an absent seed is left to the certificate's own default
+        assert build_checks({}) == {}
 
     def test_checks_values_kept(self):
         assert build_checks({"checks": {"seed": 7}}) == {"seed": 7}
@@ -190,3 +224,92 @@ class TestChecksAndDocument:
         p.write_text(json.dumps(base_doc()))
         doc = load_document(p)
         assert build_model(doc).n == 2
+
+
+def _field_default(cls, name):
+    (default,) = [f.default for f in dataclasses.fields(cls)
+                  if f.name == name]
+    return default
+
+
+def _without(doc, section, key):
+    doc[section].pop(key, None)
+    return doc
+
+
+def _utility_doc(kind):
+    doc = base_doc()
+    doc["utility"] = {
+        "dara": {"kind": "dara", "a0": 9.0, "a1": 6.0, "x_star": 2.0},
+        "arctan": {"kind": "arctan"},
+        "tabulated": {"kind": "tabulated", "x": [-1.0, 0.0, 1.0],
+                      "phi0": [2.0, 3.0, 2.0]},
+    }[kind]
+    doc["utility"]["truncation_gamma"] = 5.0
+    return doc
+
+
+class TestDefaultsDeclaredOnce:
+    """Every optional key: with the key absent, the built object equals the
+    receiving constructor called without it, so the constructor holds the
+    only copy of the default."""
+
+    @pytest.mark.parametrize("key, field", [
+        ("picard_tol", "picard_tol"), ("picard_max", "picard_max"),
+        ("upwind", "upwind"), ("boundary", "dirichlet")])
+    def test_pde(self, key, field):
+        doc = base_doc()
+        doc["pde"].update(picard_tol=1e-8, picard_max=7, upwind=True,
+                          boundary={"left": 1.0, "right": 2.0})
+        assert getattr(build_pde(doc), field) != \
+            _field_default(PDEConfig, field)
+        built = build_pde(_without(doc, "pde", key))
+        assert getattr(built, field) == _field_default(PDEConfig, field)
+
+    def test_pde_all_absent(self):
+        sec = base_doc()["pde"]
+        assert build_pde(base_doc()) == PDEConfig(
+            grid=SpatialGrid(sec["x_min"], sec["x_max"], sec["n_cells"]),
+            t_final=sec["t_final"], n_steps=sec["n_steps"])
+
+    @pytest.mark.parametrize("kind, cls", [
+        ("dara", DaraUtility), ("arctan", ArctanUtility),
+        ("tabulated", TabulatedPhi0)])
+    def test_truncation_gamma(self, kind, cls):
+        doc = _utility_doc(kind)
+        assert build_utility(doc).truncation_gamma == 5.0
+        built = build_utility(_without(doc, "utility", "truncation_gamma"))
+        assert built.truncation_gamma == _field_default(cls,
+                                                        "truncation_gamma")
+
+    # drift_mode's field default "" resolves in __post_init__, so the model
+    # is compared with the constructor called with the other key only
+    @pytest.mark.parametrize("key, other", [
+        ("inflow", {"drift_mode": "log_wealth"}),
+        ("drift_mode", {"inflow": {"eps_rate": 1.0, "y_minus": 1.0,
+                                   "y_plus": 2.0}})])
+    @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+    def test_model(self, key, other, absent):
+        doc = base_doc()
+        doc["model"].update(other)
+        if not absent:
+            doc["model"][key] = None
+        built = build_model(doc)
+        bare = PortfolioModel(built.mu, built.sigma,
+                              DecisionSet.simplex(built.n),
+                              **{k: getattr(built, k) for k in other})
+        assert getattr(built, key) == getattr(bare, key)
+        if key == "inflow":
+            assert built.inflow is _field_default(PortfolioModel, "inflow")
+
+    def test_checks_seed(self):
+        default = inspect.signature(
+            monotonicity_certificate).parameters["seed"].default
+        model = build_model(base_doc())
+        assert build_checks({}) == {}
+        assert monotonicity_certificate(model, **build_checks({})) == \
+            monotonicity_certificate(model)
+        assert monotonicity_certificate(model).context["seed"] == default
+        given = build_checks({"checks": {"seed": default + 1}})
+        assert monotonicity_certificate(model, **given).context["seed"] == \
+            default + 1
