@@ -4,7 +4,7 @@
 Usage:
 
     python3 scripts/bench_ab.py PARENT CHANGE [--pairs 10] [--workload all]
-                                [--seed 0] [--trace 0]
+                                [--seed 0] [--trace 0] [--record FILE]
 
 PARENT and CHANGE are the roots of two source checkouts. Each run is
 ``perfbench/run.py`` of that checkout, started from its root with the same
@@ -37,13 +37,23 @@ Failed operations are counted per side. A run that exits non-zero ends
 the comparison: the report covers the pairs completed before it, and the
 script then exits 1, naming the pair, the side and the tail of the run's
 standard error.
+
+With --record FILE the comparison is also written to FILE as JSON, the
+trajectory of a change's benchmark numbers: each side's commit (null
+outside a git checkout) and whether its checkout held uncommitted changes,
+the pair count, workload, seed and trace flag, every reported metric's
+medians and q1-q3, wins and verdict, each side's operation counts, the host
+core count and the versions of Python, numpy and scipy that ran both
+sides. A comparison that a failed run ends writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -59,6 +69,8 @@ def parse_args(argv=None):
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--record", type=Path, default=None,
+                    help="write the comparison to this JSON file")
     # the byte-code cache directory of the side being run, set by main
     ap.set_defaults(pycache=None)
     args = ap.parse_args(argv)
@@ -124,8 +136,10 @@ def verdict(parent, change, lower_is_better, bound):
     return "no worse", wins
 
 
-def report(runs, metrics_doc) -> None:
-    """Print one row per workload and metric, then the failure counts."""
+def compare(runs, metrics_doc) -> dict:
+    """Every workload metric that both sides report and BENCHMARK.json
+    lists, by name: each side's median and q1-q3 over its runs, the pairs
+    the change won and the verdict."""
     better, bounds = {}, {}
     for kind in ("end_to_end", "per_layer"):
         for m in metrics_doc.get(kind, []):
@@ -134,30 +148,80 @@ def report(runs, metrics_doc) -> None:
                 bounds[m["name"]] = m["bound"]
     names = sorted(set(runs["parent"][0]["metrics"])
                    & set(runs["change"][0]["metrics"]))
+    rows = {}
+    for name in names:
+        metric = name.split(".", 1)[1] if "." in name else name
+        if metric not in better:
+            continue
+        sides = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                 for side in ("parent", "change")}
+        label, wins = verdict(sides["parent"], sides["change"],
+                              better[metric], bounds.get(metric))
+        row = {}
+        for side, values in sides.items():
+            q1, q2, q3 = quartiles(values)
+            row[side] = {"median": q2, "q1": q1, "q3": q3}
+        rows[name] = {**row, "wins": wins, "verdict": label}
+    return rows
+
+
+def operations(runs) -> dict:
+    """Each side's failed and attempted operations over its runs."""
+    return {side: {"failed": sum(r["failed"] for r in runs[side]),
+                   "attempted": sum(r["attempted"] for r in runs[side])}
+            for side in ("parent", "change")}
+
+
+def report(runs, metrics_doc) -> None:
+    """Print one row per workload and metric, then the failure counts."""
     n = len(runs["parent"])
     print("each side ran with its own fresh PYTHONPYCACHEPREFIX; no "
           "__pycache__ of either checkout was read")
     print(f"{'metric':48s} {'parent median (q1-q3)':>34s} "
           f"{'change median (q1-q3)':>34s} {'wins':>6s}  verdict")
-    for name in names:
-        metric = name.split(".", 1)[1] if "." in name else name
-        if metric not in better:
-            continue
-        sides = {}
-        for side in ("parent", "change"):
-            sides[side] = [r["metrics"][name]["value"] for r in runs[side]]
-        label, wins = verdict(sides["parent"], sides["change"],
-                              better[metric], bounds.get(metric))
-        cells = []
-        for side in ("parent", "change"):
-            q1, q2, q3 = quartiles(sides[side])
-            cells.append(f"{q2:.6g} ({q1:.6g}-{q3:.6g})")
+    for name, row in compare(runs, metrics_doc).items():
+        cells = [f"{row[side]['median']:.6g} ({row[side]['q1']:.6g}-"
+                 f"{row[side]['q3']:.6g})" for side in ("parent", "change")]
         print(f"{name:48s} {cells[0]:>34s} {cells[1]:>34s} "
-              f"{wins:>3d}/{n:<2d}  {label}")
-    for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        print(f"{side}: {failed} of {attempted} operations failed")
+              f"{row['wins']:>3d}/{n:<2d}  {row['verdict']}")
+    for side, ops in operations(runs).items():
+        print(f"{side}: {ops['failed']} of {ops['attempted']} operations "
+              f"failed")
+
+
+def checkout(root: Path) -> dict:
+    """The commit checked out at `root` and whether its tracked files differ
+    from it; both null outside a git checkout."""
+    def git(*cmd):
+        proc = subprocess.run(["git", "-C", str(root), *cmd],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    commit = git("rev-parse", "--verify", "HEAD")
+    if commit is None:
+        return {"commit": None, "uncommitted_changes": None}
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": commit,
+            "uncommitted_changes": None if status is None else bool(status)}
+
+
+def record(path: Path, args, runs, metrics_doc) -> None:
+    """Write the comparison of the completed pairs to `path` as JSON."""
+    doc = {
+        "parent": checkout(args.parent),
+        "change": checkout(args.change),
+        "pairs": len(runs["parent"]),
+        "workload": args.workload,
+        "seed": args.seed,
+        "trace": args.trace,
+        "run_seconds": metrics_doc["run_seconds"],
+        "metrics": compare(runs, metrics_doc),
+        "operations": operations(runs),
+        "host_cores": os.cpu_count(),
+        "versions": {"python": platform.python_version(),
+                     **{package: importlib.metadata.version(package)
+                        for package in ("numpy", "scipy")}},
+    }
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -186,6 +250,8 @@ def main(argv=None) -> int:
                 runs[side].append(pair[side])
     if runs["parent"]:
         report(runs, metrics_doc)
+    if failure is None and args.record is not None:
+        record(args.record, args, runs, metrics_doc)
     if failure:
         print(f"bench_ab: completed pairs: {len(runs['parent'])}; "
               f"stopped at {failure}", file=sys.stderr)

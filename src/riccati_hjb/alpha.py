@@ -17,11 +17,17 @@ into the sweep's own buffers with no weights formed (2-core x86-64 VM,
 numpy 2.4, best of repeated timings). The active-set QP is the one simplex
 minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
 slope bound); support enumeration is a test helper, `exhaustive_alpha` in
-the tests' `oracles` module. All operations are pure.
+the tests' `oracles` module. The field runs the QP once per point. At an
+interior point, where every weight is positive, that is one working-set
+solve: a bordered KKT system of n + 1 equations, filled in place and
+passed to `np.linalg.solve`. Five assets take about 14 us per interior
+point, about 6 us of it in that call (same machine and timing). All
+operations are pure.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,16 +111,28 @@ def _constant_term(model: PortfolioModel, x) -> float:
 
 def _solve_working_set(rho: float, sigma: np.ndarray, mu: np.ndarray, free):
     """Equality-constrained minimizer on the working set: weights off `free`
-    pinned at zero, sum of free weights equal to one. Returns (theta, lam)."""
+    (distinct indices in increasing order) pinned at zero, sum of free
+    weights equal to one. Returns (theta, lam).
+
+    The full set, the working set at almost every point, fills the bordered
+    KKT matrix in place; a proper subset gathers its block. Both solve the
+    same matrix entries."""
+    n = len(mu)
+    k = len(free)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[k, k] = 0.0
+    rhs = np.empty(k + 1)
+    rhs[k] = 1.0
+    if k == n:
+        np.multiply(rho, sigma, out=kkt[:k, :k])
+        rhs[:k] = mu
+        sol = np.linalg.solve(kkt, rhs)
+        return sol[:k], float(sol[k])
     f = list(free)
-    k = len(f)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = rho * sigma[np.ix_(f, f)]
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([mu[f], [1.0]])
+    np.multiply(rho, sigma[np.ix_(f, f)], out=kkt[:k, :k])
+    rhs[:k] = mu[f]
     sol = np.linalg.solve(kkt, rhs)
-    theta = np.zeros(len(mu))
+    theta = np.zeros(n)
     theta[f] = sol[:k]
     return theta, float(sol[k])
 
@@ -147,32 +165,35 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
     """
     n = len(mu)
     mu, w = (mu / rho, 1.0) if rho > _RHO_HUGE else (mu, rho)
-    theta = np.full(n, 1.0 / n)
-    free = set(range(n))
+    theta = None  # the uniform start, made when a step first needs it
+    free = list(range(n))  # the working set, in increasing order
     for _ in range(50 * n + 50):
-        cand, lam = _solve_working_set(w, sigma, mu, sorted(free))
-        if min(cand[sorted(free)]) >= -_ACTIVE_TOL:
+        cand, lam = _solve_working_set(w, sigma, mu, free)
+        # the weights off the working set are 0, so the least weight is
+        # the least free one wherever that is negative
+        if cand.min() >= -_ACTIVE_TOL:
             theta = np.maximum(cand, 0.0)
             theta /= theta.sum()
-            grad = w * (sigma @ theta) - mu
-            bound = [i for i in range(n) if i not in free]
-            if not bound:
+            if len(free) == n:
                 return theta
-            mult = grad[bound] + lam
+            bound = [i for i in range(n) if i not in free]
+            mult = (w * (sigma @ theta) - mu)[bound] + lam
             j = int(np.argmin(mult))
             if mult[j] >= -_KKT_TOL:
                 return theta
-            free.add(bound[j])
+            insort(free, bound[j])
         else:
+            if theta is None:
+                theta = np.full(n, 1.0 / n)
             # step toward the candidate until a free weight hits zero
             d = cand - theta
-            mask = [i for i in sorted(free) if d[i] < -_ACTIVE_TOL]
+            mask = [i for i in free if d[i] < -_ACTIVE_TOL]
             steps = [-theta[i] / d[i] for i in mask]
             t = min(1.0, min(steps))
             blocking = mask[int(np.argmin(steps))]
             theta = theta + t * d
             theta[blocking] = 0.0
-            free.discard(blocking)
+            free.remove(blocking)
             if not free:  # cannot happen: the step keeps at least one weight
                 raise AlphaEngineError(
                     f"active set emptied out at rho={rho!r}, n={n}")
@@ -393,9 +414,10 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
         return _lowest_line(model, rho)
     convex = _convex_mask(rho)
     theta = np.empty((rho.size, model.n))
+    sigma, mu, rhos = model.sigma, model.mu, rho.tolist()
     for k in (range(rho.size) if convex is None
-              else np.flatnonzero(convex)):
-        theta[k] = _active_set_qp(model.sigma, model.mu, float(rho[k]))
+              else np.flatnonzero(convex).tolist()):
+        theta[k] = _active_set_qp(sigma, mu, rhos[k])
     if convex is not None:
         theta[~convex] = _lowest_line(model, rho[~convex])
     return theta
@@ -466,7 +488,7 @@ def _fill(model: PortfolioModel, rho: np.ndarray, alpha: np.ndarray,
     return theta if weights else None
 
 
-def alpha_field(model: PortfolioModel, x, phi, out=None):
+def alpha_field(model: PortfolioModel, x, phi, out=None, inflow_term=None):
     """Vectorized (alpha, dalpha_dphi, theta) over broadcastable (x, phi)
     arrays; theta carries a trailing axis of length n.
 
@@ -486,6 +508,11 @@ def alpha_field(model: PortfolioModel, x, phi, out=None):
     (alpha, slope, None) is returned: no weights are formed for them,
     except inside the per-point QP of three or more assets and on a menu.
     The Newton sweep evaluates alpha so, in buffers it keeps per run.
+
+    inflow_term, when given, is model.inflow.term(x), which a caller that
+    evaluates alpha at the same x many times works out once: it is
+    subtracted instead of being recomputed. The sweep passes the term at
+    its ghost-extended cell centers, made once per run.
     """
     if out is None:
         x = np.asarray(x, dtype=float)
@@ -500,5 +527,5 @@ def alpha_field(model: PortfolioModel, x, phi, out=None):
         alpha, slope = out
         theta = _fill(model, _phi_eff(model, phi), alpha, slope, False)
     if model.inflow is not None:
-        alpha -= model.inflow.term(x)
+        alpha -= model.inflow.term(x) if inflow_term is None else inflow_term
     return alpha, slope, theta

@@ -121,17 +121,27 @@ def _floats(value, where: str) -> np.ndarray:
                       f"numbers, got {value!r}")
 
 
+def _vector(value, where: str) -> np.ndarray:
+    """A JSON list of finite numbers as a 1-d float array; a bare number or
+    a nested list raises a ConfigError naming where."""
+    v = _floats(value, where)
+    if v.ndim != 1:
+        raise ConfigError(f"{where}: expected a list of finite numbers, got "
+                          f"{value!r}")
+    return v
+
+
 def build_model(doc: dict) -> PortfolioModel:
     sec = _known(_require(doc, "model", "config"), "model",
                  ("assets", "covariance", "decision_set", "inflow",
                   "drift_mode"))
     assets = _known(_require(sec, "assets", "model"), "model.assets", ("mu",))
-    mu = _floats(_require(assets, "mu", "model.assets"), "model.assets.mu")
+    mu = _vector(_require(assets, "mu", "model.assets"), "model.assets.mu")
 
     cov = _require(sec, "covariance", "model")
     if isinstance(cov, dict):
         _known(cov, "model.covariance", ("volatilities", "correlation"))
-        vols = _floats(_require(cov, "volatilities", "model.covariance"),
+        vols = _vector(_require(cov, "volatilities", "model.covariance"),
                        "model.covariance.volatilities")
         if not np.all(vols > 0.0):
             raise ConfigError(f"model.covariance.volatilities: each must be "

@@ -24,10 +24,11 @@ packing; `_lapack` loads it from scipy's LAPACK extension without the
 package init of `scipy.linalg`. A sweep is bound by numpy's per-call
 overhead on arrays of n + 2 values, so it works in buffers kept per run:
 `alpha_field` writes alpha and its slope into two of them (its `out=`
-form, which forms no weights), the face and band views of the buffers
-are made once per run, and the check for a non-finite correction is left
-to the max |delta| of the stop rule, which is nan or inf exactly when
-delta has such an entry. The start of a step is written straight into its
+form, which forms no weights) and subtracts the inflow term at the
+ghost-extended centers, worked out once per run; the face and band views
+of the buffers are made once per run, and the check for a non-finite
+correction is left to the max |delta| of the stop rule, which is nan or
+inf exactly when delta has such an entry. The start of a step is written straight into its
 row of the solution, where the Newton update is applied in place. The
 part of the step residual that no sweep changes, phi_prev / dtau plus the
 manufactured source, is formed once per step. A sweep refills the run's
@@ -232,7 +233,8 @@ def lambda_bound(model: PortfolioModel) -> float:
 
 class _Geometry:
     """Per-run constants of the sweep, built once per solve: cell centers,
-    the ghost-extended x, the boundary map ghost = offset + sign * edge value
+    the ghost-extended x and the inflow term there (None without inflow),
+    the boundary map ghost = offset + sign * edge value
     (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals of the cell
     width, its square and the time step, and the clamp range of the
     advective coefficient; plus the run's buffers, which every sweep
@@ -245,12 +247,14 @@ class _Geometry:
     of them that the diagonal sums."""
 
     __slots__ = ("dx", "inv_dx", "inv_dx2", "inv_dtau", "centers", "xe",
-                 "sign", "offsets", "clamp", "_pe", "_pe_cells", "alpha",
-                 "slope", "cell", "face", "lower", "upper", "diag", "rhs",
-                 "pe_faces", "alpha_faces", "slope_faces", "cell_faces",
-                 "flux_faces", "bands", "diag_parts")
+                 "inflow_term", "sign", "offsets", "clamp", "_pe",
+                 "_pe_cells", "alpha", "slope", "cell", "face", "lower",
+                 "upper", "diag", "rhs", "pe_faces", "alpha_faces",
+                 "slope_faces", "cell_faces", "flux_faces", "bands",
+                 "diag_parts")
 
-    def __init__(self, config: PDEConfig, cutoff: CutoffBounds):
+    def __init__(self, model: PortfolioModel, config: PDEConfig,
+                 cutoff: CutoffBounds):
         grid = config.grid
         n, self.dx = grid.n_cells, grid.dx
         self.inv_dx, self.inv_dtau = 1.0 / grid.dx, 1.0 / config.dtau
@@ -258,6 +262,8 @@ class _Geometry:
         self.centers = grid.centers
         self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
                                   [self.centers[-1] + self.dx]])
+        self.inflow_term = (None if model.inflow is None
+                            else model.inflow.term(self.xe))
         if config.dirichlet is None:
             self.sign, self.offsets = 1.0, (0.0, 0.0)
         else:
@@ -328,7 +334,8 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     """
     h, inv_dx2, sign = 0.5 * geom.inv_dx, geom.inv_dx2, geom.sign
     pe = geom.extend(phi_iter)
-    ae, se, _ = alpha_field(model, geom.xe, pe, out=(geom.alpha, geom.slope))
+    ae, se, _ = alpha_field(model, geom.xe, pe, out=(geom.alpha, geom.slope),
+                            inflow_term=geom.inflow_term)
     alpha_range = (float(ae.min()), float(ae.max()))
     lo, hi = geom.clamp
     if lo <= alpha_range[0] and alpha_range[1] <= hi:
@@ -464,7 +471,7 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     grid = config.grid
     phi0 = phi0_profile(utility, grid)
     bounds = _resolve_cutoff(model, config, phi0)
-    geom = _Geometry(config, bounds)
+    geom = _Geometry(model, config, bounds)
 
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))

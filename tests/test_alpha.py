@@ -471,6 +471,73 @@ class TestOneSimplexMinimizer:
             alpha._active_set_qp(np.eye(3), np.zeros(3), 2.5)
 
 
+def ladder_model():
+    """Five assets on a risk/return ladder (means 0.02 + 0.35 vol, all
+    correlations 0.2), interior on every asset for phi in about [4.2, 140]."""
+    vols = np.array([0.06, 0.10, 0.14, 0.18, 0.22])
+    corr = np.full((5, 5), 0.2)
+    np.fill_diagonal(corr, 1.0)
+    return PortfolioModel(0.02 + 0.35 * vols, corr * np.outer(vols, vols),
+                          DecisionSet.simplex(5))
+
+
+@st.composite
+def wide_simplex_models(draw):
+    """A random simplex model with n = 3..8 assets; about one model in
+    three has means that pin part of its weights at zero."""
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, n))
+    sigma = g @ g.T / n + 10.0 ** rng.uniform(-6.0, -1.0) * np.eye(n)
+    mu = rng.normal(0.05, 0.1, size=n)
+    if draw(st.integers(0, 2)) == 0:
+        mu[: n // 2] -= 1.0
+    return PortfolioModel(mu, sigma, DecisionSet.simplex(n))
+
+
+# effective weights across the QP's range: moderate, just above _RHO_TINY
+# (below it the lowest vertex is taken) and above _RHO_HUGE (where the QP
+# divides its problem by rho)
+qp_rhos = st.one_of(
+    st.floats(-4.0, 8.0).map(lambda e: 10.0 ** e),
+    st.floats(1.0, 4.0).map(lambda f: alpha._RHO_TINY * f),
+    st.floats(1.0, 1e15).map(lambda f: alpha._RHO_HUGE * f).filter(
+        lambda r: r > alpha._RHO_HUGE))
+
+
+class TestPerPointQP:
+    """The field runs the active-set QP once per point, and an interior
+    point costs one working-set solve."""
+
+    def test_one_working_set_solve_per_interior_point(self, monkeypatch):
+        model = ladder_model()
+        calls = []
+        solve_ws = alpha._solve_working_set
+
+        def counted(rho, sigma, mu, free):
+            calls.append(len(free))
+            return solve_ws(rho, sigma, mu, free)
+
+        monkeypatch.setattr(alpha, "_solve_working_set", counted)
+        phis = np.linspace(4.5, 130.0, 201)
+        _, _, theta = alpha_field(model, 0.0, phis)
+        assert np.all(theta > 1e-4)
+        assert calls == [5] * phis.size
+        # a point with weights at zero takes more than one solve
+        calls.clear()
+        _, _, theta = alpha_field(model, 0.0, np.array([1.0, 1000.0]))
+        assert np.count_nonzero(theta == 0.0) == 4 and len(calls) > 2
+
+    @given(model=wide_simplex_models(),
+           rhos=st.lists(qp_rhos, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_field_rows_are_the_scalar_weights(self, model, rhos):
+        _, _, theta = alpha_field(model, 0.0, np.array(rhos))
+        for row, rho in zip(theta, rhos):
+            assert row.tobytes() == \
+                solve_alpha(model, 0.0, rho).theta_hat.tobytes()
+
+
 class TestAlphaField:
     def test_matches_qp_two_asset(self, paper_model):
         phis = np.linspace(0.3, 40, 500)

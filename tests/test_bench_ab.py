@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_ab.py"
@@ -197,3 +198,98 @@ class TestBytecodeCache:
             planted_bytes
         assert capsys.readouterr().out.splitlines()[0].startswith(
             "each side ran with its own fresh PYTHONPYCACHEPREFIX")
+
+
+def synthetic_runs(change_factor):
+    """run_once giving the parent run i the value PARENT[i] and the change
+    run change_factor times it, with four operations per run, one of which
+    fails on the parent's side."""
+    seen = {"parent": 0, "change": 0}
+
+    def run_once(root, args, seconds):
+        i = seen[root.name]
+        seen[root.name] += 1
+        value = PARENT[i] * (change_factor if root.name == "change" else 1.0)
+        return {"metrics": {"w.wall_ref_s": {"value": value},
+                            "w.unlisted_s": {"value": 1.0}},
+                "failed": int(root.name == "parent" and i == 0),
+                "attempted": 4}
+
+    return run_once
+
+
+def commit_all(root):
+    """Make `root` a git checkout with all its files committed; returns the
+    commit."""
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "c"]):
+        subprocess.run(git + cmd, check=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+class TestRecord:
+    def test_the_file_holds_the_comparison(self, tmp_path, monkeypatch,
+                                           capsys):
+        parent, change = checkouts(tmp_path)
+        head = commit_all(parent)
+        monkeypatch.setattr(bench_ab, "run_once", synthetic_runs(0.8))
+        out = tmp_path / "BENCH.json"
+        assert bench_ab.main([str(parent), str(change), "--pairs", "10",
+                              "--workload", "w", "--seed", "3",
+                              "--record", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["parent"] == {"commit": head,
+                                 "uncommitted_changes": False}
+        assert doc["change"] == {"commit": None, "uncommitted_changes": None}
+        assert (doc["pairs"], doc["workload"], doc["seed"], doc["trace"],
+                doc["run_seconds"]) == (10, "w", 3, 0, 1)
+        # the metric BENCHMARK.json does not list is left out, as in the
+        # printed report
+        row = doc["metrics"].pop("w.wall_ref_s")
+        assert doc["metrics"] == {}
+        assert row["parent"] == pytest.approx(
+            {"median": 1.045, "q1": 1.0225, "q3": 1.0675}, abs=1e-12)
+        assert row["change"] == pytest.approx(
+            {"median": 0.836, "q1": 0.818, "q3": 0.854}, abs=1e-12)
+        assert (row["wins"], row["verdict"]) == (10, "gain")
+        assert doc["operations"] == {
+            "parent": {"failed": 1, "attempted": 40},
+            "change": {"failed": 0, "attempted": 40}}
+        assert doc["host_cores"] == os.cpu_count()
+        assert set(doc["versions"]) == {"python", "numpy", "scipy"}
+        assert doc["versions"]["numpy"] == np.__version__
+        # the file and the printed report agree
+        printed = next(line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("w.wall_ref_s"))
+        assert printed.split()[1:] == ["1.045", "(1.0225-1.0675)", "0.836",
+                                       "(0.818-0.854)", "10/10", "gain"]
+
+    def test_a_tracked_edit_is_recorded(self, tmp_path, monkeypatch):
+        parent, change = checkouts(tmp_path)
+        commit_all(change)
+        (change / "perfbench" / "run.py").write_text("# edited\n")
+        monkeypatch.setattr(bench_ab, "run_once", synthetic_runs(1.0))
+        out = tmp_path / "BENCH.json"
+        assert bench_ab.main([str(parent), str(change), "--pairs", "2",
+                              "--record", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["change"]["uncommitted_changes"] is True
+        assert doc["metrics"]["w.wall_ref_s"]["verdict"] == "no worse"
+
+    def test_a_failed_run_writes_no_file(self, tmp_path, monkeypatch):
+        calls = []
+        passing = synthetic_runs(0.8)
+
+        def run_once(root, args, seconds):
+            calls.append(root.name)
+            if len(calls) == 3:
+                raise bench_ab.RunFailed("run.py exited 1:\nboom")
+            return passing(root, args, seconds)
+
+        monkeypatch.setattr(bench_ab, "run_once", run_once)
+        parent, change = checkouts(tmp_path)
+        out = tmp_path / "BENCH.json"
+        assert bench_ab.main([str(parent), str(change), "--pairs", "3",
+                              "--record", str(out)]) == 1
+        assert not out.exists()

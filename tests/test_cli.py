@@ -533,6 +533,27 @@ class TestSolve:
         assert f"configuration error: model.covariance.{named}: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model_extra, named", [
+        ({"covariance": {"volatilities": [[0.169], [0.0082]],
+                         "correlation": [[1.0, -0.1151], [-0.1151, 1.0]]}},
+         "model.covariance.volatilities"),
+        ({"covariance": {"volatilities": [[0.169, 0.0082]],
+                         "correlation": [[1.0, -0.1151], [-0.1151, 1.0]]}},
+         "model.covariance.volatilities"),
+        ({"assets": {"mu": 0.1028}}, "model.assets.mu"),
+        ({"assets": {"mu": [[0.1028, 0.0516]]}}, "model.assets.mu"),
+    ], ids=["vols-column", "vols-row", "mu-number", "mu-nested"])
+    def test_nested_or_bare_vectors_exit_config(self, tmp_path, capsys,
+                                                model_extra, named):
+        cfg = write_config(tmp_path / "bad.json", utility=DARA_UTIL,
+                           pde=SMALL_PDE, model_extra=model_extra)
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"configuration error: {named}: expected a list" in err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_standard_run_passes(self, tmp_path, config_path):

@@ -105,6 +105,29 @@ class TestModelSection:
                            match=rf"^model\.covariance\.{named}: "):
             build_model(doc)
 
+    # np.array would take each of these, and np.outer or the model would
+    # flatten or broadcast it: a 1-d list is the only form that says how
+    # many assets there are
+    @pytest.mark.parametrize("key, value", [
+        ("volatilities", [[VOL_S], [VOL_B]]),
+        ("volatilities", [[VOL_S, VOL_B]]),
+        ("mu", MU_S),
+        ("mu", [[MU_S, MU_B]]),
+    ], ids=["vols-column", "vols-row", "mu-number", "mu-nested"])
+    def test_vectors_must_be_flat_lists(self, key, value):
+        doc = base_doc()
+        if key == "mu":
+            doc["model"]["assets"]["mu"] = value
+            where = r"model\.assets\.mu"
+        else:
+            doc["model"]["covariance"] = {
+                "volatilities": value,
+                "correlation": [[1.0, CORR], [CORR, 1.0]]}
+            where = r"model\.covariance\.volatilities"
+        with pytest.raises(ConfigError, match=rf"^{where}: expected a list "
+                                              r"of finite numbers, got "):
+            build_model(doc)
+
 
 class TestUtilitySection:
     def test_arctan(self):

@@ -487,7 +487,7 @@ class TestNewtonSweeps:
     @staticmethod
     def newton_ratio(model, util, cfg):
         sol = solve(model, util, cfg)
-        geom = pde._Geometry(cfg, sol.bounds)
+        geom = pde._Geometry(model, cfg, sol.bounds)
         prev, u = sol.phi[4], sol.phi[5]
         tau = float(sol.tau_values[5])
         fixed, _ = pde._fixed_residual(cfg, geom, prev, tau)
@@ -747,7 +747,7 @@ class TestSweepAgainstFaceReference:
                 cutoff = pde.CutoffBounds(m=float(np.median(np.abs(a))),
                                           lam=0.0, horizon=1.0)
                 assert np.any(np.abs(a) > cutoff.upper)
-            geom = pde._Geometry(cfg, cutoff)
+            geom = pde._Geometry(model, cfg, cutoff)
             tau = 0.35
             fixed, src_int = pde._fixed_residual(cfg, geom, prev, tau)
             delta, alpha_range, fluxes = pde._sweep(model, cfg, geom, fixed,
@@ -784,8 +784,8 @@ class TestTridiagonalSolve:
         # whose constant null vector gives an exactly zero last pivot
         grid = SpatialGrid(-4.0, 4.0, 16)
         cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=4)
-        geom = pde._Geometry(cfg, pde.CutoffBounds(m=0.0, lam=0.0,
-                                                   horizon=1.0))
+        geom = pde._Geometry(singleton_model, cfg,
+                             pde.CutoffBounds(m=0.0, lam=0.0, horizon=1.0))
         geom.inv_dtau = 0.0
         phi = np.full(16, 2.0)
         k = 0.5 * 0.04 / grid.dx**2   # alpha slope sigma^2 / 2 over dx^2
@@ -927,6 +927,37 @@ class TestInflowRuns:
                               drift_mode="log_wealth")
         without = solve(base, util, cfg)
         assert np.max(np.abs(with_inflow.phi[-1] - without.phi[-1])) > 1e-3
+
+    def test_inflow_term_is_worked_out_once_per_run(self, inflow_model,
+                                                    monkeypatch):
+        # the sweep subtracts the term the run's geometry holds: the term
+        # is evaluated once there and once by the cutoff level, whatever
+        # the number of sweeps, and the run is bitwise the run whose every
+        # sweep recomputes it
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = paper_cfg(n_cells=60, n_steps=20, t_final=1.0, upwind=True)
+        evaluations = []
+        term = InflowProfile.term
+
+        def counted_term(self, x):
+            evaluations.append(np.shape(x))
+            return term(self, x)
+
+        monkeypatch.setattr(InflowProfile, "term", counted_term)
+        sol = solve(inflow_model, util, cfg)
+        assert evaluations == [(60,), (62,)]
+        assert sum(d.picard_iterations for d in sol.diagnostics) > 20
+
+        field = pde.alpha_field
+
+        def recomputing_field(model, x, phi, **kwargs):
+            kwargs.pop("inflow_term", None)
+            return field(model, x, phi, **kwargs)
+
+        monkeypatch.setattr(pde, "alpha_field", recomputing_field)
+        twin = solve(inflow_model, util, cfg)
+        assert sol.phi.tobytes() == twin.phi.tobytes()
+        assert sol.diagnostics == twin.diagnostics
 
 
 class TestArctanRun:
