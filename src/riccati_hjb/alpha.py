@@ -17,12 +17,16 @@ into the sweep's own buffers with no weights formed (2-core x86-64 VM,
 numpy 2.4, best of repeated timings). The active-set QP is the one simplex
 minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
 slope bound); support enumeration is a test helper, `exhaustive_alpha` in
-the tests' `oracles` module. The field runs the QP once per point. At an
-interior point, where every weight is positive, that is one working-set
-solve: a bordered KKT system of n + 1 equations, filled in place and
-passed to `np.linalg.solve`. Five assets take about 14 us per interior
-point, about 6 us of it in that call (same machine and timing). All
-operations are pure.
+the tests' `oracles` module. The field runs the QP once per point. On a
+working set the minimizing weights are affine in 1/rho, so each set's
+bordered KKT system of n + 1 equations is solved once per model, for the
+line g + h / rho, and kept in the model's instance dict. An interior point,
+where every weight is positive, is then one evaluation of the full set's
+line: five assets take about 6 us per interior point (14 us when each point
+solved its system), spent in about six small numpy calls of 0.5-1.6 us each
+that evaluate the line, test, clip and renormalize the weights (same
+machine and timing). All operations are pure: the memo only caches what
+the model's data fix.
 """
 
 from __future__ import annotations
@@ -52,12 +56,17 @@ __all__ = [
 
 _ACTIVE_TOL = 1e-12      # weights below this count as zero
 _KKT_TOL = 1e-10
+_EPS = np.finfo(float).eps
 # below tiny / eps (about 1e-292) the working-set solve is inaccurate (at
 # rho = 2.2e-308 the QP cycled) and the quadratic term is below rounding, so
-# the lowest vertex is the minimizer to rounding, as for rho <= 0
-_RHO_TINY = np.finfo(float).tiny / np.finfo(float).eps
-# above 1 / _RHO_TINY (about 1e292) rho Sigma may overflow, so the QP
-# divides its problem by rho
+# the lowest vertex is the minimizer to rounding, as for rho <= 0. Above
+# it the QP evaluates each working set's memoized line, about 1.5 us of the
+# 6 us of a five-asset interior point, except below the line's own rounding
+# floor (per working set, far above tiny / eps), where it solves the
+# bordered system at rho
+_RHO_TINY = np.finfo(float).tiny / _EPS
+# above 1 / _RHO_TINY (about 1e292) rho Sigma may overflow, so the QP takes
+# its multipliers and bordered solves from its problem divided by rho
 _RHO_HUGE = 1.0 / _RHO_TINY
 
 
@@ -109,32 +118,67 @@ def _constant_term(model: PortfolioModel, x) -> float:
     return -float(model.inflow.term(x))
 
 
-def _solve_working_set(rho: float, sigma: np.ndarray, mu: np.ndarray, free):
-    """Equality-constrained minimizer on the working set: weights off `free`
-    (distinct indices in increasing order) pinned at zero, sum of free
-    weights equal to one. Returns (theta, lam).
-
-    The full set, the working set at almost every point, fills the bordered
-    KKT matrix in place; a proper subset gathers its block. Both solve the
-    same matrix entries."""
-    n = len(mu)
+def _bordered(sigma: np.ndarray, free: list, rho: float = 1.0) -> np.ndarray:
+    """The bordered KKT matrix [rho Sigma_WW, 1; 1', 0] of the working set W
+    = `free`, a list of distinct indices in increasing order."""
     k = len(free)
     kkt = np.ones((k + 1, k + 1))
     kkt[k, k] = 0.0
-    rhs = np.empty(k + 1)
-    rhs[k] = 1.0
-    if k == n:
-        np.multiply(rho, sigma, out=kkt[:k, :k])
-        rhs[:k] = mu
-        sol = np.linalg.solve(kkt, rhs)
-        return sol[:k], float(sol[k])
+    np.multiply(rho, sigma[np.ix_(free, free)], out=kkt[:k, :k])
+    return kkt
+
+
+def _solve_working_set(rho: float, sigma: np.ndarray, mu: np.ndarray, free):
+    """Equality-constrained minimizer on the working set at one rho: weights
+    off `free` (distinct indices in increasing order) pinned at zero, sum of
+    free weights equal to one. Returns (theta, lam).
+
+    The QP takes it below a working set's rounding floor (see
+    `_working_set_line`); the tests' support enumeration takes it
+    everywhere, independently of the memoized lines."""
     f = list(free)
-    np.multiply(rho, sigma[np.ix_(f, f)], out=kkt[:k, :k])
-    rhs[:k] = mu[f]
-    sol = np.linalg.solve(kkt, rhs)
-    theta = np.zeros(n)
+    k = len(f)
+    sol = np.linalg.solve(_bordered(sigma, f, rho), np.append(mu[f], 1.0))
+    theta = np.zeros(len(mu))
     theta[f] = sol[:k]
     return theta, float(sol[k])
+
+
+def _working_set_line(sigma: np.ndarray, mu: np.ndarray, free):
+    """The working-set minimizer as a line in 1/rho: (g, h, g_lam, h_lam,
+    floor), with theta = g + h / rho and lam = rho * g_lam + h_lam at every
+    rho > 0, from one solve of [Sigma_WW, 1; 1', 0] with the right-hand
+    sides (0, 1) and (mu_W, 0). Weights off `free` are zero in g and h.
+
+    The weights sum to one up to eps * |h|_1 / rho, so below floor =
+    eps * |h|_1 / `_ACTIVE_TOL` the line would break the constraint by
+    more than the QP's tolerance, and the QP solves at rho instead."""
+    f = list(free)
+    k = len(f)
+    rhs = np.zeros((k + 1, 2))
+    rhs[k, 0] = 1.0
+    rhs[:k, 1] = mu[f]
+    sol = np.linalg.solve(_bordered(sigma, f), rhs)
+    g, h = np.zeros(len(mu)), np.zeros(len(mu))
+    g[f], h[f] = sol[:k, 0], sol[:k, 1]
+    floor = _EPS * float(np.abs(h).sum()) / _ACTIVE_TOL
+    return g, h, float(sol[k, 0]), float(sol[k, 1]), floor
+
+
+def _on_line(line, rho: float, w: float):
+    """(theta, lam) of a working set's line at rho, lam for the problem
+    whose quadratic term has weight w (rho, or 1 above `_RHO_HUGE`)."""
+    g, h, g_lam, h_lam, _ = line
+    return g + h / rho, w * (g_lam + h_lam / rho)
+
+
+def _qp_lines(model: PortfolioModel) -> dict:
+    """The memo of working-set lines of the model's own problem (mean
+    model.mu), by working set, kept in its instance dict and filled as the
+    QP reaches each set: the model is immutable. A problem with another
+    mean takes a memo of its own."""
+    # a frozen dataclass refuses setattr; its instance dict takes the memo
+    return model.__dict__.setdefault("_qp_lines", {})
 
 
 def _menu_lines(model: PortfolioModel):
@@ -155,20 +199,34 @@ def _lowest_line(model: PortfolioModel, rho):
     return pts[np.argmin(intercepts + np.multiply.outer(rho, slopes), axis=-1)]
 
 
-def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
+def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float,
+                   lines: dict | None = None):
     """Minimize -mu'theta + (rho/2) theta'Sigma theta on the simplex, rho > 0.
 
     Primal active-set iteration starting from the uniform weight vector.
     Returns the weights theta, which satisfy the KKT conditions; a failure
-    raises AlphaEngineError naming rho and n. Above `_RHO_HUGE` it solves
-    the same problem divided by rho, with mean mu / rho and weight w = 1.
+    raises AlphaEngineError naming rho and n. Each working set's minimizer
+    is affine in 1/rho: its line is solved once and kept in `lines`, the
+    memo of this (sigma, mu) problem (`_qp_lines` for a model's own; a
+    fresh one when None), and each later point on the set evaluates it.
+    Above `_RHO_HUGE` the multipliers are those of the same problem divided
+    by rho, with mean mu / rho and weight w = 1.
     """
     n = len(mu)
-    mu, w = (mu / rho, 1.0) if rho > _RHO_HUGE else (mu, rho)
+    if lines is None:
+        lines = {}
+    mu_w, w = (mu / rho, 1.0) if rho > _RHO_HUGE else (mu, rho)
     theta = None  # the uniform start, made when a step first needs it
     free = list(range(n))  # the working set, in increasing order
     for _ in range(50 * n + 50):
-        cand, lam = _solve_working_set(w, sigma, mu, free)
+        key = tuple(free)
+        line = lines.get(key)
+        if line is None:
+            line = lines[key] = _working_set_line(sigma, mu, free)
+        if rho < line[4]:  # below the line's rounding floor
+            cand, lam = _solve_working_set(w, sigma, mu_w, free)
+        else:
+            cand, lam = _on_line(line, rho, w)
         # the weights off the working set are 0, so the least weight is
         # the least free one wherever that is negative
         if cand.min() >= -_ACTIVE_TOL:
@@ -177,7 +235,7 @@ def _active_set_qp(sigma: np.ndarray, mu: np.ndarray, rho: float):
             if len(free) == n:
                 return theta
             bound = [i for i in range(n) if i not in free]
-            mult = (w * (sigma @ theta) - mu)[bound] + lam
+            mult = (w * (sigma @ theta) - mu_w)[bound] + lam
             j = int(np.argmin(mult))
             if mult[j] >= -_KKT_TOL:
                 return theta
@@ -226,7 +284,7 @@ def solve_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
     if model.decision_set.kind == "discrete" or rho < _RHO_TINY:
         theta = _lowest_line(model, rho)
     else:
-        theta = _active_set_qp(model.sigma, model.mu, rho)
+        theta = _active_set_qp(model.sigma, model.mu, rho, _qp_lines(model))
     return _result(model, x, rho, theta)
 
 
@@ -265,6 +323,7 @@ def lipschitz_bounds(model: PortfolioModel) -> LipschitzBounds:
     if model.decision_set.kind == "discrete":
         omega = slopes.min()
     else:
+        # mean 0, not the model's: the QP takes a memo of its own
         theta = _active_set_qp(model.sigma, np.zeros(model.n), 1.0)
         omega = 0.5 * model.variance(theta)
     return LipschitzBounds(float(omega), float(slopes.max()))
@@ -415,9 +474,10 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     convex = _convex_mask(rho)
     theta = np.empty((rho.size, model.n))
     sigma, mu, rhos = model.sigma, model.mu, rho.tolist()
+    lines = _qp_lines(model)
     for k in (range(rho.size) if convex is None
               else np.flatnonzero(convex).tolist()):
-        theta[k] = _active_set_qp(sigma, mu, rhos[k])
+        theta[k] = _active_set_qp(sigma, mu, rhos[k], lines)
     if convex is not None:
         theta[~convex] = _lowest_line(model, rho[~convex])
     return theta

@@ -2,7 +2,9 @@
 
 `exhaustive_alpha` solves the simplex problem of alpha by enumerating every
 support set, independently of the active-set QP that `alpha_field` and
-`solve_alpha` run. `term_dx` is the x-derivative of the inflow term, whose
+`solve_alpha` run: each support is solved at rho by the bordered solve,
+never through the QP's memoized working-set lines, so the oracle certifies
+those lines too. `term_dx` is the x-derivative of the inflow term, whose
 supremum `pde.lambda_bound` works out from eps and eps' instead.
 """
 

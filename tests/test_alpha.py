@@ -428,17 +428,20 @@ def qp_models(draw):
     return PortfolioModel(mu, sigma, DecisionSet.simplex(n))
 
 
-def _all_negative(rho, sigma, mu, free):
-    return -np.ones(len(mu)), 0.0
+def _all_negative(sigma, mu, free):
+    # a working-set line whose weights are all negative at every rho
+    n = len(mu)
+    return -np.ones(n), np.zeros(n), 0.0, 0.0, 0.0
 
 
-def _cycling(rho, sigma, mu, free):
+def _cycling(sigma, mu, free):
     # drops weight 0 from the full set, then takes it back
-    cand = np.zeros(len(mu))
-    cand[list(free)] = 1.0 / len(free)
-    if len(free) == len(mu):
-        cand[0] = -1.0
-    return cand, -1e3
+    n = len(mu)
+    g = np.zeros(n)
+    g[list(free)] = 1.0 / len(free)
+    if len(free) == n:
+        g[0] = -1.0
+    return g, np.zeros(n), -1e3, 0.0, 0.0
 
 
 class TestOneSimplexMinimizer:
@@ -465,7 +468,7 @@ class TestOneSimplexMinimizer:
     ])
     def test_failure_names_rho_and_n(self, monkeypatch, working_set,
                                      message):
-        monkeypatch.setattr(alpha, "_solve_working_set", working_set)
+        monkeypatch.setattr(alpha, "_working_set_line", working_set)
         with pytest.raises(AlphaEngineError,
                            match=f"{message} at rho=2.5, n=3$"):
             alpha._active_set_qp(np.eye(3), np.zeros(3), 2.5)
@@ -505,37 +508,166 @@ qp_rhos = st.one_of(
         lambda r: r > alpha._RHO_HUGE))
 
 
+def _count_qp_seams(monkeypatch):
+    """Record the QP's traffic through its three seams: the working sets
+    whose line is solved, the line evaluations and the bordered solves at
+    one rho, each as the working set it ran on."""
+    calls = {"line": [], "on_line": [], "bordered": []}
+    line_of, on_line, bordered = (alpha._working_set_line, alpha._on_line,
+                                  alpha._solve_working_set)
+
+    def counted_line(sigma, mu, free):
+        calls["line"].append(tuple(free))
+        return line_of(sigma, mu, free)
+
+    def counted_on_line(line, rho, w):
+        # the working set is the support of g, the minimum-variance weights
+        calls["on_line"].append(tuple(np.flatnonzero(line[0]).tolist()))
+        return on_line(line, rho, w)
+
+    def counted_bordered(rho, sigma, mu, free):
+        calls["bordered"].append(tuple(free))
+        return bordered(rho, sigma, mu, free)
+
+    monkeypatch.setattr(alpha, "_working_set_line", counted_line)
+    monkeypatch.setattr(alpha, "_on_line", counted_on_line)
+    monkeypatch.setattr(alpha, "_solve_working_set", counted_bordered)
+    return calls
+
+
 class TestPerPointQP:
-    """The field runs the active-set QP once per point, and an interior
-    point costs one working-set solve."""
+    """The field runs the active-set QP once per point. Each working set's
+    line is solved once per model, and an interior point costs one
+    evaluation of the full set's line."""
 
     def test_one_working_set_solve_per_interior_point(self, monkeypatch):
         model = ladder_model()
-        calls = []
-        solve_ws = alpha._solve_working_set
-
-        def counted(rho, sigma, mu, free):
-            calls.append(len(free))
-            return solve_ws(rho, sigma, mu, free)
-
-        monkeypatch.setattr(alpha, "_solve_working_set", counted)
+        calls = _count_qp_seams(monkeypatch)
+        full = (0, 1, 2, 3, 4)
         phis = np.linspace(4.5, 130.0, 201)
         _, _, theta = alpha_field(model, 0.0, phis)
         assert np.all(theta > 1e-4)
-        assert calls == [5] * phis.size
-        # a point with weights at zero takes more than one solve
-        calls.clear()
+        assert calls == {"line": [full], "on_line": [full] * phis.size,
+                         "bordered": []}
+        # a second field on the model solves no line again
+        calls["on_line"].clear()
+        alpha_field(model, 0.0, phis)
+        assert calls == {"line": [full], "on_line": [full] * phis.size,
+                         "bordered": []}
+        # a point with weights at zero evaluates more than one line, and
+        # each working set it reaches is solved once
+        calls["line"].clear()
+        calls["on_line"].clear()
         _, _, theta = alpha_field(model, 0.0, np.array([1.0, 1000.0]))
-        assert np.count_nonzero(theta == 0.0) == 4 and len(calls) > 2
+        assert np.count_nonzero(theta == 0.0) == 4
+        assert len(calls["on_line"]) > 2 and calls["bordered"] == []
+        assert len(set(calls["line"])) == len(calls["line"])
+        assert set(alpha._qp_lines(model)) == {full, *calls["line"]}
 
     @given(model=wide_simplex_models(),
            rhos=st.lists(qp_rhos, min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_field_rows_are_the_scalar_weights(self, model, rhos):
         _, _, theta = alpha_field(model, 0.0, np.array(rhos))
+        # a twin model starts from an empty memo of lines
+        twin = PortfolioModel(model.mu, model.sigma, model.decision_set)
         for row, rho in zip(theta, rhos):
             assert row.tobytes() == \
                 solve_alpha(model, 0.0, rho).theta_hat.tobytes()
+            assert row.tobytes() == \
+                solve_alpha(twin, 0.0, rho).theta_hat.tobytes()
+
+
+class TestWorkingSetLines:
+    """Each working set's minimizer is the line g + h / rho, solved once per
+    model, with the bordered solve at rho below the line's rounding
+    floor."""
+
+    def test_guard_takes_the_bordered_solve_near_rho_tiny(self,
+                                                           monkeypatch):
+        # asset 2's mean is pinned far below the others: its weight is zero
+        # at every rho, and at _RHO_TINY the minimizer is the top vertex
+        model = PortfolioModel(np.array([0.08, 0.05, -1.0]),
+                               np.array([[0.04, 0.006, 0.004],
+                                         [0.006, 0.02, 0.002],
+                                         [0.004, 0.002, 0.01]]),
+                               DecisionSet.simplex(3))
+        rho = alpha._RHO_TINY
+        calls = _count_qp_seams(monkeypatch)
+        r = solve_alpha(model, 0.0, rho)
+        assert r.theta_hat.tolist() == [1.0, 0.0, 0.0]
+        assert kkt_residual(model, 0.0, rho, r) <= 1e-12
+        # the guard sends the full set to the bordered solve, and every set
+        # whose floor is above rho with it; a set whose h is zero keeps
+        # its line
+        lines = alpha._qp_lines(model)
+        assert calls["bordered"][0] == (0, 1, 2)
+        assert calls["bordered"] == [w for w in calls["line"]
+                                     if rho < lines[w][4]]
+        assert calls["on_line"] == [w for w in calls["line"]
+                                    if rho >= lines[w][4]]
+        # there the full set's line would miss the sum to one by far more
+        # than the QP's tolerance
+        with np.errstate(over="ignore"):
+            cand, _ = alpha._on_line(lines[(0, 1, 2)], rho, rho)
+        assert not abs(cand.sum() - 1.0) <= alpha._ACTIVE_TOL
+
+    @given(model=wide_simplex_models(),
+           rhos=st.lists(qp_rhos, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_line_is_the_bordered_solve(self, model, rhos):
+        alpha_field(model, 0.0, np.array(rhos))
+        for free, line in alpha._qp_lines(model).items():
+            # both are backward-stable solves of one system, so they agree
+            # to about eps * cond of its unit-weight matrix (the matrix at
+            # rho is a diagonal scaling of it)
+            cond = np.linalg.cond(alpha._bordered(model.sigma, list(free)))
+            tol = max(1e-12, 10.0 * np.finfo(float).eps * cond)
+            for rho in rhos:
+                if rho < line[4]:  # the QP solves at rho there
+                    continue
+                mu, w = ((model.mu / rho, 1.0) if rho > alpha._RHO_HUGE
+                         else (model.mu, rho))
+                on_line, _ = alpha._on_line(line, rho, w)
+                solved, _ = alpha._solve_working_set(w, model.sigma, mu, free)
+                assert np.abs(on_line - solved).max() <= \
+                    tol * np.abs(solved).max()
+
+
+class TestLineMemo:
+    """The memo of lines belongs to the model's own problem."""
+
+    def test_slope_bound_ignores_the_filled_memo(self):
+        model = ladder_model()
+        before = lipschitz_bounds(model).omega
+        alpha_field(model, 0.0, np.geomspace(0.1, 1e4, 50))
+        assert alpha._qp_lines(model)
+        assert lipschitz_bounds(model).omega == before
+
+    def test_models_with_another_mean_share_no_line(self):
+        one = ladder_model()
+        other = PortfolioModel(one.mu[::-1].copy(), one.sigma, one.decision_set)
+        phis = np.geomspace(0.1, 1e4, 50)
+        for model in (one, other):
+            alpha_field(model, 0.0, phis)
+        a, b = alpha._qp_lines(one), alpha._qp_lines(other)
+        assert a is not b
+        for model, lines in ((one, a), (other, b)):
+            for free, line in lines.items():
+                fresh = alpha._working_set_line(model.sigma, model.mu, free)
+                assert all(np.array_equal(u, v) for u, v in zip(line, fresh))
+        for free in set(a) & set(b):
+            assert not np.array_equal(a[free][1], b[free][1])
+
+    @given(model=wide_simplex_models(),
+           rhos=st.lists(qp_rhos, min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_memo_holds_at_most_one_line_per_working_set(self, model, rhos):
+        alpha_field(model, 0.0, np.array(rhos))
+        lines = alpha._qp_lines(model)
+        assert 1 <= len(lines) <= 2 ** model.n - 1
+        assert all(list(free) == sorted(set(free)) and free
+                   and free[-1] < model.n for free in lines)
 
 
 class TestAlphaField:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import scipy
 
-from riccati_hjb import (AlphaEngineError, PDEConfig, SpatialGrid, alpha,
-                         cli, contraction_budget, grid_convergence, solve)
+from riccati_hjb import (PDEConfig, SpatialGrid, alpha, cli,
+                         contraction_budget, grid_convergence, solve)
 from riccati_hjb.analysis import monotonicity_certificate
 from riccati_hjb.config import load_run
 from riccati_hjb.pde import mms_convergence_study
@@ -332,11 +332,17 @@ class TestSolve:
         assert all(script.count(f"'{name}'") == 1 for name in slices)
 
     def test_qp_failure_exits_solver(self, tmp_path, capsys, monkeypatch):
-        def fail(sigma, mu, rho):
-            raise AlphaEngineError("active-set iteration did not converge "
-                                   f"at rho={rho!r}, n={len(mu)}")
+        def cycling(sigma, mu, free):
+            # a working-set line that drops weight 0 from the full set and
+            # takes it back, until the QP's iteration cap
+            n = len(mu)
+            g = np.zeros(n)
+            g[list(free)] = 1.0 / len(free)
+            if len(free) == n:
+                g[0] = -1.0
+            return g, np.zeros(n), -1e3, 0.0, 0.0
 
-        monkeypatch.setattr(alpha, "_active_set_qp", fail)
+        monkeypatch.setattr(alpha, "_working_set_line", cycling)
         cfg = write_config(
             tmp_path / "three.json", utility=DARA_UTIL,
             pde={**SMALL_PDE, "n_cells": 20, "n_steps": 2},
@@ -346,6 +352,7 @@ class TestSolve:
                      "--out", str(tmp_path / "sol")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("solver error: ")
+        assert "did not converge at rho=" in err and err.endswith(", n=3\n")
 
     def test_bad_slices_exits_usage(self, tmp_path, config_path, capsys):
         assert main(["solve", "--config", str(config_path),
