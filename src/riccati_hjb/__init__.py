@@ -13,49 +13,10 @@ numerically.
 
 __version__ = "0.1.0"
 
-from .alpha import (
-    AlphaEngineError,
-    AlphaResult,
-    ClosedFormN2,
-    LipschitzBounds,
-    alpha_field,
-    closed_form_n2,
-    kkt_residual,
-    lipschitz_bounds,
-    solve_alpha,
-    weights_path,
-)
-from .analysis import (
-    CheckReport,
-    contraction_budget,
-    energy_estimate_report,
-    grid_convergence,
-    maximum_principle_report,
-    monotonicity_certificate,
-)
-from .model import (
-    ArctanUtility,
-    DaraUtility,
-    DecisionSet,
-    InflowProfile,
-    ModelError,
-    PortfolioModel,
-    SpatialGrid,
-    TabulatedPhi0,
-    UtilitySpec,
-    drift,
-    ingest_market_data,
-    phi0_profile,
-)
-from .pde import (
-    CutoffBounds,
-    PDEConfig,
-    PicardError,
-    SolutionField,
-    SolverError,
-    mms_convergence_study,
-    singleton_mms,
-    solve,
-)
+# each module's own __all__ is its public list
+from .alpha import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .pde import *  # noqa: F401,F403
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -273,18 +273,15 @@ def solve_alpha(model: PortfolioModel, x: float, phi: float) -> AlphaResult:
     """Global minimizer of the risk-adjusted objective at (x, phi): the scalar
     oracle that `alpha_field` is certified against.
 
-    Simplex sets run the active-set QP, the one simplex minimizer, which
-    raises AlphaEngineError if it does not converge; discrete sets take the
-    exact minimum over the menu's lines. For non-convex effective weights
-    (phi at or below the convexity threshold) the minimum is attained at a
-    vertex and computed directly, as it is for a positive rho below about
-    1e-292 (`_RHO_TINY`).
+    The weights come from `_weights`, the field's own dispatch: the lowest
+    menu line on a menu, the active-set QP on the simplex (two assets
+    included, so the oracle stays independent of the field's closed form),
+    which raises AlphaEngineError if it does not converge, and the lowest
+    vertex for rho below about 1e-292 (`_RHO_TINY`), where the objective is
+    not convex or its quadratic term is below rounding.
     """
     rho = _phi_eff(model, phi)
-    if model.decision_set.kind == "discrete" or rho < _RHO_TINY:
-        theta = _lowest_line(model, rho)
-    else:
-        theta = _active_set_qp(model.sigma, model.mu, rho, _qp_lines(model))
+    theta = _weights(model, np.array([rho], dtype=float))[0]
     return _result(model, x, rho, theta)
 
 
@@ -426,22 +423,18 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
         phi_lo = 0.0 if 0.0 < a < 1.0 else np.inf
         phi_hi = np.inf
 
+    # t = a + b / phi clips below phi_lo to the first vertex (t = 1) when
+    # b > 0, or b = 0 and a >= 1, else to the second; above phi_hi to the
+    # other one. The objective is strictly convex in t, so the clipped
+    # vertex is the minimizer there
     _, slopes, intercepts = _menu_lines(model)
-
-    def vertex_line(phi_probe):
-        k = int(np.argmin(intercepts + phi_probe * slopes))
-        return float(slopes[k]), float(intercepts[k])
-
+    low = 0 if b > 0 or (b == 0 and a >= 1.0) else 1
     e_minus = d_minus = e_plus = d_plus = np.nan
-    if phi_lo == np.inf:
-        # empty interior: one vertex is optimal for every phi, and its line
-        # (the lower of the two at any probe) fills the whole axis
-        e_minus, d_minus = vertex_line(1.0)
-    else:
-        if phi_lo > 0:
-            e_minus, d_minus = vertex_line(0.5 * phi_lo)
-        if np.isfinite(phi_hi):
-            e_plus, d_plus = vertex_line(2.0 * phi_hi)
+    # phi_lo = inf is the empty interior: the low vertex fills the whole axis
+    if phi_lo > 0:
+        e_minus, d_minus = float(slopes[low]), float(intercepts[low])
+    if np.isfinite(phi_hi):
+        e_plus, d_plus = float(slopes[1 - low]), float(intercepts[1 - low])
     return ClosedFormN2(a_const, b_const, c_const, float(phi_lo), float(phi_hi),
                         e_minus, d_minus, e_plus, d_plus)
 
@@ -465,10 +458,10 @@ def _convex_mask(rho: np.ndarray):
 
 
 def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
-    """Exact minimizing weights at each effective weight rho, shape (N, n),
-    for a menu or a simplex of n >= 3 assets: the lowest fund line on a
-    menu, the per-point QP on the simplex, and the lowest vertex wherever
-    rho is below `_RHO_TINY`."""
+    """Exact minimizing weights at each effective weight rho, shape (N, n):
+    the lowest fund line on a menu, the per-point QP on the simplex, and the
+    lowest vertex wherever rho is below `_RHO_TINY` (nan included). The one
+    dispatch of the field (menus, n >= 3) and of `solve_alpha`."""
     if model.decision_set.kind == "discrete":
         return _lowest_line(model, rho)
     convex = _convex_mask(rho)

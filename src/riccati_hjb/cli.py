@@ -116,59 +116,44 @@ def _phi_grid(args):
     return grid
 
 
-def _path_table(model, grid):
-    """Header and rows of the weight path over the phi grid."""
+def cmd_table(args, stem: str, closed_form: bool) -> int:
+    """alpha-curve and weights-path: the weight path over the phi grid as
+    <stem>.csv, with the two-asset closed form's column and coefficients
+    when `closed_form` and the model has one, and a gnuplot script for
+    --gnuplot (alpha-curve only)."""
+    doc, model, _, _, _ = load_run(args.config)
+    grid = _phi_grid(args)
+    out = _out_dir(args)
+    t0 = time.perf_counter()
     path_data = weights_path(model, grid)
     header = ["phi", "alpha", "dalpha_dphi"] + [
         f"theta_{i + 1}" for i in range(model.n)]
     rows = np.column_stack([path_data["phi"], path_data["alpha"],
                             path_data["dalpha_dphi"], path_data["theta"]])
-    return header, rows
-
-
-def cmd_alpha_curve(args) -> int:
-    doc, model, _, _, _ = load_run(args.config)
-    grid = _phi_grid(args)
-    out = _out_dir(args)
-    t0 = time.perf_counter()
-    header, rows = _path_table(model, grid)
     extra = {}
-    try:
-        cf = closed_form_n2(model)
-        rows = np.column_stack([rows, cf.evaluate(grid)])
-        header.append("alpha_closed")
-        extra["breakpoints"] = {"phi_lo": cf.phi_lo, "phi_hi": cf.phi_hi}
-        extra["closed_form"] = {
-            "A": cf.a_const, "B": cf.b_const, "C": cf.c_const,
-            "E_minus": cf.e_minus, "D_minus": cf.d_minus,
-            "E_plus": cf.e_plus, "D_plus": cf.d_plus,
-        }
-    except AlphaEngineError:
-        pass
-    csv_path = out / "alpha_curve.csv"
+    if closed_form:
+        try:
+            cf = closed_form_n2(model)
+            rows = np.column_stack([rows, cf.evaluate(grid)])
+            header.append("alpha_closed")
+            extra["breakpoints"] = {"phi_lo": cf.phi_lo, "phi_hi": cf.phi_hi}
+            extra["closed_form"] = {
+                "A": cf.a_const, "B": cf.b_const, "C": cf.c_const,
+                "E_minus": cf.e_minus, "D_minus": cf.d_minus,
+                "E_plus": cf.e_plus, "D_plus": cf.d_plus,
+            }
+        except AlphaEngineError:
+            pass
+    csv_path = out / f"{stem}.csv"
     _write_csv(csv_path, header, rows.tolist())
     outputs = [csv_path.name]
-    if args.gnuplot:
-        gp = out / "alpha_curve.gp"
+    if getattr(args, "gnuplot", False):
+        gp = out / f"{stem}.gp"
         gp.write_text(
             "set datafile separator ','\n"
-            f"plot 'alpha_curve.csv' using 1:2 with lines title 'alpha'\n")
+            f"plot '{csv_path.name}' using 1:2 with lines title 'alpha'\n")
         outputs.append(gp.name)
-    _manifest(out, doc, outputs, {"alpha_curve": time.perf_counter() - t0}, extra)
-    print(f"wrote {csv_path}")
-    return EXIT_OK
-
-
-def cmd_weights_path(args) -> int:
-    doc, model, _, _, _ = load_run(args.config)
-    grid = _phi_grid(args)
-    out = _out_dir(args)
-    t0 = time.perf_counter()
-    header, rows = _path_table(model, grid)
-    csv_path = out / "weights_path.csv"
-    _write_csv(csv_path, header, rows.tolist())
-    _manifest(out, doc, [csv_path.name],
-              {"weights_path": time.perf_counter() - t0})
+    _manifest(out, doc, outputs, {stem: time.perf_counter() - t0}, extra)
     print(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -340,17 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--out", default="out")
     pi.set_defaults(func=cmd_ingest)
 
-    for name, fn in (("alpha-curve", cmd_alpha_curve),
-                     ("weights-path", cmd_weights_path)):
+    for name, closed_form in (("alpha-curve", True), ("weights-path", False)):
         pc = sub.add_parser(name, help=f"tabulate {name.replace('-', ' ')}")
         pc.add_argument("--config", required=True)
         pc.add_argument("--out", default="out")
         pc.add_argument("--phi-min", type=float, default=0.5)
         pc.add_argument("--phi-max", type=float, default=10.0)
         pc.add_argument("--n-points", type=int, default=200)
-        if name == "alpha-curve":
+        if closed_form:
             pc.add_argument("--gnuplot", action="store_true")
-        pc.set_defaults(func=fn)
+        pc.set_defaults(func=functools.partial(
+            cmd_table, stem=name.replace("-", "_"), closed_form=closed_form))
 
     ps = sub.add_parser("solve", help="integrate the risk-aversion PDE")
     ps.add_argument("--config", required=True)

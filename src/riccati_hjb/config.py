@@ -89,13 +89,11 @@ def _is_finite(v) -> bool:
         return False
 
 
-def _number(section, key: str, where: str, default=None, *,
-            integer: bool = False, low=None):
-    """section[key] as a float (an int when `integer`) of at least `low`, or
-    `default`, when one is given, for an absent key. JSON booleans, strings
-    and non-finite values raise a ConfigError naming where.key."""
-    if default is not None and key not in section:
-        return default
+def _number(section, key: str, where: str, *, integer: bool = False,
+            low=None):
+    """section[key] as a float (an int when `integer`) of at least `low`.
+    A missing key, JSON booleans, strings and non-finite values raise a
+    ConfigError naming where.key."""
     v = _require(section, key, where)
     if integer:
         ok, kind = isinstance(v, int) and _is_finite(v), "an integer"
@@ -247,8 +245,8 @@ def build_pde(doc: dict) -> PDEConfig:
     if (isinstance(boundary, dict)
             and boundary.get("kind", "dirichlet") == "dirichlet"):
         _known(boundary, "pde.boundary", ("kind", "left", "right"))
-        opts["dirichlet"] = (_number(boundary, "left", "pde.boundary", 0.0),
-                             _number(boundary, "right", "pde.boundary", 0.0))
+        opts["dirichlet"] = (_number(boundary, "left", "pde.boundary"),
+                             _number(boundary, "right", "pde.boundary"))
     elif boundary != "neumann":
         raise ConfigError(f"pde.boundary: expected 'neumann' or a Dirichlet "
                           f"object, got {boundary!r}")

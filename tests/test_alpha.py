@@ -81,6 +81,23 @@ class TestSolveAlpha:
         np.testing.assert_allclose(r.theta_hat, [1.0, 0.0], atol=1e-12)
         assert r.active_set == (0,)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_phi_takes_the_fields_weights(self, n):
+        # the scalar oracle shares the field's dispatch: a nan rho is not
+        # convex, so both take the lowest vertex; the QP's blocking step
+        # found no weight to block on it
+        sigma = np.zeros((n, n))
+        sigma[:2, :2] = two_asset_sigma()
+        if n == 3:
+            sigma[2, 2] = 0.01
+        model = PortfolioModel(np.array([MU_S, MU_B, 0.07][:n]), sigma,
+                               DecisionSet.simplex(n))
+        r = solve_alpha(model, 0.0, float("nan"))
+        _, slope, theta = alpha_field(model, 0.0, [float("nan")])
+        assert np.isnan(r.value)
+        assert r.theta_hat.tobytes() == theta[0].tobytes()
+        assert r.dvalue_dphi == slope[0]
+
 
 class TestDiscreteMenu:
     def test_growth_fund_wins_at_small_phi(self, fund_menu_model):

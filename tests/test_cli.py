@@ -94,6 +94,16 @@ class TestIngest:
         assert not out.exists()
 
 
+    def test_missing_file_exits_config(self, tmp_path, capsys):
+        sig = tmp_path / "sigma.csv"
+        sig.write_text("0.04\n")
+        missing = tmp_path / "mu.csv"
+        assert main(["ingest", "--mu", str(missing), "--sigma", str(sig),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: mu csv: file not found: {missing}\n")
+
+
 class TestCsv:
     def test_rows_are_the_repr_of_each_float(self, tmp_path):
         # shortest round-trip text of every value: signed zero, the least
@@ -682,6 +692,27 @@ class TestVerify:
         info = payload["info"]["contraction-budget"]
         assert info["t0"] == 0.0 and info["windows"] is None
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("utility, pde", [(None, SMALL_PDE),
+                                              (DARA_UTIL, None)],
+                             ids=["no-utility", "no-pde"])
+    def test_missing_section_exits_config(self, tmp_path, capsys, utility,
+                                          pde):
+        cfg = write_config(tmp_path / "part.json", utility=utility, pde=pde)
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: verify needs both a utility and a pde "
+            "section\n")
+        assert not out.exists()
+
+    def test_dirichlet_wall_is_required(self, tmp_path, capsys):
+        pde = dict(SMALL_PDE, boundary={"kind": "dirichlet", "right": 1.0})
+        cfg = write_config(tmp_path / "wall.json", utility=DARA_UTIL, pde=pde)
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: pde.boundary: missing key 'left'\n")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),

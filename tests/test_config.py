@@ -129,6 +129,27 @@ class TestModelSection:
             build_model(doc)
 
 
+    def test_scalar_covariance_is_one_asset(self):
+        doc = base_doc()
+        doc["model"]["assets"]["mu"] = [0.06]
+        doc["model"]["covariance"] = 0.04
+        assert build_model(doc).sigma.tolist() == [[0.04]]
+
+    @pytest.mark.parametrize("mu, points, message", [
+        ([0.1, 0.05, 0.07], None,
+         r"covariance shape \(2, 2\) does not match 3 assets"),
+        ([MU_S, MU_B], [[0.5, 0.25, 0.25]], "decision set dimension 3 != 2 "
+                                            "assets"),
+    ], ids=["covariance-shape", "menu-dimension"])
+    def test_model_errors_name_the_section(self, mu, points, message):
+        doc = base_doc()
+        doc["model"]["assets"]["mu"] = mu
+        if points is not None:
+            doc["model"]["decision_set"] = {"points": points}
+        with pytest.raises(ConfigError, match=f"^model: {message}$"):
+            build_model(doc)
+
+
 class TestUtilitySection:
     def test_arctan(self):
         doc = base_doc()
@@ -156,6 +177,26 @@ class TestUtilitySection:
         with pytest.raises(ConfigError, match="unknown kind"):
             build_utility(doc)
 
+    @pytest.mark.parametrize("kind", ["dara", "arctan", "tabulated"])
+    def test_truncation_gamma_must_be_positive(self, kind):
+        doc = _utility_doc(kind)
+        doc["utility"]["truncation_gamma"] = 0
+        with pytest.raises(ConfigError, match="^utility: truncation "
+                                              "half-width must be positive"):
+            build_utility(doc)
+
+    @pytest.mark.parametrize("x, message", [
+        ([-1.0, 1.0], "needs matching 1-d x and values"),
+        ([-1.0, 1.0, 1.0], "x must be strictly increasing"),
+    ])
+    def test_tabulated_profile_errors(self, x, message):
+        doc = base_doc()
+        doc["utility"] = {"kind": "tabulated", "x": x,
+                          "phi0": [2.0, 3.0, 2.0]}
+        with pytest.raises(ConfigError,
+                           match=f"^utility: tabulated profile {message}$"):
+            build_utility(doc)
+
     def test_invalid_dara_parameters(self):
         doc = base_doc()
         doc["utility"]["a0"] = -1.0
@@ -177,6 +218,16 @@ class TestPdeSection:
                                   "right": 2.0}
         cfg = build_pde(doc)
         assert cfg.dirichlet == (1.0, 2.0)
+
+    @pytest.mark.parametrize("wall", ["left", "right"])
+    def test_dirichlet_needs_both_walls(self, wall):
+        doc = base_doc()
+        doc["pde"]["boundary"] = {"kind": "dirichlet", "left": 1.0,
+                                  "right": 2.0}
+        del doc["pde"]["boundary"][wall]
+        with pytest.raises(ConfigError, match=f"^pde.boundary: missing key "
+                                              f"'{wall}'$"):
+            build_pde(doc)
 
     def test_manual_cutoff_level(self):
         # every run clamps at M = max|alpha(x, phi0)|, so a level named in
@@ -217,6 +268,25 @@ class TestChecksAndDocument:
     def test_malformed_checks_name_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"checks.{key}"):
             build_checks({"checks": {key: value}})
+
+    # a section that is not an object: read with _known (model, pde,
+    # checks), or first through _require (utility, model.assets)
+    @pytest.mark.parametrize("build, where, path", [
+        (build_model, "model", ("model",)),
+        (build_model, "model.assets", ("model", "assets")),
+        (build_utility, "utility", ("utility",)),
+        (build_pde, "pde", ("pde",)),
+        (build_checks, "checks", ("checks",)),
+    ])
+    def test_non_object_section_is_named(self, build, where, path):
+        doc = base_doc()
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = []
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: expected "
+                                              f"an object, got \\[\\]$"):
+            build(doc)
 
     def test_document_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

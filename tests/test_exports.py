@@ -27,3 +27,14 @@ def test_removed_entry_points_are_gone(name):
     assert not hasattr(riccati_hjb, name)
     for module in MODULES[1:]:
         assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("name", ["riccati_hjb.alpha", "riccati_hjb.analysis",
+                                  "riccati_hjb.model", "riccati_hjb.pde"])
+def test_package_exports_every_module_name(name):
+    # the package's public list is the union of its modules' own lists
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if n not in riccati_hjb.__all__]
+    assert missing == []
+    for n in module.__all__:
+        assert getattr(riccati_hjb, n) is getattr(module, n)

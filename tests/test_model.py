@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 import warnings
 
@@ -64,6 +65,24 @@ class TestIngestion:
             ingest_market_data(io.StringIO("mu\n0.1\nxyz\n"),
                                io.StringIO(sigma_csv()))
 
+    def test_missing_file_is_named(self, tmp_path):
+        missing = tmp_path / "mu.csv"
+        with pytest.raises(ModelError, match=f"^mu csv: file not found: "
+                                             f"{re.escape(str(missing))}$"):
+            ingest_market_data(missing, io.StringIO(sigma_csv()))
+
+    def test_header_only_mu_rejected(self):
+        with pytest.raises(ModelError, match="^mu csv: expected a header row "
+                                             "plus at least one value$"):
+            ingest_market_data(io.StringIO("mean_return\n"),
+                               io.StringIO(sigma_csv()))
+
+    def test_short_covariance_row_reports_location(self):
+        with pytest.raises(ModelError, match="^sigma csv row 2: expected 2 "
+                                             "values, got 1$"):
+            ingest_market_data(io.StringIO(MU_CSV),
+                               io.StringIO("0.04,0.0\n0.01\n"))
+
     def test_asymmetric_sigma_symmetrized(self):
         sigma = "0.04,0.012\n0.008,0.02\n"
         model = ingest_market_data(io.StringIO("mu\n0.1\n0.05\n"),
@@ -85,6 +104,30 @@ class TestDecisionSet:
     def test_simplex_dimension(self):
         with pytest.raises(ModelError):
             DecisionSet.simplex(0)
+
+
+class TestPortfolioModel:
+    def test_scalar_covariance_is_one_asset(self):
+        model = PortfolioModel(0.06, 0.04, DecisionSet.simplex(1))
+        assert model.sigma.shape == (1, 1) and model.sigma[0, 0] == 0.04
+        assert model.mu.tolist() == [0.06]
+
+    def test_no_assets_rejected(self):
+        with pytest.raises(ModelError, match="^need at least one asset$"):
+            PortfolioModel(np.empty(0), np.empty((0, 0)),
+                           DecisionSet.simplex(1))
+
+    def test_covariance_shape_must_match(self):
+        with pytest.raises(ModelError, match=r"^covariance shape \(2, 2\) "
+                                             r"does not match 3 assets$"):
+            PortfolioModel(np.array([0.1, 0.05, 0.07]), two_asset_sigma(),
+                           DecisionSet.simplex(3))
+
+    def test_decision_set_dimension_must_match(self):
+        menu = DecisionSet.discrete([[0.5, 0.25, 0.25]])
+        with pytest.raises(ModelError, match="^decision set dimension 3 != 2 "
+                                             "assets$"):
+            PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(), menu)
 
 
 class TestInflow:
@@ -244,6 +287,36 @@ class TestUtilities:
         xc = grid.centers
         i = np.argmin(np.abs(xc - 1.0))
         assert phi0[i] == pytest.approx(2 * xc[i] / (1 + xc[i]**2))
+
+    def test_arctan_utility_is_arctan(self):
+        x = np.array([-8.0, -1.0, 0.0, 0.5, 3.0])
+        util = ArctanUtility()
+        assert util.u(x).tobytes() == np.arctan(x).tobytes()
+        # u' is the derivative of u
+        h = 1e-6
+        np.testing.assert_allclose((util.u(x + h) - util.u(x - h)) / (2 * h),
+                                   util.u_prime(x), rtol=1e-8)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: DaraUtility(9.0, 6.0, 2.0, truncation_gamma=g),
+        lambda g: ArctanUtility(truncation_gamma=g),
+        lambda g: TabulatedPhi0([-1.0, 1.0], [2.0, 2.0], truncation_gamma=g),
+    ], ids=["dara", "arctan", "tabulated"])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_truncation_gamma_must_be_positive(self, make, gamma):
+        with pytest.raises(ModelError, match=f"^truncation half-width must be "
+                                             f"positive, got {gamma}$"):
+            make(gamma)
+
+    @pytest.mark.parametrize("x, values, message", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0], "needs matching 1-d x and values"),
+        ([0.0], [1.0], "needs matching 1-d x and values"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "x must be strictly increasing"),
+        ([1.0, 0.0], [1.0, 2.0], "x must be strictly increasing"),
+    ])
+    def test_tabulated_profile_validation(self, x, values, message):
+        with pytest.raises(ModelError, match=f"^tabulated profile {message}$"):
+            TabulatedPhi0(x, values)
 
     def test_dara_c1_at_kink(self):
         util = DaraUtility(9.0, 6.0, 2.0)

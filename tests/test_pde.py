@@ -1019,3 +1019,14 @@ class TestSolverErrors:
             with pytest.raises(SolverError, match="ghost value"):
                 PDEConfig(grid=grid, t_final=1.0, n_steps=4, dirichlet=walls)
         PDEConfig(grid=grid, t_final=1.0, n_steps=4, dirichlet=(8e307, -8e307))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_picard_tol_must_be_positive(self, tol):
+        grid = SpatialGrid(-1.0, 1.0, 16)
+        with pytest.raises(SolverError, match="^picard_tol must be positive$"):
+            PDEConfig(grid=grid, t_final=1.0, n_steps=4, picard_tol=tol)
+
+    def test_manufactured_problem_needs_a_symmetric_grid(self):
+        with pytest.raises(SolverError, match="^manufactured problem expects "
+                                              "a symmetric domain$"):
+            singleton_mms(SpatialGrid(-1.0, 2.0, 16))
