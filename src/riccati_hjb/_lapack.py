@@ -1,11 +1,14 @@
-"""The three LAPACK routines of the package, dgtsv, dpttrf and dpttrs,
-loaded from scipy's f2py extension `scipy.linalg._flapack` without running
-the package init of `scipy.linalg`, which takes about half of the import
-time of `riccati_hjb.cli`.
+"""The four LAPACK routines of the package, loaded from scipy's f2py
+extension `scipy.linalg._flapack` without running the package init of
+`scipy.linalg`, which takes about half of the import time of
+`riccati_hjb.cli`: dgttrf and dgttrs factor and solve the tridiagonal
+Newton systems of `pde`, so that one factorization can serve several
+sweeps, and dpttrf and dpttrs the symmetric positive definite tridiagonal
+systems of `analysis`.
 
 The extension is loaded under its own name and registered in
 `sys.modules`, so a later `import scipy.linalg` reuses the same module
-object and `scipy.linalg.lapack.dgtsv is dgtsv`. When `scipy.linalg` was
+object and `scipy.linalg.lapack.dgttrf is dgttrf`. When `scipy.linalg` was
 imported first, its module is reused. One difference remains after the
 early load: the attribute `scipy.linalg._flapack` is not bound on the
 package, because the import system binds a submodule on its parent only
@@ -49,6 +52,7 @@ def _load():
 
 
 _flapack = _load()
-dgtsv = _flapack.dgtsv
+dgttrf = _flapack.dgttrf
+dgttrs = _flapack.dgttrs
 dpttrf = _flapack.dpttrf
 dpttrs = _flapack.dpttrs

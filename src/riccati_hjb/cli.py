@@ -199,6 +199,7 @@ def _diag_summary(sol):
     return {
         "max_picard_iterations": max(sweeps),
         "total_sweeps": sum(sweeps),
+        "jacobians": sum(d.jacobians for d in sol.diagnostics),
         "mean_sweeps_per_step": sum(sweeps) / len(sweeps),
         "sweeps_per_step_counts": {
             str(n): sweeps.count(n) for n in sorted(set(sweeps))},

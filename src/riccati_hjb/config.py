@@ -135,6 +135,8 @@ def build_model(doc: dict) -> PortfolioModel:
                   "drift_mode"))
     assets = _known(_require(sec, "assets", "model"), "model.assets", ("mu",))
     mu = _vector(_require(assets, "mu", "model.assets"), "model.assets.mu")
+    if mu.size < 1:
+        raise ConfigError("model.assets.mu: need at least one asset, got []")
 
     cov = _require(sec, "covariance", "model")
     if isinstance(cov, dict):
@@ -189,9 +191,20 @@ def build_model(doc: dict) -> PortfolioModel:
                               f"{drift_mode!r}")
         opts["drift_mode"] = drift_mode
     try:
-        return PortfolioModel(mu, sigma, ds, **opts)
+        model = PortfolioModel(mu, sigma, ds, **opts)
     except ModelError as exc:
         raise ConfigError(f"model: {exc}") from None
+    # the weights scale as mu over the covariance: the two-asset constants
+    # mu1 - mu2 and (mu1 - mu2) / (S11 - 2 S12 + S22) are at most 2 max|mu|
+    # and max|mu| / lam, with lam the covariance's smallest eigenvalue (a
+    # rounded lam <= 0 of a matrix that passed Cholesky bounds nothing)
+    lam = float(np.linalg.eigvalsh(model.sigma)[0])
+    if lam > 0.0 and not math.isfinite(2.0 * float(np.max(np.abs(model.mu)))
+                                       / lam):
+        raise ConfigError(f"model.assets.mu: out of range for "
+                          f"model.covariance: 2 max|mu| / (smallest "
+                          f"covariance eigenvalue {lam:.3e}) must be finite")
+    return model
 
 
 def build_utility(doc: dict):

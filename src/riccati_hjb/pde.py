@@ -10,6 +10,17 @@ face flux w(alpha) phi through both the face velocity and the upwinded value
 correction. The sweeps stop once the correction is below the tolerance, so
 the converged iterate satisfies the fully implicit nonlinear step.
 
+Most steps of a smooth run converge in their first sweep, whose
+correction is then near rounding, so `solve` keeps the LU factors of the
+last Jacobian it factored and a step that follows a one-sweep step first
+solves with them (simplified Newton across steps, as stiff integrators
+keep their Newton matrix): that sweep forms the residual only. Its
+correction is applied when it meets the unchanged stop rule; else it is
+dropped and the step runs the fresh sweeps it would run without it, at
+most picard_max, from the same start. A Jacobian changes the path to the
+step, not the step, so a reused step agrees with a fresh one to the sweep
+tolerance.
+
 `solve` starts each step's sweeps from the extrapolation in time through
 the last L = min(k + 1, 8) levels, the predictor of Adams and BDF codes:
 the value at the next step of the polynomial through them, one product of
@@ -18,29 +29,30 @@ phi_0 at step 1). It is the whole Newton backward series; cutting the
 series before its smallest term cost sweeps on the shipped and benchmark
 runs. The start does not enter the stop rule, so the converged step agrees
 with any other start to the sweep tolerance. The tridiagonal system goes
-straight to LAPACK gtsv, the routine behind scipy's banded solver for one
-band on each side, without the wrapper's validation and band-matrix
-packing; `_lapack` loads it from scipy's LAPACK extension without the
+straight to LAPACK gttrf and gttrs, which factor and solve it bitwise as
+gtsv, the routine behind scipy's banded solver for one band on each side,
+does in one call, without the wrapper's validation and band-matrix
+packing; `_lapack` loads them from scipy's LAPACK extension without the
 package init of `scipy.linalg`. A sweep is bound by numpy's per-call
 overhead on arrays of n + 2 values, so it works in buffers kept per run:
-`alpha_field` writes alpha and its slope into two of them (its `out=`
-form, which forms no weights) and subtracts the inflow term at the
-ghost-extended centers, worked out once per run; the face and band views
-of the buffers are made once per run, and the check for a non-finite
-correction is left to the max |delta| of the stop rule, which is nan or
-inf exactly when delta has such an entry. The start of a step is written straight into its
-row of the solution, where the Newton update is applied in place. The
-part of the step residual that no sweep changes, phi_prev / dtau plus the
-manufactured source, is formed once per step. A sweep refills the run's
-ghost-extended buffer of phi, takes the range of alpha over it once (the
-clamp test reads it, and the step diagnostics keep the range of the last
-sweep), and builds the couplings of the Newton system in their
--1/dx-scaled form directly: 1/dx and 1/dx^2 are folded into the
-scaling of the face velocity and the alpha slope, and the diagonal is
-built from the couplings. On the shipped two-asset upwind run (402
-values) a sweep takes about 40 us on a 2-core x86-64 VM (Python 3.11,
-numpy 2.4, best of repeated timings), a quarter of it in `alpha_field`
-and a fifth in gtsv.
+`alpha_field` writes alpha and its slope into two of them (its `out=` form,
+which forms no weights) and subtracts the inflow term at the ghost-extended
+centers, worked out once per run; the face and band views of the buffers
+are made once per run, and the check for a non-finite correction is left to
+the max |delta| of the stop rule, which is nan or inf exactly when delta
+has such an entry. The start of a step is written straight into its row of
+the solution, where the Newton update is applied in place. The part of the
+step residual that no sweep changes, phi_prev / dtau plus the manufactured
+source, is formed once per step. A sweep refills the run's ghost-extended
+buffer of phi, takes the range of alpha over it once (the clamp test reads
+it, and the step diagnostics keep the range of the last sweep), and builds
+the couplings of the Newton system in their -1/dx-scaled form directly:
+1/dx and 1/dx^2 are folded into the scaling of the face velocity and the
+alpha slope, and the diagonal is built from the couplings. On the shipped
+two-asset upwind run (402 values) a sweep that factors its Jacobian takes
+about 41 us and one on the stored factors about 27 us on a 2-core x86-64 VM
+(Python 3.11, numpy 2.4, best of repeated timings); `alpha_field` takes
+about 9 us of either, and gttrf and gttrs about 6 us each.
 
 w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
 M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
@@ -60,7 +72,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._lapack import dgtsv
+from ._lapack import dgttrf, dgttrs
 from .alpha import alpha_field
 from .model import (DecisionSet, PortfolioModel, SpatialGrid, TabulatedPhi0,
                     UtilitySpec, phi0_profile)
@@ -166,7 +178,13 @@ class CutoffBounds:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """One step's Newton record: its sweeps, the Jacobians it factored (0
+    when it reused the stored factors), the last correction, the range of
+    alpha and the linearized wall fluxes of the last sweep and the
+    integral of the source."""
+
     picard_iterations: int
+    jacobians: int
     residual: float
     alpha_min: float
     alpha_max: float
@@ -290,15 +308,22 @@ class _Geometry:
         return out
 
 
-# scipy's name is kept: perfbench's traced run wraps pde.solve_banded
-def solve_banded(lower, diag, upper, rhs):
-    """Solve the tridiagonal system with sub-, main and super-diagonals
-    (lower, diag, upper) by LAPACK gtsv. lower, upper and rhs are
-    overwritten; diag is kept. Raises LinAlgError on a zero pivot."""
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, True, False, True, True)
+def factor_banded(lower, diag, upper):
+    """The LU factors, with partial pivoting, of the tridiagonal matrix with
+    sub-, main and super-diagonals (lower, diag, upper) by LAPACK gttrf, in
+    new arrays: the bands are kept. Raises LinAlgError on a zero pivot."""
+    *factors, info = dgttrf(lower, diag, upper)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return factors
+
+
+# scipy's name is kept: perfbench's traced run wraps pde.solve_banded
+def solve_banded(factors, rhs):
+    """Solve the tridiagonal system of `factor_banded`'s factors by LAPACK
+    gttrs, in place of rhs. Factor and solve are bitwise the one-call gtsv,
+    the routine behind scipy's banded solver for one band on each side."""
+    return dgttrs(*factors, rhs, "N", True)[0]
 
 
 def _fixed_residual(config, geom, phi_prev, tau_next):
@@ -312,7 +337,7 @@ def _fixed_residual(config, geom, phi_prev, tau_next):
     return fixed, float(np.sum(src) * geom.dx)
 
 
-def _sweep(model, config, geom, fixed, phi_iter, tau_next):
+def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
     """One Newton sweep: solve the linearized step for the correction.
 
     The step residual at phi_iter is d_x G - phi_iter / dtau + fixed, with
@@ -321,16 +346,20 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     envelope slope and each advective face flux v * phi_upwind through both
     the upwinded value and the face velocity, with the upwind choice
     frozen. The clamp of the advective coefficient passes the slope on
-    where lower <= alpha <= upper and 0 outside.
+    where lower <= alpha <= upper and 0 outside. A given `jacobian`, the
+    one an earlier sweep returned, is solved with instead: the sweep then
+    forms the residual only.
 
-    Returns (delta, alpha_range, fluxes) with phi_iter + delta the new
-    iterate (delta lives in the run's buffer, which the next sweep
+    Returns (delta, alpha_range, fluxes, jacobian) with phi_iter + delta
+    the new iterate (delta lives in the run's buffer, which the next sweep
     overwrites), alpha_range the (min, max) of alpha at phi_iter over the
-    cells and the two ghost values, the values the clamp acts on, and
-    fluxes the linearized total face fluxes at the two domain ends, so the
+    cells and the two ghost values, the values the clamp acts on, fluxes
+    the linearized total face fluxes at the two domain ends, so the
     discrete balance
     sum(u - phi_prev) dx = dtau (G_right - G_left + integral of source)
-    holds to solver precision.
+    holds to solver precision, and jacobian the (LU factors, end terms) of
+    the system solved: the end terms are the two wall flux derivatives by
+    the edge corrections, so the fluxes come from the matrix solved.
     """
     h, inv_dx2, sign = 0.5 * geom.inv_dx, geom.inv_dx2, geom.sign
     pe = geom.extend(phi_iter)
@@ -361,40 +390,59 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     flux *= inv_dx2
     c_left, c_right = geom.lower, geom.upper
     if config.upwind:
-        # face velocity over dx, with its parts upwinded from the left
-        # (>= 0) and the right (< 0)
+        # face velocity over dx, upwinded from the left (>= 0) or the right
         pe_l, pe_r = geom.pe_faces
         vel = np.add(wc_l, wc_r, out=c_right)
         vel *= h
         pu = np.where(vel >= 0.0, pe_l, pe_r)
         flux -= np.multiply(vel, pu, out=c_left)
-        v_left = np.maximum(vel, 0.0)
-        adv_right = np.subtract(vel, v_left, out=vel)
-        pu *= h     # the face velocity takes half of each alpha slope
-        adv_left = np.multiply(dw_l, pu, out=c_left)
-        adv_left += v_left
-        pu *= dw_r
-        adv_right += pu
     else:
         q = np.multiply(wc, pe, out=geom.cell)
         q_l, q_r = geom.cell_faces
         adv = np.add(q_l, q_r, out=c_left)
         adv *= h
         flux -= adv
-        g = np.multiply(dw, pe, out=geom.cell)
-        g += wc
-        g *= h
-        adv_left, adv_right = geom.cell_faces
-    se *= -inv_dx2      # se (and dw) are not read again
-    s_l, s_r = geom.slope_faces
-    np.subtract(s_l, adv_left, out=c_left)
-    np.add(s_r, adv_right, out=c_right)
 
     f_l, f_r = geom.flux_faces
     rhs = np.subtract(f_r, f_l, out=geom.rhs)
     rhs += fixed
     # the diagonal's buffer holds phi_iter / dtau until it is built
     rhs -= np.multiply(phi_iter, geom.inv_dtau, out=geom.diag)
+
+    if jacobian is None:
+        if config.upwind:
+            # the parts of the face velocity upwinded from the left and
+            # the right
+            v_left = np.maximum(vel, 0.0)
+            adv_right = np.subtract(vel, v_left, out=vel)
+            pu *= h     # the face velocity takes half of each alpha slope
+            adv_left = np.multiply(dw_l, pu, out=c_left)
+            adv_left += v_left
+            pu *= dw_r
+            adv_right += pu
+        else:
+            g = np.multiply(dw, pe, out=geom.cell)
+            g += wc
+            g *= h
+            adv_left, adv_right = geom.cell_faces
+        se *= -inv_dx2      # se (and dw) are not read again
+        s_l, s_r = geom.slope_faces
+        np.subtract(s_l, adv_left, out=c_left)
+        np.add(s_r, adv_right, out=c_right)
+        jacobian = _factor_newton(geom, tau_next)
+
+    lu, (end_left, end_right) = jacobian
+    delta = solve_banded(lu, rhs)
+    dx = geom.dx
+    g_left = dx * (float(flux[0]) - end_left * float(delta[0]))
+    g_right = dx * (float(flux[-1]) + end_right * float(delta[-1]))
+    return delta, alpha_range, (g_left, g_right), jacobian
+
+
+def _factor_newton(geom, tau_next):
+    """The (LU factors, end terms) of the Newton system whose couplings the
+    sweep left in the run's buffers; the diagonal is built from them."""
+    c_left, c_right, sign = geom.lower, geom.upper, geom.sign
     # the diagonal of row i is 1/dtau - c_left[i+1] - c_right[i]
     diag = np.add(*geom.diag_parts, out=geom.diag)
     np.subtract(geom.inv_dtau, diag, out=diag)
@@ -403,38 +451,51 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next):
     cr0, crn = float(c_right[0]), float(c_right[-1])
     diag[0] += sign * cl0
     diag[-1] += sign * crn
-
     band_l, band_r = geom.bands
     try:
-        delta = solve_banded(band_l, diag, band_r, rhs)
+        lu = factor_banded(band_l, diag, band_r)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"tridiagonal solve failed at tau={tau_next:.6g}: {exc}; "
             f"diag range [{diag.min():.3e}, {diag.max():.3e}]"
         ) from None
-
-    dx = geom.dx
-    g_left = dx * (float(flux[0]) - (cr0 - sign * cl0) * float(delta[0]))
-    g_right = dx * (float(flux[-1]) + (cln - sign * crn) * float(delta[-1]))
-    return delta, alpha_range, (g_left, g_right)
+    return lu, (cr0 - sign * cl0, cln - sign * crn)
 
 
-def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index):
+def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index,
+             jacobian=None):
     """Newton sweeps of one implicit step from phi_prev, starting at
-    phi_iter, which they update in place to the step's solution; returns
-    the step's diagnostics."""
+    phi_iter, which they update in place to the step's solution.
+
+    A given `jacobian`, the stored factors of an earlier step, serves the
+    first sweep (simplified Newton). Its correction is applied when it
+    meets the tolerance; else it is dropped, and the step runs the fresh
+    sweeps it would run without it, at most picard_max of them. Returns
+    the step's diagnostics and the jacobian to store: the given one when
+    it was applied, else that of the last fresh sweep."""
     fixed, src_int = _fixed_residual(config, geom, phi_prev, tau_next)
+    tried = 0
+    if jacobian is not None:
+        delta, alpha_range, fluxes, _ = _sweep(model, config, geom, fixed,
+                                               phi_iter, tau_next, jacobian)
+        residual = float(np.abs(delta, out=geom.diag).max())
+        if residual <= config.picard_tol:
+            phi_iter += delta
+            return StepDiagnostics(1, 0, residual, *alpha_range, *fluxes,
+                                   src_int), jacobian
+        tried = 1
     for it in range(1, config.picard_max + 1):
-        delta, alpha_range, fluxes = _sweep(model, config, geom, fixed,
-                                            phi_iter, tau_next)
+        delta, alpha_range, fluxes, jacobian = _sweep(model, config, geom,
+                                                      fixed, phi_iter,
+                                                      tau_next)
         phi_iter += delta
         # nan or inf in delta makes its max |delta| nan or inf
         residual = float(np.abs(delta, out=delta).max())
         if not math.isfinite(residual):
             raise SolverError(f"non-finite update at tau={tau_next:.6g}")
         if residual <= config.picard_tol:
-            return StepDiagnostics(it, residual, *alpha_range, *fluxes,
-                                   src_int)
+            return StepDiagnostics(tried + it, it, residual, *alpha_range,
+                                   *fluxes, src_int), jacobian
     raise PicardError(step_index, tau_next, residual, config.picard_tol)
 
 
@@ -476,10 +537,14 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))
     phi[0] = phi0
-    diags = []
+    diags, jacobian = [], None
     for k, tau_next in enumerate(tau[1:].tolist()):
-        diags.append(_advance(model, config, geom, phi[k], _predict(phi, k),
-                              tau_next, k))
+        # the stored factors serve a step that follows a one-sweep step
+        if diags and diags[-1].picard_iterations > 1:
+            jacobian = None
+        d, jacobian = _advance(model, config, geom, phi[k], _predict(phi, k),
+                               tau_next, k, jacobian)
+        diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
                          diagnostics=tuple(diags), bounds=bounds)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from riccati_hjb import (PDEConfig, SpatialGrid, alpha, cli,
+from riccati_hjb import (PDEConfig, SpatialGrid, alpha, cli, pde,
                          contraction_budget, grid_convergence, solve)
 from riccati_hjb.analysis import monotonicity_certificate
 from riccati_hjb.config import load_run
@@ -302,6 +302,25 @@ class TestSolve:
         assert diag["cutoff"] == {"m": bounds.m, "lambda": bounds.lam,
                                   "lower": bounds.lower,
                                   "upper": bounds.upper, "excess": 0.0}
+
+    def test_manifest_counts_the_factorizations(self, tmp_path, config_path,
+                                                monkeypatch):
+        # the manifest's jacobians total is the number of Newton matrices
+        # the run factored: fewer than its sweeps, as steps after a
+        # one-sweep step reuse the stored factors
+        factor, calls = pde.factor_banded, []
+
+        def counted_factor(*args):
+            calls.append(1)
+            return factor(*args)
+
+        monkeypatch.setattr(pde, "factor_banded", counted_factor)
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", str(config_path), "--out",
+                     str(out)]) == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["jacobians"] == len(calls)
+        assert 0 < diag["jacobians"] < diag["total_sweeps"]
 
     def test_constant_profile_slices_flat(self, tmp_path):
         cfg = write_config(
@@ -726,6 +745,39 @@ class TestVerify:
         bad.write_text("{ not json")
         assert main(["verify", "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
+
+
+class TestModelInput:
+    def test_empty_mu_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "empty.json",
+                           model_extra={"assets": {"mu": []},
+                                        "covariance": []})
+        assert main(["alpha-curve", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: model.assets.mu: need at least one asset, "
+            "got []\n")
+
+    # the two-asset constant (mu1 - mu2) / (S11 - 2 S12 + S22) overflowed
+    # from the first two, which ended in an OverflowError; the QP of the
+    # third in a ValueError
+    @pytest.mark.parametrize("mu, cov", [
+        ([1e308, MU_B], two_asset_sigma().tolist()),
+        ([1e308, -1e308], two_asset_sigma().tolist()),
+        ([1e308, 0.05, 0.02], np.diag([0.04, 0.03, 0.02]).tolist()),
+    ], ids=["stocks-bonds", "opposite", "three-assets"])
+    @pytest.mark.parametrize("command", ["solve", "alpha-curve"])
+    def test_mu_out_of_range_is_named(self, tmp_path, capsys, mu, cov,
+                                      command):
+        cfg = write_config(tmp_path / "huge.json", utility=DARA_UTIL,
+                           pde=SMALL_PDE,
+                           model_extra={"assets": {"mu": mu},
+                                        "covariance": cov})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: model.assets.mu: out of range for "
+            "model.covariance: ")
 
 
 class TestParser:

@@ -1,7 +1,8 @@
 """The package loads scipy's LAPACK extension without `scipy.linalg`.
 
 The sys.modules checks run in a fresh interpreter: this suite imports
-`scipy.linalg` itself (test_pde compares gtsv with `solve_banded`)."""
+`scipy.linalg` itself (test_pde compares gttrf and gttrs with
+`solve_banded`)."""
 
 import os
 import subprocess
@@ -19,7 +20,8 @@ import sys
 import scipy.linalg.lapack as lapack
 from riccati_hjb import _lapack, analysis, pde
 assert sys.modules["scipy.linalg._flapack"] is _lapack._flapack
-assert pde.dgtsv is _lapack.dgtsv is lapack.dgtsv
+assert pde.dgttrf is _lapack.dgttrf is lapack.dgttrf
+assert pde.dgttrs is _lapack.dgttrs is lapack.dgttrs
 assert analysis.dpttrf is _lapack.dpttrf is lapack.dpttrf
 assert analysis.dpttrs is _lapack.dpttrs is lapack.dpttrs
 """

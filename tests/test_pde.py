@@ -459,7 +459,9 @@ class TestNewtonSweeps:
     # 2.07; started from the extrapolation through up to eight levels it
     # needs 1.16 there, 1.14 with the centered flux (whose overshoot engages
     # the auto clamp), 1.16 with every cell clamped and 1.18 with Dirichlet
-    # walls
+    # walls. With the stored factors tried after each one-sweep step it
+    # needs 1.19 on the shipped run and 1.20 with Dirichlet walls, the
+    # other two unchanged
     @pytest.mark.parametrize("kw, level", [
         (dict(n_cells=400, n_steps=400, t_final=10.0, upwind=True), None),
         (dict(upwind=False), None),
@@ -494,7 +496,8 @@ class TestNewtonSweeps:
 
         def correction(level):
             # delta lives in the run's buffer, which the next sweep refills
-            delta, _, _ = pde._sweep(model, cfg, geom, fixed, level, tau)
+            delta, _, _, _ = pde._sweep(model, cfg, geom, fixed, level,
+                                        tau)
             return delta.copy()
 
         for _ in range(3):   # to rounding, below the run's tolerance
@@ -552,17 +555,81 @@ class TestNewtonSweeps:
         assert worst <= 1e-9
 
 
+class TestStoredFactors:
+    # a step after a one-sweep step first solves with the factors of the
+    # last Jacobian factored fresh (simplified Newton). Its correction must
+    # meet the unchanged stop rule, so the stored level is the implicit step
+    # to the sweep tolerance, whatever Jacobian the path to it used
+    @pytest.fixture(scope="class")
+    def reused_run(self, paper_model):
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        cfg = paper_cfg(n_cells=100, n_steps=100, t_final=10.0, upwind=True)
+        return cfg, solve(paper_model, util, cfg)
+
+    def test_reused_levels_are_implicit_steps(self, paper_model,
+                                              reused_run):
+        # 58 of the 100 steps reuse the stored factors. Each level k + 1 is
+        # compared with a one-step solve from level k, which factors fresh
+        # in every sweep, and the fresh Newton correction at each level is
+        # taken with the independent face-by-face sweep: both measured at
+        # most 1.1e-13, and both must stay within one picard_tol (1e-10).
+        # The run's clamp does not engage, and a one-step solve would clamp
+        # at the level of its own start, so those run unclamped
+        cfg, sol = reused_run
+        assert sum(d.jacobians == 0 for d in sol.diagnostics) >= 50
+        assert sol.cutoff_excess == 0.0
+        with clamp_level(np.inf):
+            for k in range(cfg.n_steps):
+                step = one_step(paper_model, sol.phi[k], cfg)
+                assert np.max(np.abs(step - sol.phi[k + 1])) <= cfg.picard_tol
+        for k in range(cfg.n_steps):
+            delta = face_by_face_sweep(paper_model, cfg, sol.bounds,
+                                       sol.phi[k], sol.phi[k + 1],
+                                       float(sol.tau_values[k + 1]))[0]
+            assert np.max(np.abs(delta)) <= cfg.picard_tol
+
+    def test_rejected_factors_leave_the_fresh_step(self, paper_model,
+                                                   reused_run):
+        # factors of the first level's Jacobian, tried on step 50 from the
+        # previous level: the correction misses the tolerance, so it is
+        # dropped and the step runs the sweeps of a fresh start, bit for
+        # bit, and hands on the factors of its last fresh sweep
+        cfg, sol = reused_run
+        geom = pde._Geometry(paper_model, cfg, sol.bounds)
+        tau_1 = float(sol.tau_values[1])
+        fixed, _ = pde._fixed_residual(cfg, geom, sol.phi[0], tau_1)
+        *_, stale = pde._sweep(paper_model, cfg, geom, fixed,
+                               sol.phi[0].copy(), tau_1)
+        k, tau = 50, float(sol.tau_values[51])
+        fresh_level, level = sol.phi[k].copy(), sol.phi[k].copy()
+        fresh, fresh_jacobian = pde._advance(paper_model, cfg, geom,
+                                             sol.phi[k], fresh_level, tau, k)
+        d, jacobian = pde._advance(paper_model, cfg, geom, sol.phi[k], level,
+                                   tau, k, stale)
+        assert fresh.jacobians == fresh.picard_iterations >= 2
+        assert d.picard_iterations == fresh.picard_iterations + 1
+        assert dataclasses.replace(
+            d, picard_iterations=fresh.picard_iterations) == fresh
+        assert level.tobytes() == fresh_level.tobytes()
+        assert jacobian is not stale
+        assert jacobian[1] == fresh_jacobian[1]
+        for mine, ref in zip(jacobian[0], fresh_jacobian[0]):
+            assert np.array_equal(mine, ref)
+
+
 class TestTracedCallSites:
     # the traced benchmark counts sweeps by wrapping pde.alpha_field and
     # pde.solve_banded, so each sweep must call both once, and the cutoff
     # level of an auto-clamped run one more alpha evaluation
     @staticmethod
     def counted_solve(model, cfg, monkeypatch):
-        """solve with the benchmark's two call sites counted: returns the
-        solution, the (phi, alpha) of every alpha evaluation and the number
-        of tridiagonal solves."""
-        alpha_calls, solves = [], [0]
-        field, banded = pde.alpha_field, pde.solve_banded
+        """solve with the benchmark's two call sites and the factorizations
+        counted: returns the solution, the (phi, alpha) of every alpha
+        evaluation, the number of tridiagonal solves and the number of
+        factorizations."""
+        alpha_calls, solves, factors = [], [0], [0]
+        field, banded, factor = (pde.alpha_field, pde.solve_banded,
+                                 pde.factor_banded)
 
         def counted_field(model, x, phi, **kwargs):
             out = field(model, x, phi, **kwargs)
@@ -575,19 +642,25 @@ class TestTracedCallSites:
             solves[0] += 1
             return banded(*args)
 
+        def counted_factor(*args):
+            factors[0] += 1
+            return factor(*args)
+
         monkeypatch.setattr(pde, "alpha_field", counted_field)
         monkeypatch.setattr(pde, "solve_banded", counted_solve)
+        monkeypatch.setattr(pde, "factor_banded", counted_factor)
         util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
-        return solve(model, util, cfg), alpha_calls, solves[0]
+        return solve(model, util, cfg), alpha_calls, solves[0], factors[0]
 
     def test_one_alpha_and_one_solve_per_sweep(self, paper_model,
                                                monkeypatch):
         cfg = paper_cfg(n_cells=40, n_steps=10, upwind=True)
-        sol, alpha_calls, solves = self.counted_solve(paper_model, cfg,
-                                                      monkeypatch)
+        sol, alpha_calls, solves, factors = self.counted_solve(
+            paper_model, cfg, monkeypatch)
         iters = [d.picard_iterations for d in sol.diagnostics]
         assert len(alpha_calls) == sum(iters) + 1
         assert solves == sum(iters)
+        assert factors == sum(d.jacobians for d in sol.diagnostics)
         # each step's alpha range is that of the cells and the two ghost
         # values at the iterate of its last sweep
         last = np.cumsum(iters)
@@ -599,14 +672,27 @@ class TestTracedCallSites:
 
     def test_shipped_run_work(self, paper_model, monkeypatch):
         # the Newton work of the shipped 400x400 stocks/bonds DARA run: a
-        # change of the sweep that keeps the algorithm keeps this count
+        # change of the sweep that keeps the algorithm keeps these counts.
+        # Every sweep factoring its own Jacobian took 464 sweeps; with the
+        # stored factors tried after each one-sweep step it takes 477, of
+        # which 147 factor a Jacobian
         cfg = paper_cfg(n_cells=400, n_steps=400, t_final=10.0, upwind=True)
-        sol, alpha_calls, solves = self.counted_solve(paper_model, cfg,
-                                                      monkeypatch)
+        sol, alpha_calls, solves, factors = self.counted_solve(
+            paper_model, cfg, monkeypatch)
         sweeps = sum(d.picard_iterations for d in sol.diagnostics)
-        assert sweeps == 464
+        assert sweeps == 477
         assert len(alpha_calls) == sweeps + 1
         assert solves == sweeps
+        assert factors == sum(d.jacobians for d in sol.diagnostics) == 147
+        # a step tries the stored factors exactly when the step before it
+        # took one sweep; a tried step spends one sweep on them, and one
+        # whose correction they met takes no other
+        for before, d in zip((None, *sol.diagnostics), sol.diagnostics):
+            tried = before is not None and before.picard_iterations == 1
+            assert d.picard_iterations - d.jacobians == int(tried)
+            assert (d.jacobians == 0) == (tried and d.picard_iterations == 1)
+        assert any(0 < d.jacobians < d.picard_iterations
+                   for d in sol.diagnostics)
 
 
 class TestPredictor:
@@ -633,7 +719,8 @@ class TestPredictor:
     def test_sweeps_across_models(self, paper_model, fund_menu_model,
                                   singleton_model, inflow_model):
         # 100 steps of 0.04 on 100 cells: a mean of 1.48 sweeps per step over
-        # these 32 runs, 2.19 from the quadratic extrapolation
+        # these 32 runs (1.4825, 1.4775 with every sweep factoring its
+        # Jacobian), 2.19 from the quadratic extrapolation
         grid = SpatialGrid(-8.0, 8.0, 100)
         sweeps = []
         for model, util, upwind, boundary in itertools.product(
@@ -750,8 +837,8 @@ class TestSweepAgainstFaceReference:
             geom = pde._Geometry(model, cfg, cutoff)
             tau = 0.35
             fixed, src_int = pde._fixed_residual(cfg, geom, prev, tau)
-            delta, alpha_range, fluxes = pde._sweep(model, cfg, geom, fixed,
-                                                    phi, tau)
+            delta, alpha_range, fluxes, _ = pde._sweep(model, cfg, geom,
+                                                       fixed, phi, tau)
             ref_delta, ref_range, ref_fluxes, ref_src, velocities = \
                 face_by_face_sweep(model, cfg, cutoff, prev, phi, tau)
             if upwind:
@@ -774,9 +861,22 @@ class TestTridiagonalSolve:
         ab = np.zeros((3, n))
         ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
         ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        mine = pde.solve_banded(lower.copy(), diag.copy(), upper.copy(),
-                                rhs.copy())
+        bands = (lower.copy(), diag.copy(), upper.copy())
+        factors = pde.factor_banded(*bands)
+        mine = pde.solve_banded(factors, rhs.copy())
         assert np.array_equal(mine, ref)
+        # the factors are new arrays and serve a second right-hand side
+        for band, kept in zip(bands, (lower, diag, upper)):
+            assert np.array_equal(band, kept)
+        rhs_2 = rng.normal(size=n)
+        assert np.array_equal(pde.solve_banded(factors, rhs_2.copy()),
+                              scipy.linalg.solve_banded((1, 1), ab, rhs_2))
+        # a small diagonal makes the factorization swap rows
+        ab[1] = diag = 0.01 * diag
+        factors = pde.factor_banded(lower, diag, upper)
+        assert np.any(factors[4] != np.arange(1, n + 1))
+        assert np.array_equal(pde.solve_banded(factors, rhs.copy()),
+                              scipy.linalg.solve_banded((1, 1), ab, rhs))
 
     def test_singular_system_is_solver_error(self, singleton_model):
         # a constant state whose advective coefficient is clamped to zero
