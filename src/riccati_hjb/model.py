@@ -168,7 +168,8 @@ class PortfolioModel:
         for name, values in (("mean returns", mu), ("covariance", sig)):
             if not np.all(np.isfinite(values)):
                 raise ModelError(f"{name} must be finite, got {values.tolist()}")
-        sig = 0.5 * (sig + sig.T)
+        # halved before the sum, so entries near the float limit stay finite
+        sig = 0.5 * sig + 0.5 * sig.T
         try:
             np.linalg.cholesky(sig)
         except np.linalg.LinAlgError:

@@ -11,15 +11,17 @@ correction. The sweeps stop once the correction is below the tolerance, so
 the converged iterate satisfies the fully implicit nonlinear step.
 
 Most steps of a smooth run converge in their first sweep, whose
-correction is then near rounding, so `solve` keeps the LU factors of the
-last Jacobian it factored and a step that follows a one-sweep step first
-solves with them (simplified Newton across steps, as stiff integrators
-keep their Newton matrix): that sweep forms the residual only. Its
-correction is applied when it meets the unchanged stop rule; else it is
-dropped and the step runs the fresh sweeps it would run without it, at
-most picard_max, from the same start. A Jacobian changes the path to the
-step, not the step, so a reused step agrees with a fresh one to the sweep
-tolerance.
+correction is then near rounding, so a one-sweep step hands the LU factors
+of its Jacobian on and the next step's first sweep solves with them
+(simplified Newton across steps, as stiff integrators keep their Newton
+matrix): that sweep forms the residual only. Every sweep applies its
+correction, and one that misses the unchanged stop rule drops the factors
+it used, so the next sweep factors its own: a missed stored-factor sweep
+is a chord step, and a step takes at most picard_max sweeps in all. A step
+of more than one sweep hands no factors on; where no step converges in one
+sweep, as on the five-asset inflow runs, stored factors would only add
+sweeps. A Jacobian changes the path to the step, not the step, so a step
+on stored factors agrees with a fresh one to the sweep tolerance.
 
 `solve` starts each step's sweeps from the extrapolation in time through
 the last L = min(k + 1, 8) levels, the predictor of Adams and BDF codes:
@@ -178,10 +180,10 @@ class CutoffBounds:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """One step's Newton record: its sweeps, the Jacobians it factored (0
-    when it reused the stored factors), the last correction, the range of
-    alpha and the linearized wall fluxes of the last sweep and the
-    integral of the source."""
+    """One step's Newton record: its sweeps, the Jacobians it factored
+    (one fewer than its sweeps when its first sweep solved with stored
+    factors), the last correction, the range of alpha and the linearized
+    wall fluxes of the last sweep and the integral of the source."""
 
     picard_iterations: int
     jacobians: int
@@ -322,7 +324,9 @@ def factor_banded(lower, diag, upper):
 def solve_banded(factors, rhs):
     """Solve the tridiagonal system of `factor_banded`'s factors by LAPACK
     gttrs, in place of rhs. Factor and solve are bitwise the one-call gtsv,
-    the routine behind scipy's banded solver for one band on each side."""
+    the routine behind scipy's banded solver for one band on each side.
+    rhs is written even when it is read-only: f2py's overwrite flag does
+    not check the writeable flag."""
     return dgttrs(*factors, rhs, "N", True)[0]
 
 
@@ -467,35 +471,29 @@ def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index,
     """Newton sweeps of one implicit step from phi_prev, starting at
     phi_iter, which they update in place to the step's solution.
 
-    A given `jacobian`, the stored factors of an earlier step, serves the
-    first sweep (simplified Newton). Its correction is applied when it
-    meets the tolerance; else it is dropped, and the step runs the fresh
-    sweeps it would run without it, at most picard_max of them. Returns
-    the step's diagnostics and the jacobian to store: the given one when
-    it was applied, else that of the last fresh sweep."""
+    At most picard_max sweeps, each applying its correction. The first
+    solves with the given `jacobian`, the stored factors of an earlier step
+    (simplified Newton), when there is one; a correction that misses the
+    tolerance drops the factors, so the next sweep factors its own. Returns
+    the step's diagnostics and the jacobian to store: that of its sweep
+    when the step took one, else None."""
     fixed, src_int = _fixed_residual(config, geom, phi_prev, tau_next)
-    tried = 0
-    if jacobian is not None:
-        delta, alpha_range, fluxes, _ = _sweep(model, config, geom, fixed,
-                                               phi_iter, tau_next, jacobian)
-        residual = float(np.abs(delta, out=geom.diag).max())
-        if residual <= config.picard_tol:
-            phi_iter += delta
-            return StepDiagnostics(1, 0, residual, *alpha_range, *fluxes,
-                                   src_int), jacobian
-        tried = 1
+    factored = 0
     for it in range(1, config.picard_max + 1):
+        factored += jacobian is None
         delta, alpha_range, fluxes, jacobian = _sweep(model, config, geom,
                                                       fixed, phi_iter,
-                                                      tau_next)
+                                                      tau_next, jacobian)
         phi_iter += delta
         # nan or inf in delta makes its max |delta| nan or inf
         residual = float(np.abs(delta, out=delta).max())
         if not math.isfinite(residual):
             raise SolverError(f"non-finite update at tau={tau_next:.6g}")
         if residual <= config.picard_tol:
-            return StepDiagnostics(tried + it, it, residual, *alpha_range,
-                                   *fluxes, src_int), jacobian
+            d = StepDiagnostics(it, factored, residual, *alpha_range,
+                                *fluxes, src_int)
+            return d, (jacobian if it == 1 else None)
+        jacobian = None
     raise PicardError(step_index, tau_next, residual, config.picard_tol)
 
 
@@ -539,9 +537,6 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     phi[0] = phi0
     diags, jacobian = [], None
     for k, tau_next in enumerate(tau[1:].tolist()):
-        # the stored factors serve a step that follows a one-sweep step
-        if diags and diags[-1].picard_iterations > 1:
-            jacobian = None
         d, jacobian = _advance(model, config, geom, phi[k], _predict(phi, k),
                                tau_next, k, jacobian)
         diags.append(d)

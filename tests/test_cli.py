@@ -780,6 +780,18 @@ class TestModelInput:
             "model.covariance: ")
 
 
+    # the symmetrizing sum of the covariance overflowed its 1e308 diagonal
+    # to inf, on which the eigenvalue check of the mu scale did not converge
+    @pytest.mark.parametrize("command", ["solve", "alpha-curve"])
+    def test_covariance_near_the_float_limit(self, tmp_path, command):
+        cov = [[0.04, 0.01, 0.0], [0.01, 1e308, 0.02], [0.0, 0.02, 0.06]]
+        cfg = write_config(tmp_path / "wide.json", utility=DARA_UTIL,
+                           pde=SMALL_PDE,
+                           model_extra={"assets": {"mu": [0.08, 0.05, 0.02]},
+                                        "covariance": cov})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 0
+
 class TestParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -123,6 +123,15 @@ class TestPortfolioModel:
             PortfolioModel(np.array([0.1, 0.05, 0.07]), two_asset_sigma(),
                            DecisionSet.simplex(3))
 
+    def test_covariance_near_the_float_limit_stays_finite(self):
+        # the symmetrizing sum S + S^T overflowed a diagonal of 1e308 to inf,
+        # which Cholesky accepts; halving first keeps every entry
+        sigma = np.array([[0.04, 0.01, 0.0], [0.01, 1e308, 0.02],
+                          [0.0, 0.02, 0.06]])
+        model = PortfolioModel(np.array([0.08, 0.05, 0.02]), sigma,
+                               DecisionSet.simplex(3))
+        assert np.array_equal(model.sigma, sigma)
+
     def test_decision_set_dimension_must_match(self):
         menu = DecisionSet.discrete([[0.5, 0.25, 0.25]])
         with pytest.raises(ModelError, match="^decision set dimension 3 != 2 "
