@@ -779,7 +779,6 @@ class TestModelInput:
             "configuration error: model.assets.mu: out of range for "
             "model.covariance: ")
 
-
     # the symmetrizing sum of the covariance overflowed its 1e308 diagonal
     # to inf, on which the eigenvalue check of the mu scale did not converge
     @pytest.mark.parametrize("command", ["solve", "alpha-curve"])
@@ -791,6 +790,7 @@ class TestModelInput:
                                         "covariance": cov})
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
+
 
 class TestParser:
     def test_built_once(self):
