@@ -44,6 +44,14 @@ DARA = {"kind": "dara", "a0": 9.0, "a1": 6.0, "x_star": 2.0,
 CONSTANT = {"kind": "dara", "a0": 9.0, "a1": 9.0, "x_star": 0.0,
             "truncation_gamma": None}
 
+# the run documents, each written to <name>.json
+DOCUMENTS = {
+    "stocks_bonds": {"model": STOCKS_BONDS, "utility": DARA, "pde": PDE},
+    "three_funds": {"model": {**STOCKS_BONDS, "decision_set": THREE_FUNDS},
+                    "utility": DARA, "pde": PDE},
+    "constant_nine": {"model": STOCKS_BONDS, "utility": CONSTANT, "pde": PDE},
+}
+
 
 def write(path: Path, doc: dict) -> str:
     path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -63,13 +71,8 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    simplex_cfg = write(out / "stocks_bonds.json",
-                        {"model": STOCKS_BONDS, "utility": DARA, "pde": PDE})
-    menu_cfg = write(out / "three_funds.json",
-                     {"model": {**STOCKS_BONDS, "decision_set": THREE_FUNDS},
-                      "utility": DARA, "pde": PDE})
-    const_cfg = write(out / "constant_nine.json",
-                      {"model": STOCKS_BONDS, "utility": CONSTANT, "pde": PDE})
+    simplex_cfg, menu_cfg, const_cfg = (write(out / f"{name}.json", doc)
+                                        for name, doc in DOCUMENTS.items())
 
     print("== value function and weight paths ==")
     run(["alpha-curve", "--config", simplex_cfg,

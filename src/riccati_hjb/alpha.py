@@ -38,6 +38,7 @@ import numpy as np
 
 from .model import (
     DRIFT_LOG_WEALTH,
+    ModelError,
     PortfolioModel,
 )
 
@@ -71,8 +72,9 @@ _RHO_HUGE = 1.0 / _RHO_TINY
 
 
 class AlphaEngineError(RuntimeError):
-    """Internal failure of the active-set iteration (must not occur for
-    positive-definite covariance)."""
+    """A minimization failed or an internal invariant broke, neither of which
+    must occur for positive-definite covariance; a bad argument is a
+    ModelError."""
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,7 @@ def _menu_lines(model: PortfolioModel):
     return pts, 0.5 * model.variance(pts), -(pts @ model.mu)
 
 
+@np.errstate(over="ignore")  # a line that overflows is above every finite one
 def _lowest_line(model: PortfolioModel, rho):
     """Weights of the lowest line at rho, a scalar (shape (n,)) or a 1-d
     array (shape (N, n)); ties break to the lowest index."""
@@ -405,9 +408,9 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
     through nothing and on phi alone.
     """
     if model.n != 2 or model.decision_set.kind != "simplex":
-        raise AlphaEngineError("closed form needs a 2-asset simplex model")
+        raise ModelError("closed form needs a 2-asset simplex model")
     if model.drift_mode == DRIFT_LOG_WEALTH or model.inflow is not None:
-        raise AlphaEngineError("closed form needs the simple drift convention")
+        raise ModelError("closed form needs the simple drift convention")
     a, b, half_q, c_const, m, mu2 = _n2_constants(model)
     a_const = -mu2 - m * a
     b_const = 0.5 * m * m / (2.0 * half_q)
@@ -446,7 +449,7 @@ def weights_path(model: PortfolioModel, phi_grid):
     grid. Within one active set the weights are affine in 1/phi."""
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or np.any(np.diff(phi_grid) <= 0) or phi_grid[0] <= 0:
-        raise AlphaEngineError("phi grid must be strictly increasing and positive")
+        raise ModelError("phi grid must be strictly increasing and positive")
     alpha, dalpha, theta = alpha_field(model, 0.0, phi_grid)
     return {"phi": phi_grid, "theta": theta, "alpha": alpha, "dalpha_dphi": dalpha}
 

@@ -115,7 +115,8 @@ def contraction_budget(model: PortfolioModel,
     beta_tilde^2 = 2 (1 + d) beta^2, d = 1, the map contracts on horizons
     below t0 = 2 omega / beta_tilde^2. The first of the `windows` spans t0,
     every later restart adds t0/2; None when t0 is 0, as it is once
-    M e^{lam T} overflows to inf.
+    M e^{lam T} or beta_tilde^2 overflows to inf, and when their count
+    overflows (a horizon near the float limit).
     """
     bounds = lipschitz_bounds(model)
     centers = solution.grid.centers
@@ -124,10 +125,13 @@ def contraction_budget(model: PortfolioModel,
     phi_bound = (me_lt + float(np.max(np.abs(h)))) / bounds.omega
     beta = max(bounds.big_l, bounds.big_l * phi_bound + me_lt)
     beta_tilde = math.sqrt(2.0 * (1 + _SPACE_DIM)) * beta
-    t0 = 2.0 * bounds.omega / beta_tilde**2
+    try:
+        t0 = 2.0 * bounds.omega / beta_tilde**2
+    except OverflowError:  # beta_tilde^2 is beyond the float range
+        t0 = 0.0
     horizon = solution.bounds.horizon
-    windows = (None if t0 == 0.0
-               else 1 + max(0, math.ceil((horizon - t0) / (t0 / 2.0))))
+    spans = (horizon - t0) / (t0 / 2.0) if t0 / 2.0 > 0.0 else math.inf
+    windows = 1 + max(0, math.ceil(spans)) if spans < math.inf else None
     return {"omega": bounds.omega, "beta": beta, "phi_bound": phi_bound,
             "beta_tilde": beta_tilde, "t0": t0, "horizon": horizon,
             "windows": windows, "horizon_exceeds_t0": horizon > t0}
@@ -150,6 +154,7 @@ def _hminus1_sq(levels, dx: float):
     return dx * np.einsum("kn,nk->k", levels, solved)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf fails the check
 def _energy(solution: SolutionField, model: PortfolioModel) -> dict:
     """Energy numbers of one run. The energy is sup_tau |phi|_{H^-1}^2 +
     int_0^T |phi|_{L2}^2, and its ratio is taken to the data terms:

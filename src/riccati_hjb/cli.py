@@ -142,7 +142,7 @@ def cmd_table(args, stem: str, closed_form: bool) -> int:
                 "E_minus": cf.e_minus, "D_minus": cf.d_minus,
                 "E_plus": cf.e_plus, "D_plus": cf.d_plus,
             }
-        except AlphaEngineError:
+        except ModelError:
             pass
     csv_path = out / f"{stem}.csv"
     _write_csv(csv_path, header, rows.tolist())

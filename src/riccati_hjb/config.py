@@ -22,7 +22,7 @@ from .model import (
     SpatialGrid,
     TabulatedPhi0,
 )
-from .pde import PDEConfig, SolverError
+from .pde import PDEConfig
 
 __all__ = [
     "ConfigError",
@@ -129,6 +129,15 @@ def _vector(value, where: str) -> np.ndarray:
     return v
 
 
+def _built(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with the ModelError of a setting it rejects
+    raised as a ConfigError naming where."""
+    try:
+        return make(*args, **kwargs)
+    except ModelError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def build_model(doc: dict) -> PortfolioModel:
     sec = _known(_require(doc, "model", "config"), "model",
                  ("assets", "covariance", "decision_set", "inflow",
@@ -154,7 +163,8 @@ def build_model(doc: dict) -> PortfolioModel:
         if not (np.array_equal(corr, corr.T) and np.all(np.diag(corr) == 1.0)):
             raise ConfigError("model.covariance.correlation: must equal its "
                               "transpose and have a diagonal of exactly 1")
-        sigma = corr * np.outer(vols, vols)
+        with np.errstate(over="ignore"):  # the model rejects an inf
+            sigma = corr * np.outer(vols, vols)
     else:
         sigma = _floats(cov, "model.covariance")
 
@@ -163,9 +173,9 @@ def build_model(doc: dict) -> PortfolioModel:
         ds = DecisionSet.simplex(mu.size)
     elif isinstance(ds_spec, dict):
         _known(ds_spec, "model.decision_set", ("points",))
-        ds = DecisionSet.discrete(_floats(
-            _require(ds_spec, "points", "model.decision_set"),
-            "model.decision_set.points"))
+        ds = _built("model.decision_set.points", DecisionSet.discrete,
+                    _floats(_require(ds_spec, "points", "model.decision_set"),
+                            "model.decision_set.points"))
     else:
         raise ConfigError(f"model.decision_set: expected 'simplex' or "
                           f"{{'points': [...]}}, got {ds_spec!r}")
@@ -175,14 +185,11 @@ def build_model(doc: dict) -> PortfolioModel:
     if sec.get("inflow") is not None:
         inf = _known(sec["inflow"], "model.inflow",
                      ("eps_rate", "y_minus", "y_plus"))
-        try:
-            opts["inflow"] = InflowProfile(
-                eps_rate=_number(inf, "eps_rate", "model.inflow"),
-                y_minus=_number(inf, "y_minus", "model.inflow"),
-                y_plus=_number(inf, "y_plus", "model.inflow"),
-            )
-        except ModelError as exc:
-            raise ConfigError(f"model.inflow: {exc}") from None
+        opts["inflow"] = _built(
+            "model.inflow", InflowProfile,
+            eps_rate=_number(inf, "eps_rate", "model.inflow"),
+            y_minus=_number(inf, "y_minus", "model.inflow"),
+            y_plus=_number(inf, "y_plus", "model.inflow"))
 
     drift_mode = sec.get("drift_mode")
     if drift_mode is not None:
@@ -190,10 +197,7 @@ def build_model(doc: dict) -> PortfolioModel:
             raise ConfigError(f"model.drift_mode: expected a string, got "
                               f"{drift_mode!r}")
         opts["drift_mode"] = drift_mode
-    try:
-        model = PortfolioModel(mu, sigma, ds, **opts)
-    except ModelError as exc:
-        raise ConfigError(f"model: {exc}") from None
+    model = _built("model", PortfolioModel, mu, sigma, ds, **opts)
     # the weights scale as mu over the covariance: the two-asset constants
     # mu1 - mu2 and (mu1 - mu2) / (S11 - 2 S12 + S22) are at most 2 max|mu|
     # and max|mu| / lam, with lam the covariance's smallest eigenvalue (a
@@ -219,39 +223,27 @@ def build_utility(doc: dict):
         opts["truncation_gamma"] = (
             None if sec["truncation_gamma"] is None
             else _number(sec, "truncation_gamma", "utility"))
-    try:
-        if kind == "dara":
-            return DaraUtility(
-                a0=_number(sec, "a0", "utility"),
-                a1=_number(sec, "a1", "utility"),
-                x_star=_number(sec, "x_star", "utility"),
-                **opts,
-            )
-        if kind == "arctan":
-            return ArctanUtility(**opts)
-        if kind == "tabulated":
-            return TabulatedPhi0(
-                x=_floats(_require(sec, "x", "utility"), "utility.x"),
-                values=_floats(_require(sec, "phi0", "utility"),
-                               "utility.phi0"),
-                **opts,
-            )
-    except ModelError as exc:
-        raise ConfigError(f"utility: {exc}") from None
+    if kind == "dara":
+        return _built("utility", DaraUtility,
+                      a0=_number(sec, "a0", "utility"),
+                      a1=_number(sec, "a1", "utility"),
+                      x_star=_number(sec, "x_star", "utility"), **opts)
+    if kind == "arctan":
+        return _built("utility", ArctanUtility, **opts)
+    return _built("utility", TabulatedPhi0,
+                  x=_floats(_require(sec, "x", "utility"), "utility.x"),
+                  values=_floats(_require(sec, "phi0", "utility"),
+                                 "utility.phi0"), **opts)
 
 
 def build_pde(doc: dict) -> PDEConfig:
     sec = _known(_require(doc, "pde", "config"), "pde",
                  ("x_min", "x_max", "n_cells", "t_final", "n_steps",
                   "picard_tol", "picard_max", "boundary", "upwind"))
-    try:
-        grid = SpatialGrid(
-            x_min=_number(sec, "x_min", "pde"),
-            x_max=_number(sec, "x_max", "pde"),
-            n_cells=_number(sec, "n_cells", "pde", integer=True),
-        )
-    except ModelError as exc:
-        raise ConfigError(f"pde: {exc}") from None
+    grid = _built("pde", SpatialGrid,
+                  x_min=_number(sec, "x_min", "pde"),
+                  x_max=_number(sec, "x_max", "pde"),
+                  n_cells=_number(sec, "n_cells", "pde", integer=True))
 
     opts = {}
     boundary = sec.get("boundary", "neumann")
@@ -278,10 +270,8 @@ def build_pde(doc: dict) -> PDEConfig:
     for key, integer in (("picard_tol", False), ("picard_max", True)):
         if key in sec:
             opts[key] = _number(sec, key, "pde", integer=integer)
-    try:
-        return PDEConfig(grid=grid, t_final=t_final, n_steps=n_steps, **opts)
-    except SolverError as exc:
-        raise ConfigError(f"pde: {exc}") from None
+    return _built("pde", PDEConfig, grid=grid, t_final=t_final,
+                  n_steps=n_steps, **opts)
 
 
 def build_checks(doc: dict) -> dict:

@@ -41,7 +41,8 @@ _SIMPLEX_TOL = 1e-12
 
 
 class ModelError(ValueError):
-    """Invalid market data, decision set, inflow profile or utility."""
+    """A bad setting of the market data, decision set, inflow, utility, grid
+    or run, or a bad argument: exit 2. A failed solve is a SolverError."""
 
 
 def _readonly(a):
@@ -78,7 +79,7 @@ class DecisionSet:
                 raise ModelError(f"discrete point {i} has negative weight: {th}")
             if abs(th.sum() - 1.0) > _SIMPLEX_TOL:
                 raise ModelError(
-                    f"discrete point {i} is off the simplex: sum={th.sum()!r}"
+                    f"discrete point {i} is off the simplex: sum={th.sum()}"
                 )
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -125,7 +126,9 @@ class InflowProfile:
 
     def epsilon_prime(self, y):
         t = self._ramp(y)
-        return self.eps_rate * 6.0 * t * (1.0 - t) / (self.y_plus - self.y_minus)
+        # the finite slope first: eps_rate * 6 may overflow and meet t = 0
+        return (self.eps_rate / (self.y_plus - self.y_minus)
+                * (6.0 * t * (1.0 - t)))
 
     @np.errstate(over="ignore")
     def term(self, x):
@@ -355,7 +358,8 @@ def phi0_profile(utility: UtilitySpec, grid: SpatialGrid) -> np.ndarray:
     vals = np.asarray(utility.phi0_raw(xc), dtype=float)
     gamma = utility.truncation_gamma
     if gamma is not None:
-        taper = np.clip((gamma - np.abs(xc)) / grid.dx, 0.0, 1.0)
+        # clipped before the division, which a huge gamma overflows
+        taper = np.clip(gamma - np.abs(xc), 0.0, grid.dx) / grid.dx
         vals = vals * taper
     return vals
 

@@ -76,12 +76,11 @@ import numpy as np
 
 from ._lapack import dgttrf, dgttrs
 from .alpha import alpha_field
-from .model import (DecisionSet, PortfolioModel, SpatialGrid, TabulatedPhi0,
-                    UtilitySpec, phi0_profile)
+from .model import (DecisionSet, ModelError, PortfolioModel, SpatialGrid,
+                    TabulatedPhi0, UtilitySpec, phi0_profile)
 
 __all__ = [
     "SolverError",
-    "PicardError",
     "PDEConfig",
     "CutoffBounds",
     "StepDiagnostics",
@@ -94,19 +93,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Time stepping failed (linear solve breakdown or similar)."""
-
-
-class PicardError(SolverError):
-    """The Newton sweeps of a step failed to meet the update tolerance."""
-
-    def __init__(self, step_index, tau, residual, tol):
-        self.step_index = step_index
-        self.residual = residual
-        super().__init__(
-            f"Newton sweeps stalled at tau={tau:.6g} (step {step_index}): "
-            f"correction {residual:.3e} > tol {tol:.3e}"
-        )
+    """A step of a valid run failed at the tau its message names: a singular
+    system, a non-finite update or a stall above picard_tol. Exit 3."""
 
 
 @dataclass(frozen=True)
@@ -125,24 +113,24 @@ class PDEConfig:
 
     def __post_init__(self):
         if self.t_final <= 0:
-            raise SolverError(f"t_final must be positive, got {self.t_final}")
+            raise ModelError(f"t_final must be positive, got {self.t_final}")
         if self.n_steps < 1:
-            raise SolverError(f"need n_steps >= 1, got {self.n_steps}")
+            raise ModelError(f"need n_steps >= 1, got {self.n_steps}")
         # the step scales by 1/dtau, which a subnormal dtau overflows
         if not (0.0 < self.dtau < math.inf and math.isfinite(1.0 / self.dtau)):
-            raise SolverError(f"time step t_final / n_steps = {self.dtau:.3e}"
+            raise ModelError(f"time step t_final / n_steps = {self.dtau:.3e}"
                               f" is out of range: 1/dtau is not finite")
         if self.picard_tol <= 0:
-            raise SolverError("picard_tol must be positive")
+            raise ModelError("picard_tol must be positive")
         if self.picard_max < 1:
-            raise SolverError(f"need picard_max >= 1, got {self.picard_max}")
+            raise ModelError(f"need picard_max >= 1, got {self.picard_max}")
         if self.dirichlet is not None and len(self.dirichlet) != 2:
-            raise SolverError(f"dirichlet must be None or a (left, right) "
+            raise ModelError(f"dirichlet must be None or a (left, right) "
                               f"pair, got {self.dirichlet!r}")
         # the ghost of a wall at g holds 2 g minus the edge value
         for g in self.dirichlet or ():
             if not math.isfinite(2.0 * g):
-                raise SolverError(f"dirichlet wall value {g!r} is out of "
+                raise ModelError(f"dirichlet wall value {g!r} is out of "
                                   f"range: its ghost value 2 g must be finite")
 
     @property
@@ -494,7 +482,9 @@ def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index,
                                 *fluxes, src_int)
             return d, (jacobian if it == 1 else None)
         jacobian = None
-    raise PicardError(step_index, tau_next, residual, config.picard_tol)
+    raise SolverError(f"Newton sweeps stalled at tau={tau_next:.6g} (step "
+                      f"{step_index}): correction {residual:.3e} > tol "
+                      f"{config.picard_tol:.3e}")
 
 
 _PREDICTOR_LEVELS = 8  # most stored levels the start of a step reads
@@ -536,10 +526,12 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     phi = np.empty((config.n_steps + 1, grid.n_cells))
     phi[0] = phi0
     diags, jacobian = [], None
-    for k, tau_next in enumerate(tau[1:].tolist()):
-        d, jacobian = _advance(model, config, geom, phi[k], _predict(phi, k),
-                               tau_next, k, jacobian)
-        diags.append(d)
+    # a sweep that overflows ends in the non-finite update SolverError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, tau_next in enumerate(tau[1:].tolist()):
+            d, jacobian = _advance(model, config, geom, phi[k],
+                                   _predict(phi, k), tau_next, k, jacobian)
+            diags.append(d)
     return SolutionField(phi=phi, tau_values=tau, grid=grid,
                          diagnostics=tuple(diags), bounds=bounds)
 
@@ -568,7 +560,7 @@ def singleton_mms(grid: SpatialGrid):
     makes the exact field solve the PDE, valid while the clamp stays inactive.
     """
     if abs(grid.x_min + grid.x_max) > 1e-12:
-        raise SolverError("manufactured problem expects a symmetric domain")
+        raise ModelError("manufactured problem expects a symmetric domain")
     m = float(_MMS_MODEL.mu[0])
     s2 = float(_MMS_MODEL.sigma[0, 0])
     k = np.pi / grid.x_max
@@ -590,11 +582,10 @@ def _observed_orders(errors):
     return [float(v) for v in np.log2(e[:-1] / e[1:])]
 
 
-def _mms_table(runs, spacing):
+def _mms_table(runs):
     """Max errors at the horizon of the manufactured runs (n_cells, n_steps)
-    in `runs`, with the refined spacing ("dx" or "dtau") of each run and the
-    observed orders."""
-    table = {"n_cells": [], "n_steps": [], spacing: [], "error": []}
+    in `runs` and the observed orders."""
+    table = {"n_cells": [], "n_steps": [], "error": []}
     for n, steps in runs:
         grid = SpatialGrid(-_MMS_X_MAX, _MMS_X_MAX, n)
         phi0, source, exact = singleton_mms(grid)
@@ -606,7 +597,6 @@ def _mms_table(runs, spacing):
                                   - exact(grid.centers, _MMS_T_FINAL))))
         table["n_cells"].append(n)
         table["n_steps"].append(steps)
-        table[spacing].append(grid.dx if spacing == "dx" else cfg.dtau)
         table["error"].append(err)
     table["orders"] = _observed_orders(table["error"])
     return table
@@ -616,5 +606,5 @@ def mms_convergence_study():
     """Grid-refinement study against the manufactured solution, on the
     spatial and the temporal ladder. Returns the error tables and observed
     orders."""
-    return {"spatial": _mms_table(_MMS_SPATIAL, "dx"),
-            "temporal": _mms_table(_MMS_TEMPORAL, "dtau")}
+    return {"spatial": _mms_table(_MMS_SPATIAL),
+            "temporal": _mms_table(_MMS_TEMPORAL)}

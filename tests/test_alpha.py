@@ -16,6 +16,7 @@ from riccati_hjb import (
     InflowProfile,
     kkt_residual,
     lipschitz_bounds,
+    ModelError,
     solve_alpha,
     weights_path,
 )
@@ -132,6 +133,16 @@ class TestDiscreteMenu:
         r = solve_alpha(model, 0.0, 1.0)
         assert r.theta_hat[0] == 1.0
 
+    def test_overflowing_fund_loses_quietly(self):
+        # the line of a fund whose variance is near the float limit
+        # overflows to inf at moderate phi, which warned; the bond wins
+        menu = DecisionSet.discrete([[0.8, 0.2], [0.0, 1.0]])
+        model = PortfolioModel(np.array([MU_S, MU_B]),
+                               np.diag([1e308, 6.7e-5]), menu)
+        alpha_v, _, theta = alpha_field(model, 0.0, np.array([1.0, 9.0]))
+        assert theta.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert np.all(np.isfinite(alpha_v))
+
     def test_menu_dominates_simplex(self, paper_model, fund_menu_model):
         for phi in np.linspace(0.2, 30, 97):
             a_menu = solve_alpha(fund_menu_model, 0.0, float(phi)).value
@@ -235,7 +246,7 @@ class TestClosedForm:
     def test_rejects_log_wealth(self):
         model = PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
                                DecisionSet.simplex(2), drift_mode="log_wealth")
-        with pytest.raises(AlphaEngineError, match="simple drift"):
+        with pytest.raises(ModelError, match="simple drift"):
             closed_form_n2(model)
 
 
@@ -337,9 +348,9 @@ class TestWeightsPath:
             assert th[i + 1] == pytest.approx(u + v / p2, abs=1e-10)
 
     def test_rejects_bad_grid(self, paper_model):
-        with pytest.raises(AlphaEngineError):
+        with pytest.raises(ModelError):
             weights_path(paper_model, [2.0, 1.0])
-        with pytest.raises(AlphaEngineError):
+        with pytest.raises(ModelError):
             weights_path(paper_model, [-1.0, 2.0])
 
 

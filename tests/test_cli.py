@@ -733,6 +733,42 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "configuration error: pde.boundary: missing key 'left'\n")
 
+    # beta_tilde^2 of a near-singular covariance and the window count of a
+    # horizon near the float limit raised OverflowError, and the energy's
+    # time integral overflowed with a RuntimeWarning
+    @pytest.mark.parametrize("model_extra, utility, t_final, code, t0", [
+        ({"covariance": [[6.9e-234, 0.0], [0.0, 6.7e-5]]}, DARA_UTIL, 1.0,
+         0, 0.0),
+        (None, {"kind": "dara", "a0": 9.0, "a1": 9.0, "x_star": 0.0,
+                "truncation_gamma": None}, 1e308, 1, None),
+    ], ids=["tiny-variance", "long-horizon"])
+    def test_budget_beyond_the_float_range(self, tmp_path, model_extra,
+                                           utility, t_final, code, t0):
+        pde = {**SMALL_PDE, "n_cells": 8, "n_steps": 1, "t_final": t_final}
+        cfg = write_config(tmp_path / "far.json", utility=utility,
+                           pde=pde, model_extra=model_extra)
+        out = tmp_path / "x"
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(out)]) == code
+        payload = json.loads((out / "verify.json").read_text())
+        budget = payload["info"]["contraction-budget"]
+        assert budget["windows"] is None
+        assert t0 is None or budget["t0"] == t0
+        energy = payload["checks"]["energy-estimate"]
+        assert energy["passed"] == (code == 0)
+
+    def test_twin_step_out_of_range_exits_config(self, tmp_path, capsys):
+        # the run's 1/dtau is finite, the refined twin's overflows: a bad
+        # setting, as a twin grid that is too fine, not a solver failure
+        utility = {"kind": "tabulated", "x": [-8.0, 8.0], "phi0": [0.0, 0.0]}
+        pde = {**SMALL_PDE, "n_cells": 40, "t_final": 4e-308, "n_steps": 5}
+        cfg = write_config(tmp_path / "twin.json", utility=utility, pde=pde)
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: time step t_final / n_steps = 4.000e-309 "
+            "is out of range: 1/dtau is not finite\n")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -790,6 +826,28 @@ class TestModelInput:
                                         "covariance": cov})
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
+
+    # each raised a RuntimeWarning, which the suite makes an error: the
+    # upwind face flux of a sweep overflowed, the truncation taper divided
+    # 1e308 by dx, and the inflow ramp's slope formed eps_rate * 6 times 0
+    @pytest.mark.parametrize("model_extra, utility, code, message", [
+        ({"covariance": [[0.04, 0.0], [0.0, 1e300]]},
+         {**DARA_UTIL, "a0": 1e300}, 3,
+         "solver error: non-finite update at tau=0.2\n"),
+        (None, {**DARA_UTIL, "truncation_gamma": 1e308}, 0, ""),
+        ({"inflow": {"eps_rate": 1e308, "y_minus": 1.0, "y_plus": 3.0}},
+         DARA_UTIL, 3, "solver error: non-finite update at tau=0.2\n"),
+    ], ids=["sweep", "taper", "ramp"])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_extreme_input_ends_without_a_warning(self, tmp_path, capsys,
+                                                  command, model_extra,
+                                                  utility, code, message):
+        cfg = write_config(tmp_path / "extreme.json", utility=utility,
+                           pde={**SMALL_PDE, "n_cells": 40, "n_steps": 5},
+                           model_extra=model_extra)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == code
+        assert capsys.readouterr().err == message
 
 
 class TestParser:

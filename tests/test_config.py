@@ -105,6 +105,31 @@ class TestModelSection:
                            match=rf"^model\.covariance\.{named}: "):
             build_model(doc)
 
+    # the outer product of the volatilities overflowed with a RuntimeWarning
+    def test_covariance_beyond_the_float_range(self):
+        doc = base_doc()
+        doc["model"]["covariance"] = {
+            "volatilities": [1e308, VOL_B],
+            "correlation": [[1.0, CORR], [CORR, 1.0]],
+        }
+        with pytest.raises(ConfigError,
+                           match=r"^model: covariance must be finite, "):
+            build_model(doc)
+
+    # a bad menu reached the command line without its key path
+    @pytest.mark.parametrize("points, message", [
+        ([[0.0, 0.2], [0.5, 0.5]],
+         "discrete point 0 is off the simplex: sum=0.2"),
+        ([[0.5, 0.5], [0.5, 0.5]], "discrete points 0 and 1 are duplicates"),
+        ([], "discrete decision set must be non-empty"),
+    ], ids=["off-simplex", "duplicates", "empty"])
+    def test_menu_errors_name_the_points(self, points, message):
+        doc = base_doc()
+        doc["model"]["decision_set"] = {"points": points}
+        with pytest.raises(ConfigError, match=(
+                rf"^model\.decision_set\.points: {message}$")):
+            build_model(doc)
+
     # np.array would take each of these, and np.outer or the model would
     # flatten or broadcast it: a 1-d list is the only form that says how
     # many assets there are

@@ -18,11 +18,13 @@ def test_every_exported_name_resolves(name):
 
 @pytest.mark.parametrize("name", ["step", "cutoff_level",
                                   "envelope_gradient_x", "sobolev_norm",
-                                  "ContractionBudget", "exhaustive_alpha"])
+                                  "ContractionBudget", "exhaustive_alpha",
+                                  "PicardError"])
 def test_removed_entry_points_are_gone(name):
     # a run's M, lambda and T come from solve alone, one-step solves replace
     # the separate stepper, the energy check takes its norms from the
-    # scheme's own operator, and the contraction budget is a plain record
+    # scheme's own operator, the contraction budget is a plain record, and
+    # a stalled step is a plain SolverError
     assert name not in riccati_hjb.__all__
     assert not hasattr(riccati_hjb, name)
     for module in MODULES[1:]:

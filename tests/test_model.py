@@ -176,6 +176,13 @@ class TestInflow:
         assert prof.epsilon(1e308) == 50.0
         assert prof.epsilon_prime(1e308) == 0.0
 
+    def test_slope_at_the_largest_rate(self):
+        # eps_rate * 6 overflowed to inf, and inf times t = 0 off the ramp
+        # is nan; the slope eps_rate / (y_plus - y_minus) is finite
+        prof = InflowProfile(1e308, 1.0, 3.0)
+        assert prof.epsilon_prime([0.5, 2.0, 4.0]).tolist() == [
+            0.0, 7.5e307, 0.0]
+
     @pytest.mark.parametrize("profile", [
         (1e10, 1e-300, 2.0),  # |eps_rate| / y_minus overflows
         (1.0, 1e-320, 2e-320),
@@ -288,6 +295,24 @@ class TestUtilities:
         xc = grid.centers
         assert np.all(phi0[np.abs(xc) >= 4.0] == 0.0)
         assert phi0[np.argmin(np.abs(xc - 5.0))] == 0.0
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 3.99, 4.02, 7.99, 8.0,
+                                       8.02, 1e3])
+    def test_taper_is_the_clipped_ratio(self, gamma):
+        # bit for bit the taper clip((gamma - |x|) / dx, 0, 1)
+        util = ArctanUtility(truncation_gamma=gamma)
+        grid = SpatialGrid(-8.0, 8.0, 400)
+        xc = grid.centers
+        taper = np.clip((gamma - np.abs(xc)) / grid.dx, 0.0, 1.0)
+        assert np.array_equal(phi0_profile(util, grid),
+                              util.phi0_raw(xc) * taper)
+
+    def test_huge_truncation_keeps_the_profile(self):
+        # (gamma - |x|) / dx overflowed for gamma = 1e308
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=1e308)
+        grid = SpatialGrid(-8.0, 8.0, 400)
+        assert np.array_equal(phi0_profile(util, grid),
+                              util.phi0_raw(grid.centers))
 
     def test_arctan_profile(self):
         util = ArctanUtility(truncation_gamma=None)
