@@ -1167,5 +1167,5 @@ class TestSolverErrors:
 
     def test_manufactured_problem_needs_a_symmetric_grid(self):
         with pytest.raises(ModelError, match="^manufactured problem expects "
-                                              "a symmetric domain$"):
+                                             "a symmetric domain$"):
             singleton_mms(SpatialGrid(-1.0, 2.0, 16))
