@@ -11,10 +11,11 @@ Menus and simplices of three or more assets take both from the (N, n)
 weights. One asset has the variance S11, and two assets on the simplex are
 written in the minimizing first weight t = clip(a + b/rho, 0, 1) alone,
 with a quadratic variance in t whose constants are worked out exactly once
-per model and rounded once: a few passes over 1-d arrays, about 12 us for
-the 402 values of a Newton sweep on the shipped grid, and 10 us written
-into the sweep's own buffers with no weights formed (2-core x86-64 VM,
-numpy 2.4, best of repeated timings). The active-set QP is the one simplex
+per model and rounded once, and kept as 0-d array operands: a dozen passes
+over 1-d arrays, about 10 us for the 402 values of a Newton sweep on the
+shipped grid, and 7 us written into the sweep's own buffers with no
+weights formed (2-core x86-64 VM, numpy 2.4, best of repeated timings).
+The active-set QP is the one simplex
 minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
 slope bound); support enumeration is a test helper, `exhaustive_alpha` in
 the tests' `oracles` module. The field runs the QP once per point. On a
@@ -368,15 +369,27 @@ class ClosedFormN2:
         return out if out.ndim else float(out)
 
 
+def _operand(value) -> np.ndarray:
+    """value rounded to a read-only 0-d float array: a ufunc takes it as an
+    operand about 0.2 us faster than a Python float, which it converts on
+    every call, and computes the same bits."""
+    out = np.array(float(value))
+    out.flags.writeable = False
+    return out
+
+
+_ZERO, _ONE = _operand(0.0), _operand(1.0)
+
+
 def _n2_constants(model: PortfolioModel):
     """(a, b, q/2, det(Sigma)/(2q), mu1 - mu2, mu2) of two assets on the
     simplex: the interior first weight is a + b / rho, with
     q = S11 - 2 S12 + S22 the variance of the direction (1, -1), and half
     the variance at first weight t is (q/2) (t - a)^2 + det(Sigma)/(2q).
     Each constant is worked out exactly from the float data and rounded
-    once, so nearly collinear assets, where q cancels, keep full precision.
-    Derived once per model and kept in its instance dict: the model is
-    immutable."""
+    once, so nearly collinear assets, where q cancels, keep full precision,
+    into a 0-d operand (`_operand`). Derived once per model and kept in its
+    instance dict: the model is immutable."""
     consts = model.__dict__.get("_n2_constants")
     if consts is not None:
         return consts
@@ -388,7 +401,7 @@ def _n2_constants(model: PortfolioModel):
     q = s11 - 2 * s12 + s22
     if q <= 0:
         raise AlphaEngineError("degenerate covariance: S11 - 2 S12 + S22 <= 0")
-    consts = tuple(float(c) for c in (
+    consts = tuple(_operand(c) for c in (
         (s22 - s12) / q,                  # asymptotic (minimum-variance) weight
         (mu1 - mu2) / q,
         q / 2,
@@ -411,7 +424,7 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
         raise ModelError("closed form needs a 2-asset simplex model")
     if model.drift_mode == DRIFT_LOG_WEALTH or model.inflow is not None:
         raise ModelError("closed form needs the simple drift convention")
-    a, b, half_q, c_const, m, mu2 = _n2_constants(model)
+    a, b, half_q, c_const, m, mu2 = map(float, _n2_constants(model))
     a_const = -mu2 - m * a
     b_const = 0.5 * m * m / (2.0 * half_q)
 
@@ -457,7 +470,8 @@ def weights_path(model: PortfolioModel, phi_grid):
 def _convex_mask(rho: np.ndarray):
     """None when every rho is convex (at least `_RHO_TINY`), the common
     case, else the mask of the convex rho."""
-    return None if rho.min(initial=np.inf) >= _RHO_TINY else rho >= _RHO_TINY
+    return (None if np.minimum.reduce(rho, initial=np.inf) >= _RHO_TINY
+            else rho >= _RHO_TINY)
 
 
 def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
@@ -479,8 +493,8 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _n2_first_weight(model: PortfolioModel, rho: np.ndarray, a: float,
-                     b: float, t: np.ndarray) -> np.ndarray:
+def _n2_first_weight(model: PortfolioModel, rho: np.ndarray, a: np.ndarray,
+                     b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Write the minimizing first weight of two assets on the simplex at
     each rho into t, and return t: the interior line a + b / rho clipped to
     [0, 1], and the lowest vertex (t = 1 or 0) wherever rho is below
@@ -494,8 +508,8 @@ def _n2_first_weight(model: PortfolioModel, rho: np.ndarray, a: float,
         with np.errstate(all="ignore"):
             np.divide(b, rho, out=t)
     t += a
-    np.minimum(t, 1.0, out=t)
-    np.maximum(t, 0.0, out=t)
+    np.minimum(t, _ONE, out=t)
+    np.maximum(t, _ZERO, out=t)
     if convex is not None:
         t[~convex] = _lowest_line(model, rho[~convex])[:, 0]
     return t

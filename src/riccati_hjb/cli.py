@@ -39,7 +39,7 @@ from .analysis import (
     maximum_principle_report,
     monotonicity_certificate,
 )
-from .config import ConfigError, load_run
+from .config import ConfigError, _built, load_run
 from .model import ModelError, ingest_market_data
 from .pde import SolverError, solve
 
@@ -125,7 +125,9 @@ def cmd_table(args, stem: str, closed_form: bool) -> int:
     grid = _phi_grid(args)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    path_data = weights_path(model, grid)
+    # an alpha beyond the float range is tabulated as +-inf
+    with np.errstate(over="ignore"):
+        path_data = weights_path(model, grid)
     header = ["phi", "alpha", "dalpha_dphi"] + [
         f"theta_{i + 1}" for i in range(model.n)]
     rows = np.column_stack([path_data["phi"], path_data["alpha"],
@@ -245,17 +247,18 @@ def cmd_verify(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"need --seed >= 0, got {args.seed}")
         checks["seed"] = args.seed
+    # the energy check and the grid-convergence record compare the run with
+    # a twin on twice the cells and twice the steps, whose halved dx or
+    # dtau may leave the range the run's own settings are in
+    fine_grid = _built("pde.n_cells: verify's refined twin on twice the "
+                       "cells", dataclasses.replace, pde_cfg.grid,
+                       n_cells=2 * pde_cfg.grid.n_cells)
+    fine_cfg = _built("pde.t_final, pde.n_steps: verify's refined twin on "
+                      "twice the steps", dataclasses.replace, pde_cfg,
+                      grid=fine_grid, n_steps=2 * pde_cfg.n_steps)
     out = _out_dir(args)
     t0 = time.perf_counter()
     sol = solve(model, utility, pde_cfg)
-    # the energy check and the grid-convergence record compare the run with
-    # a twin on twice the cells and twice the steps
-    fine_cfg = dataclasses.replace(
-        pde_cfg,
-        grid=dataclasses.replace(pde_cfg.grid,
-                                 n_cells=2 * pde_cfg.grid.n_cells),
-        n_steps=2 * pde_cfg.n_steps,
-    )
     fine = solve(model, utility, fine_cfg)
     reports = [
         monotonicity_certificate(model, **checks),

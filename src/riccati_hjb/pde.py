@@ -50,11 +50,18 @@ buffer of phi, takes the range of alpha over it once (the clamp test reads
 it, and the step diagnostics keep the range of the last sweep), and builds
 the couplings of the Newton system in their -1/dx-scaled form directly:
 1/dx and 1/dx^2 are folded into the scaling of the face velocity and the
-alpha slope, and the diagonal is built from the couplings. On the shipped
-two-asset upwind run (402 values) a sweep that factors its Jacobian takes
-about 41 us and one on the stored factors about 27 us on a 2-core x86-64 VM
-(Python 3.11, numpy 2.4, best of repeated timings); `alpha_field` takes
-about 9 us of either, and gttrf and gttrs about 6 us each.
+alpha slope, and the diagonal is built from the couplings. Those scalings
+are 0-d array operands, which a ufunc takes faster than Python floats.
+Where the unclamped alpha has one strict sign, as at every upwind sweep of
+the benchmark runs, so has every face velocity: the upwinded values are
+then a view of one side, and the Jacobian takes the whole velocity on that
+side instead of splitting it. On the shipped two-asset upwind run (402
+values) a sweep that factors its Jacobian takes about 34 us and one on the
+stored factors about 23 us on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
+best of repeated timings); `alpha_field` takes about 7 us of either, and
+gttrf and gttrs about 6 us each. Those two are LAPACK's per-row
+recurrence, about 15 ns a row (gttrs takes 1 us at 4 rows and 24 us at
+1,600), not the wrapper's checks.
 
 w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
 M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
@@ -75,7 +82,7 @@ from typing import Callable
 import numpy as np
 
 from ._lapack import dgttrf, dgttrs
-from .alpha import alpha_field
+from .alpha import _operand, alpha_field
 from .model import (DecisionSet, ModelError, PortfolioModel, SpatialGrid,
                     TabulatedPhi0, UtilitySpec, phi0_profile)
 
@@ -243,8 +250,9 @@ class _Geometry:
     """Per-run constants of the sweep, built once per solve: cell centers,
     the ghost-extended x and the inflow term there (None without inflow),
     the boundary map ghost = offset + sign * edge value
-    (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the reciprocals of the cell
-    width, its square and the time step, and the clamp range of the
+    (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the scalings of a sweep
+    as 0-d operands (half of 1/dx, 1/dx^2, its negative and 1/dtau; see
+    `alpha._operand`), and the clamp range of the
     advective coefficient; plus the run's buffers, which every sweep
     refills: the ghost-extended phi, alpha and its slope and a per-cell
     value (n + 2 each), three per-face values (n + 1) and the diagonal and
@@ -254,8 +262,8 @@ class _Geometry:
     interior bands [1:-1] of the two couplings and the parts [1:] and [:-1]
     of them that the diagonal sums."""
 
-    __slots__ = ("dx", "inv_dx", "inv_dx2", "inv_dtau", "centers", "xe",
-                 "inflow_term", "sign", "offsets", "clamp", "_pe",
+    __slots__ = ("dx", "h", "inv_dx2", "neg_inv_dx2", "inv_dtau", "centers",
+                 "xe", "inflow_term", "sign", "offsets", "clamp", "_pe",
                  "_pe_cells", "alpha", "slope", "cell", "face", "lower",
                  "upper", "diag", "rhs", "pe_faces", "alpha_faces",
                  "slope_faces", "cell_faces", "flux_faces", "bands",
@@ -265,8 +273,10 @@ class _Geometry:
                  cutoff: CutoffBounds):
         grid = config.grid
         n, self.dx = grid.n_cells, grid.dx
-        self.inv_dx, self.inv_dtau = 1.0 / grid.dx, 1.0 / config.dtau
-        self.inv_dx2 = self.inv_dx * self.inv_dx
+        inv_dx = 1.0 / grid.dx
+        self.h, self.inv_dx2, self.neg_inv_dx2, self.inv_dtau = map(
+            _operand, (0.5 * inv_dx, inv_dx * inv_dx, -(inv_dx * inv_dx),
+                       1.0 / config.dtau))
         self.centers = grid.centers
         self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
                                   [self.centers[-1] + self.dx]])
@@ -353,13 +363,15 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
     the system solved: the end terms are the two wall flux derivatives by
     the edge corrections, so the fluxes come from the matrix solved.
     """
-    h, inv_dx2, sign = 0.5 * geom.inv_dx, geom.inv_dx2, geom.sign
+    h = geom.h
     pe = geom.extend(phi_iter)
     ae, se, _ = alpha_field(model, geom.xe, pe, out=(geom.alpha, geom.slope),
                             inflow_term=geom.inflow_term)
-    alpha_range = (float(ae.min()), float(ae.max()))
+    # the ufunc reductions, without the ndarray.min/max wrappers
+    a_min, a_max = float(np.minimum.reduce(ae)), float(np.maximum.reduce(ae))
     lo, hi = geom.clamp
-    if lo <= alpha_range[0] and alpha_range[1] <= hi:
+    free = lo <= a_min and a_max <= hi
+    if free:
         wc, dw = ae, se
         (wc_l, wc_r), (dw_l, dw_r) = geom.alpha_faces, geom.slope_faces
     else:
@@ -379,14 +391,22 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
     # until then.
     a_l, a_r = geom.alpha_faces
     flux = np.subtract(a_r, a_l, out=geom.face)
-    flux *= inv_dx2
+    flux *= geom.inv_dx2
     c_left, c_right = geom.lower, geom.upper
     if config.upwind:
         # face velocity over dx, upwinded from the left (>= 0) or the right
         pe_l, pe_r = geom.pe_faces
         vel = np.add(wc_l, wc_r, out=c_right)
         vel *= h
-        pu = np.where(vel >= 0.0, pe_l, pe_r)
+        # an unclamped alpha of one strict sign gives every face velocity
+        # that sign, as the sum of two alphas and its scaling by h round
+        # monotonically: every face then takes the same side, as a view
+        if free and a_max * h < 0.0:
+            side, pu = -1, pe_r
+        elif free and a_min * h > 0.0:
+            side, pu = 1, pe_l
+        else:
+            side, pu = 0, np.where(vel >= 0.0, pe_l, pe_r)
         flux -= np.multiply(vel, pu, out=c_left)
     else:
         q = np.multiply(wc, pe, out=geom.cell)
@@ -403,21 +423,28 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
 
     if jacobian is None:
         if config.upwind:
-            # the parts of the face velocity upwinded from the left and
-            # the right
-            v_left = np.maximum(vel, 0.0)
-            adv_right = np.subtract(vel, v_left, out=vel)
-            pu *= h     # the face velocity takes half of each alpha slope
+            # the face velocity takes half of each alpha slope
+            pu = np.multiply(pu, h, out=geom.cell_faces[1])
             adv_left = np.multiply(dw_l, pu, out=c_left)
-            adv_left += v_left
             pu *= dw_r
-            adv_right += pu
+            # the velocity is upwinded from one side, or splits into the
+            # parts upwinded from the left and the right
+            if side < 0:
+                adv_right = np.add(vel, pu, out=vel)
+            elif side > 0:
+                adv_left += vel
+                adv_right = pu
+            else:
+                v_left = np.maximum(vel, 0.0)
+                adv_left += v_left
+                adv_right = np.subtract(vel, v_left, out=vel)
+                adv_right += pu
         else:
             g = np.multiply(dw, pe, out=geom.cell)
             g += wc
             g *= h
             adv_left, adv_right = geom.cell_faces
-        se *= -inv_dx2      # se (and dw) are not read again
+        se *= geom.neg_inv_dx2      # se (and dw) are not read again
         s_l, s_r = geom.slope_faces
         np.subtract(s_l, adv_left, out=c_left)
         np.add(s_r, adv_right, out=c_right)
@@ -428,7 +455,7 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
     dx = geom.dx
     g_left = dx * (float(flux[0]) - end_left * float(delta[0]))
     g_right = dx * (float(flux[-1]) + end_right * float(delta[-1]))
-    return delta, alpha_range, (g_left, g_right), jacobian
+    return delta, (a_min, a_max), (g_left, g_right), jacobian
 
 
 def _factor_newton(geom, tau_next):
@@ -474,7 +501,7 @@ def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index,
                                                       tau_next, jacobian)
         phi_iter += delta
         # nan or inf in delta makes its max |delta| nan or inf
-        residual = float(np.abs(delta, out=delta).max())
+        residual = float(np.maximum.reduce(np.abs(delta, out=delta)))
         if not math.isfinite(residual):
             raise SolverError(f"non-finite update at tau={tau_next:.6g}")
         if residual <= config.picard_tol:
@@ -519,15 +546,15 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     """Integrate the Cauchy problem from phi0 = -u''/u' to t_final."""
     grid = config.grid
     phi0 = phi0_profile(utility, grid)
-    bounds = _resolve_cutoff(model, config, phi0)
-    geom = _Geometry(model, config, bounds)
-
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))
     phi[0] = phi0
     diags, jacobian = [], None
-    # a sweep that overflows ends in the non-finite update SolverError
+    # an alpha at phi0 beyond the float range makes the clamp level inf,
+    # and a sweep that overflows ends in the non-finite update SolverError
     with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _resolve_cutoff(model, config, phi0)
+        geom = _Geometry(model, config, bounds)
         for k, tau_next in enumerate(tau[1:].tolist()):
             d, jacobian = _advance(model, config, geom, phi[k],
                                    _predict(phi, k), tau_next, k, jacobian)

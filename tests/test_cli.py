@@ -757,17 +757,33 @@ class TestVerify:
         energy = payload["checks"]["energy-estimate"]
         assert energy["passed"] == (code == 0)
 
+    @staticmethod
+    def twin_error(tmp_path, capsys, pde):
+        """verify's exit code, stderr and whether it made its output
+        directory, on SMALL_PDE with the given pde keys."""
+        utility = {"kind": "tabulated", "x": [-8.0, 8.0], "phi0": [0.0, 0.0]}
+        cfg = write_config(tmp_path / "twin.json", utility=utility,
+                           pde={**SMALL_PDE, **pde})
+        out = tmp_path / "x"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        return code, capsys.readouterr().err, out.exists()
+
     def test_twin_step_out_of_range_exits_config(self, tmp_path, capsys):
         # the run's 1/dtau is finite, the refined twin's overflows: a bad
-        # setting, as a twin grid that is too fine, not a solver failure
-        utility = {"kind": "tabulated", "x": [-8.0, 8.0], "phi0": [0.0, 0.0]}
-        pde = {**SMALL_PDE, "n_cells": 40, "t_final": 4e-308, "n_steps": 5}
-        cfg = write_config(tmp_path / "twin.json", utility=utility, pde=pde)
-        assert main(["verify", "--config", str(cfg),
-                     "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == (
-            "configuration error: time step t_final / n_steps = 4.000e-309 "
-            "is out of range: 1/dtau is not finite\n")
+        # setting, named by its keys and checked before the run is solved
+        pde = {"n_cells": 40, "t_final": 4e-308, "n_steps": 5}
+        assert self.twin_error(tmp_path, capsys, pde) == (
+            2, "configuration error: pde.t_final, pde.n_steps: verify's "
+               "refined twin on twice the steps: time step t_final / n_steps "
+               "= 4.000e-309 is out of range: 1/dtau is not finite\n", False)
+
+    def test_twin_grid_out_of_range_exits_config(self, tmp_path, capsys):
+        # the run's 1/dx^2 is finite, the refined twin's overflows
+        pde = {"x_min": 0.0, "x_max": 1e-153, "n_cells": 8}
+        assert self.twin_error(tmp_path, capsys, pde) == (
+            2, "configuration error: pde.n_cells: verify's refined twin on "
+               "twice the cells: cell width 6.250e-155 is out of range: dx "
+               "must be finite and 1/dx^2 a finite normal float\n", False)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),
@@ -848,6 +864,31 @@ class TestModelInput:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == code
         assert capsys.readouterr().err == message
+
+
+    # alpha beyond the float range overflowed in the field's rho * slope
+    # outside any np.errstate: at phi0 for the clamp level of solve and
+    # verify, along the phi grid of alpha-curve
+    @pytest.mark.parametrize("command, code, message", [
+        ("solve", 3, "solver error: non-finite update at tau=1\n"),
+        ("verify", 3, "solver error: non-finite update at tau=1\n"),
+        ("alpha-curve", 0, ""),
+    ], ids=["solve", "verify", "alpha-curve"])
+    def test_alpha_beyond_the_float_range(self, tmp_path, capsys, command,
+                                          code, message):
+        cov = {"volatilities": [1e154, 1e154],
+               "correlation": [[1.0, -0.1151], [-0.1151, 1.0]]}
+        cfg = write_config(tmp_path / "huge.json", utility=DARA_UTIL,
+                           pde={**SMALL_PDE, "n_cells": 8, "n_steps": 1},
+                           model_extra={"covariance": cov})
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == message
+        if command == "alpha-curve":
+            alpha = np.loadtxt(out / "alpha_curve.csv", delimiter=",",
+                               skiprows=1)[:, 1]
+            assert np.isinf(alpha[-1]) and np.all(alpha > 0.0)
 
 
 class TestParser:

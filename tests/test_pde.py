@@ -725,6 +725,30 @@ class TestTracedCallSites:
                    for d in sol.diagnostics)
 
 
+class TestStepRecord:
+    def test_fields_default_immutability_and_equality(self, paper_model):
+        names = ("picard_iterations", "jacobians", "residual", "alpha_min",
+                 "alpha_max", "flux_left", "flux_right", "source_integral")
+        record = pde.StepDiagnostics
+        assert tuple(f.name for f in dataclasses.fields(record)) == names
+        d = record(2, 1, 1e-12, -0.1, 0.2, 0.5, -0.5)
+        assert d.source_integral == 0.0
+        assert d == record(*[getattr(d, name) for name in names])
+        assert d == record(**{name: getattr(d, name) for name in names})
+        assert d != record(2, 1, 1e-12, -0.1, 0.2, 0.5, -0.5, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.residual = 0.0
+        # the benchmark's own test perturbs a step's record so
+        moved = dataclasses.replace(d, flux_left=0.75)
+        assert (moved.flux_left, moved.flux_right) == (0.75, -0.5)
+        cfg = paper_cfg(n_cells=40, n_steps=10, upwind=True)
+        util = DaraUtility(9.0, 6.0, 2.0, truncation_gamma=8.0)
+        first, second = (solve(paper_model, util, cfg).diagnostics
+                         for _ in range(2))
+        assert all(type(d) is record for d in first)
+        assert first == second
+
+
 class TestPredictor:
     @pytest.mark.parametrize("degree", range(8))
     def test_polynomial_history_is_extrapolated_exactly(self, degree):
@@ -837,26 +861,19 @@ def face_by_face_sweep(model, cfg, clamp, prev, phi, tau):
 
 
 class TestSweepAgainstFaceReference:
-    # random iterates of phi in [5, 40] on the model whose alpha turns
-    # positive above phi = 20, so that the face velocity takes both signs;
-    # an engaged clamp cuts alpha at its median magnitude, a free one sits
-    # at infinity
-    @pytest.mark.parametrize("source", [False, True], ids=["plain", "mms"])
-    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "engaged"])
-    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-    @pytest.mark.parametrize("upwind", [False, True],
-                             ids=["central", "upwind"])
-    def test_matches_reference(self, finite_breakpoints_model, upwind,
-                               boundary, clamp, source):
-        model = finite_breakpoints_model
-        grid = SpatialGrid(-4.0, 4.0, 24)
-        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=20, upwind=upwind,
-                        dirichlet=walls(boundary, 30.0, 10.0),
-                        mms_source=((lambda x, tau: (1.0 + tau) * np.cos(x))
-                                    if source else None))
+    # random iterates of phi on the model whose alpha turns positive above
+    # phi = 20; an engaged clamp cuts alpha at its median magnitude, a free
+    # one sits at infinity
+    @staticmethod
+    def check(model, cfg, clamp, low, high):
+        """Compare one sweep with the face-by-face reference at five random
+        iterates with phi_prev in [low, high], to 1e-12; returns the alpha
+        range and the face velocities of the reference at each."""
+        grid = cfg.grid
         rng = np.random.default_rng(7)
+        seen = []
         for _ in range(5):
-            prev = rng.uniform(5.0, 40.0, grid.n_cells)
+            prev = rng.uniform(low, high, grid.n_cells)
             phi = prev + rng.uniform(-0.5, 0.5, grid.n_cells)
             cutoff = pde.CutoffBounds(m=np.inf, lam=0.0, horizon=1.0)
             if clamp:
@@ -871,13 +888,51 @@ class TestSweepAgainstFaceReference:
                                                        fixed, phi, tau)
             ref_delta, ref_range, ref_fluxes, ref_src, velocities = \
                 face_by_face_sweep(model, cfg, cutoff, prev, phi, tau)
-            if upwind:
-                assert min(velocities) < 0.0 < max(velocities)
             scale = np.max(np.abs(ref_delta))
             assert np.max(np.abs(delta - ref_delta)) <= 1e-12 * scale
             assert alpha_range == pytest.approx(ref_range, rel=1e-12)
             assert fluxes == pytest.approx(ref_fluxes, rel=1e-12)
             assert src_int == pytest.approx(ref_src, rel=1e-12, abs=0.0)
+            seen.append((ref_range, velocities))
+        return seen
+
+    # phi in [5, 40], so that the face velocity takes both signs
+    @pytest.mark.parametrize("source", [False, True], ids=["plain", "mms"])
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "engaged"])
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("upwind", [False, True],
+                             ids=["central", "upwind"])
+    def test_matches_reference(self, finite_breakpoints_model, upwind,
+                               boundary, clamp, source):
+        grid = SpatialGrid(-4.0, 4.0, 24)
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=20, upwind=upwind,
+                        dirichlet=walls(boundary, 30.0, 10.0),
+                        mms_source=((lambda x, tau: (1.0 + tau) * np.cos(x))
+                                    if source else None))
+        for _, velocities in self.check(finite_breakpoints_model, cfg,
+                                        clamp, 5.0, 40.0):
+            if upwind:
+                assert min(velocities) < 0.0 < max(velocities)
+
+    # alpha of one strict sign at every cell and ghost value, where every
+    # face takes the same upwind side: phi in [5, 15] with walls (12, 8)
+    # keeps it below 0, phi in [25, 40] with walls (35, 35) above
+    @pytest.mark.parametrize("sign, low, high, wall_values", [
+        (-1.0, 5.0, 15.0, (12.0, 8.0)),
+        (1.0, 25.0, 40.0, (35.0, 35.0)),
+    ], ids=["negative", "positive"])
+    @pytest.mark.parametrize("clamp", [False, True], ids=["free", "engaged"])
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_single_sign_matches_reference(self, finite_breakpoints_model,
+                                           boundary, clamp, sign, low, high,
+                                           wall_values):
+        grid = SpatialGrid(-4.0, 4.0, 24)
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=20, upwind=True,
+                        dirichlet=walls(boundary, *wall_values))
+        for alpha_range, velocities in self.check(finite_breakpoints_model,
+                                                  cfg, clamp, low, high):
+            assert min(sign * a for a in alpha_range) > 0.0
+            assert min(sign * v for v in velocities) > 0.0
 
 
 class TestTridiagonalSolve:
