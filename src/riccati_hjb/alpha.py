@@ -369,27 +369,15 @@ class ClosedFormN2:
         return out if out.ndim else float(out)
 
 
-def _operand(value) -> np.ndarray:
-    """value rounded to a read-only 0-d float array: a ufunc takes it as an
-    operand about 0.2 us faster than a Python float, which it converts on
-    every call, and computes the same bits."""
-    out = np.array(float(value))
-    out.flags.writeable = False
-    return out
-
-
-_ZERO, _ONE = _operand(0.0), _operand(1.0)
-
-
 def _n2_constants(model: PortfolioModel):
     """(a, b, q/2, det(Sigma)/(2q), mu1 - mu2, mu2) of two assets on the
     simplex: the interior first weight is a + b / rho, with
     q = S11 - 2 S12 + S22 the variance of the direction (1, -1), and half
     the variance at first weight t is (q/2) (t - a)^2 + det(Sigma)/(2q).
     Each constant is worked out exactly from the float data and rounded
-    once, so nearly collinear assets, where q cancels, keep full precision,
-    into a 0-d operand (`_operand`). Derived once per model and kept in its
-    instance dict: the model is immutable."""
+    once, so nearly collinear assets, where q cancels, keep full precision.
+    Derived once per model and kept in its instance dict: the model is
+    immutable."""
     consts = model.__dict__.get("_n2_constants")
     if consts is not None:
         return consts
@@ -401,7 +389,7 @@ def _n2_constants(model: PortfolioModel):
     q = s11 - 2 * s12 + s22
     if q <= 0:
         raise AlphaEngineError("degenerate covariance: S11 - 2 S12 + S22 <= 0")
-    consts = tuple(_operand(c) for c in (
+    consts = tuple(float(c) for c in (
         (s22 - s12) / q,                  # asymptotic (minimum-variance) weight
         (mu1 - mu2) / q,
         q / 2,
@@ -411,6 +399,22 @@ def _n2_constants(model: PortfolioModel):
     # a frozen dataclass refuses setattr; its instance dict takes the memo
     model.__dict__["_n2_constants"] = consts
     return consts
+
+
+# 0 and 1 as 0-d arrays (see `_n2_operands`), the bounds of the first weight
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+
+
+def _n2_operands(model: PortfolioModel):
+    """`_n2_constants` as 0-d float arrays, the form `_fill` passes to its
+    ufuncs: they take a 0-d array about 0.2 us faster than a Python float,
+    which they convert on every call, and compute the same bits. Made once
+    per model and kept in its instance dict beside the constants."""
+    ops = model.__dict__.get("_n2_operands")
+    if ops is None:
+        ops = tuple(map(np.array, _n2_constants(model)))
+        model.__dict__["_n2_operands"] = ops
+    return ops
 
 
 def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
@@ -424,7 +428,7 @@ def closed_form_n2(model: PortfolioModel) -> ClosedFormN2:
         raise ModelError("closed form needs a 2-asset simplex model")
     if model.drift_mode == DRIFT_LOG_WEALTH or model.inflow is not None:
         raise ModelError("closed form needs the simple drift convention")
-    a, b, half_q, c_const, m, mu2 = map(float, _n2_constants(model))
+    a, b, half_q, c_const, m, mu2 = _n2_constants(model)
     a_const = -mu2 - m * a
     b_const = 0.5 * m * m / (2.0 * half_q)
 
@@ -493,8 +497,8 @@ def _weights(model: PortfolioModel, rho: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _n2_first_weight(model: PortfolioModel, rho: np.ndarray, a: np.ndarray,
-                     b: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _n2_first_weight(model: PortfolioModel, rho: np.ndarray, a, b,
+                     t: np.ndarray) -> np.ndarray:
     """Write the minimizing first weight of two assets on the simplex at
     each rho into t, and return t: the interior line a + b / rho clipped to
     [0, 1], and the lowest vertex (t = 1 or 0) wherever rho is below
@@ -537,7 +541,7 @@ def _fill(model: PortfolioModel, rho: np.ndarray, alpha: np.ndarray,
         if weights:
             theta = np.ones((rho.size, 1))
     else:
-        a, b, half_q, half_c, m, mu2 = _n2_constants(model)
+        a, b, half_q, half_c, m, mu2 = _n2_operands(model)
         # the weights are filled by rows, which is cheaper than by columns,
         # and returned as the transposed view; without them the first
         # weight t lives in alpha until the mean overwrites it

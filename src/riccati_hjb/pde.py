@@ -51,17 +51,18 @@ it, and the step diagnostics keep the range of the last sweep), and builds
 the couplings of the Newton system in their -1/dx-scaled form directly:
 1/dx and 1/dx^2 are folded into the scaling of the face velocity and the
 alpha slope, and the diagonal is built from the couplings. Those scalings
-are 0-d array operands, which a ufunc takes faster than Python floats.
-Where the unclamped alpha has one strict sign, as at every upwind sweep of
-the benchmark runs, so has every face velocity: the upwinded values are
-then a view of one side, and the Jacobian takes the whole velocity on that
-side instead of splitting it. On the shipped two-asset upwind run (402
-values) a sweep that factors its Jacobian takes about 34 us and one on the
-stored factors about 23 us on a 2-core x86-64 VM (Python 3.11, numpy 2.4,
-best of repeated timings); `alpha_field` takes about 7 us of either, and
-gttrf and gttrs about 6 us each. Those two are LAPACK's per-row
-recurrence, about 15 ns a row (gttrs takes 1 us at 4 rows and 24 us at
-1,600), not the wrapper's checks.
+are 0-d arrays, which a ufunc takes as operands about 0.2 us faster than
+Python floats, with the same bits. Where the unclamped alpha is below 0, as
+at every upwind sweep of the benchmark runs, so is every face velocity: the
+upwinded values are then a view of the right side, and the Jacobian takes
+the whole velocity there instead of splitting it; other sweeps upwind face
+by face. On the shipped two-asset upwind run (402 values) a sweep that
+factors its Jacobian takes about 34 us and one on the stored factors about
+23 us on a 2-core x86-64 VM (Python 3.11, numpy 2.4, best of repeated
+timings); `alpha_field` takes about 7 us of either, and gttrf and gttrs
+about 6 us each. Those two are LAPACK's per-row recurrence, about 15 ns a
+row (gttrs takes 1 us at 4 rows and 24 us at 1,600), not the wrapper's
+checks.
 
 w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
 M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
@@ -82,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from ._lapack import dgttrf, dgttrs
-from .alpha import _operand, alpha_field
+from .alpha import alpha_field
 from .model import (DecisionSet, ModelError, PortfolioModel, SpatialGrid,
                     TabulatedPhi0, UtilitySpec, phi0_profile)
 
@@ -251,14 +252,13 @@ class _Geometry:
     the ghost-extended x and the inflow term there (None without inflow),
     the boundary map ghost = offset + sign * edge value
     (mirror: 0 + 1 * phi; Dirichlet g: 2g - phi), the scalings of a sweep
-    as 0-d operands (half of 1/dx, 1/dx^2, its negative and 1/dtau; see
-    `alpha._operand`), and the clamp range of the
-    advective coefficient; plus the run's buffers, which every sweep
-    refills: the ghost-extended phi, alpha and its slope and a per-cell
-    value (n + 2 each), three per-face values (n + 1) and the diagonal and
-    right-hand side of the Newton system (n). The fixed views of the
-    buffers that a sweep reads are made here once: the (left, right) face
-    views [:-1] and [1:] of each n + 2 buffer and of the face flux, the
+    (half of 1/dx, 1/dx^2, its negative and 1/dtau) as 0-d arrays, and the
+    clamp range of the advective coefficient; plus the run's buffers, which
+    every sweep refills: the ghost-extended phi, alpha and its slope and a
+    per-cell value (n + 2 each), three per-face values (n + 1) and the
+    diagonal and right-hand side of the Newton system (n). The fixed views
+    of the buffers that a sweep reads are made here once: the (left, right)
+    face views [:-1] and [1:] of each n + 2 buffer and of the face flux, the
     interior bands [1:-1] of the two couplings and the parts [1:] and [:-1]
     of them that the diagonal sums."""
 
@@ -275,7 +275,7 @@ class _Geometry:
         n, self.dx = grid.n_cells, grid.dx
         inv_dx = 1.0 / grid.dx
         self.h, self.inv_dx2, self.neg_inv_dx2, self.inv_dtau = map(
-            _operand, (0.5 * inv_dx, inv_dx * inv_dx, -(inv_dx * inv_dx),
+            np.array, (0.5 * inv_dx, inv_dx * inv_dx, -(inv_dx * inv_dx),
                        1.0 / config.dtau))
         self.centers = grid.centers
         self.xe = np.concatenate([[self.centers[0] - self.dx], self.centers,
@@ -398,15 +398,11 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
         pe_l, pe_r = geom.pe_faces
         vel = np.add(wc_l, wc_r, out=c_right)
         vel *= h
-        # an unclamped alpha of one strict sign gives every face velocity
-        # that sign, as the sum of two alphas and its scaling by h round
-        # monotonically: every face then takes the same side, as a view
-        if free and a_max * h < 0.0:
-            side, pu = -1, pe_r
-        elif free and a_min * h > 0.0:
-            side, pu = 1, pe_l
-        else:
-            side, pu = 0, np.where(vel >= 0.0, pe_l, pe_r)
+        # an unclamped alpha below 0 gives every face velocity that sign,
+        # as the sum of two alphas and its scaling by h round
+        # monotonically: every face then takes the right side, as a view
+        one_side = free and a_max * h < 0.0
+        pu = pe_r if one_side else np.where(vel >= 0.0, pe_l, pe_r)
         flux -= np.multiply(vel, pu, out=c_left)
     else:
         q = np.multiply(wc, pe, out=geom.cell)
@@ -427,13 +423,10 @@ def _sweep(model, config, geom, fixed, phi_iter, tau_next, jacobian=None):
             pu = np.multiply(pu, h, out=geom.cell_faces[1])
             adv_left = np.multiply(dw_l, pu, out=c_left)
             pu *= dw_r
-            # the velocity is upwinded from one side, or splits into the
+            # the velocity is upwinded from the right, or splits into the
             # parts upwinded from the left and the right
-            if side < 0:
+            if one_side:
                 adv_right = np.add(vel, pu, out=vel)
-            elif side > 0:
-                adv_left += vel
-                adv_right = pu
             else:
                 v_left = np.maximum(vel, 0.0)
                 adv_left += v_left

@@ -916,7 +916,9 @@ class TestSweepAgainstFaceReference:
 
     # alpha of one strict sign at every cell and ghost value, where every
     # face takes the same upwind side: phi in [5, 15] with walls (12, 8)
-    # keeps it below 0, phi in [25, 40] with walls (35, 35) above
+    # keeps it below 0, where the free sweep takes the right side as a
+    # view, and phi in [25, 40] with walls (35, 35) above, where every
+    # sweep chooses face by face
     @pytest.mark.parametrize("sign, low, high, wall_values", [
         (-1.0, 5.0, 15.0, (12.0, 8.0)),
         (1.0, 25.0, 40.0, (35.0, 35.0)),
