@@ -12,22 +12,18 @@ weights. One asset has the variance S11, and two assets on the simplex are
 written in the minimizing first weight t = clip(a + b/rho, 0, 1) alone,
 with a quadratic variance in t whose constants are worked out exactly once
 per model and rounded once, and kept as 0-d array operands: a dozen passes
-over 1-d arrays, about 10 us for the 402 values of a Newton sweep on the
-shipped grid, and 7 us written into the sweep's own buffers with no
-weights formed (2-core x86-64 VM, numpy 2.4, best of repeated timings).
-The active-set QP is the one simplex
-minimizer (the field for n >= 3, the scalar oracle `solve_alpha`, the
-slope bound); support enumeration is a test helper, `exhaustive_alpha` in
-the tests' `oracles` module. The field runs the QP once per point. On a
-working set the minimizing weights are affine in 1/rho, so each set's
-bordered KKT system of n + 1 equations is solved once per model, for the
-line g + h / rho, and kept in the model's instance dict. An interior point,
+over 1-d arrays, fewer when written into a Newton sweep's own buffers with
+no weights formed. The active-set QP is the one simplex minimizer (the
+field for n >= 3, the scalar oracle `solve_alpha`, the slope bound);
+support enumeration is a test helper, `exhaustive_alpha` in the tests'
+`oracles` module. The field runs the QP once per point. On a working set
+the minimizing weights are affine in 1/rho, so each set's bordered KKT
+system of n + 1 equations is solved once per model, for the line
+g + h / rho, and kept in the model's instance dict. An interior point,
 where every weight is positive, is then one evaluation of the full set's
-line: five assets take about 6 us per interior point (14 us when each point
-solved its system), spent in about six small numpy calls of 0.5-1.6 us each
-that evaluate the line, test, clip and renormalize the weights (same
-machine and timing). All operations are pure: the memo only caches what
-the model's data fix.
+line, about six small numpy calls that evaluate the line, test, clip and
+renormalize the weights; the README gives the measured costs. All
+operations are pure: the memo only caches what the model's data fix.
 """
 
 from __future__ import annotations
@@ -62,10 +58,9 @@ _EPS = np.finfo(float).eps
 # below tiny / eps (about 1e-292) the working-set solve is inaccurate (at
 # rho = 2.2e-308 the QP cycled) and the quadratic term is below rounding, so
 # the lowest vertex is the minimizer to rounding, as for rho <= 0. Above
-# it the QP evaluates each working set's memoized line, about 1.5 us of the
-# 6 us of a five-asset interior point, except below the line's own rounding
-# floor (per working set, far above tiny / eps), where it solves the
-# bordered system at rho
+# it the QP evaluates each working set's memoized line, except below the
+# line's own rounding floor (per working set, far above tiny / eps), where
+# it solves the bordered system at rho
 _RHO_TINY = np.finfo(float).tiny / _EPS
 # above 1 / _RHO_TINY (about 1e292) rho Sigma may overflow, so the QP takes
 # its multipliers and bordered solves from its problem divided by rho
@@ -407,8 +402,8 @@ _ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 def _n2_operands(model: PortfolioModel):
     """`_n2_constants` as 0-d float arrays, the form `_fill` passes to its
-    ufuncs: they take a 0-d array about 0.2 us faster than a Python float,
-    which they convert on every call, and compute the same bits. Made once
+    ufuncs: they take a 0-d array without the conversion they make of a
+    Python float on every call, and compute the same bits. Made once
     per model and kept in its instance dict beside the constants."""
     ops = model.__dict__.get("_n2_operands")
     if ops is None:

@@ -6,8 +6,10 @@ same pair, and pointwise bound verification.
 The verification bundle is the three checks that can fail: monotonicity,
 maximum-principle and energy-estimate. Each is a CheckReport of the two
 sides of its inequality, in plain Python numbers, and a tolerance. The
-energy takes its H^-1 norm from the scheme's own operator, (I - D_xx)^-1
-under the mirror boundary. The contraction budget and the grid-convergence
+energy takes its H^-1 norm from (I - D_xx)^-1 with D_xx under the mirror
+boundary, whatever the run's boundary: it is the scheme's own operator on a
+mirror run only, and a Dirichlet run is measured without its wall terms
+(ROADMAP item 7 adds them). The contraction budget and the grid-convergence
 record are reported, not checked, as the dicts `verify` writes. The
 bounds psi e^{lam tau} of the maximum principle take the clamp's growth
 rule. The seed of the monotonicity pairs is the bundle's one setting, so
@@ -141,10 +143,11 @@ def contraction_budget(model: PortfolioModel,
 
 def _hminus1_sq(levels, dx: float):
     """dx <v, (I - D_xx)^-1 v> for each row v of `levels`, with D_xx the
-    scheme's cell-centred second difference under the mirror ghost (ghost =
-    edge value). I - D_xx is symmetric positive definite and tridiagonal:
-    dpttrf factors it once and dpttrs solves every row as a right-hand side,
-    both LAPACK routines that `_lapack` loads from scipy's extension."""
+    cell-centred second difference under the mirror ghost (ghost = edge
+    value), the scheme's own on a mirror run only. I - D_xx is symmetric
+    positive definite and tridiagonal: dpttrf factors it once and dpttrs
+    solves every row as a right-hand side, both LAPACK routines that
+    `_lapack` loads from scipy's extension."""
     n = levels.shape[-1]
     r = 1.0 / dx**2
     diag = np.full(n, 1.0 + 2.0 * r)
@@ -168,7 +171,8 @@ def _energy(solution: SolutionField, model: PortfolioModel) -> dict:
     energy = sup_hm1 + int_l2
 
     h, _, _ = alpha_field(model, centers, np.zeros_like(centers))
-    he = np.concatenate([[h[0]], h, [h[-1]]])  # mirror, matching the scheme
+    # mirror ghosts, as in the norm, whatever the run's boundary
+    he = np.concatenate([[h[0]], h, [h[-1]]])
     d2h = (he[2:] - 2.0 * he[1:-1] + he[:-2]) / dx**2
     rhs_data = float(hm1_sq[0] + solution.t_final * np.sum(d2h**2) * dx)
     ratio = (energy / rhs_data if rhs_data > 0

@@ -44,48 +44,46 @@ are made once per run, and the check for a non-finite correction is left to
 the max |delta| of the stop rule, which is nan or inf exactly when delta
 has such an entry. The start of a step is written straight into its row of
 the solution, where the Newton update is applied in place. The part of the
-step residual that no sweep changes, phi_prev / dtau plus the manufactured
-source, is formed once per step. A sweep refills the run's ghost-extended
-buffer of phi, takes the range of alpha over it once (the clamp test reads
-it, and the step diagnostics keep the range of the last sweep), and builds
-the couplings of the Newton system in their -1/dx-scaled form directly:
-1/dx and 1/dx^2 are folded into the scaling of the face velocity and the
-alpha slope, and the diagonal is built from the couplings. Those scalings
-are 0-d arrays, which a ufunc takes as operands about 0.2 us faster than
-Python floats, with the same bits. Where the unclamped alpha is below 0, as
-at every upwind sweep of the benchmark runs, so is every face velocity: the
-upwinded values are then a view of the right side, and the Jacobian takes
-the whole velocity there instead of splitting it; other sweeps upwind face
-by face. On the shipped two-asset upwind run (402 values) a sweep that
-factors its Jacobian takes about 34 us and one on the stored factors about
-23 us on a 2-core x86-64 VM (Python 3.11, numpy 2.4, best of repeated
-timings); `alpha_field` takes about 7 us of either, and gttrf and gttrs
-about 6 us each. Those two are LAPACK's per-row recurrence, about 15 ns a
-row (gttrs takes 1 us at 4 rows and 24 us at 1,600), not the wrapper's
-checks.
+step residual that no sweep changes, phi_prev / dtau plus a given source,
+is formed once per step. A sweep refills the run's ghost-extended buffer of
+phi, takes the range of alpha over it once (the clamp test reads it, and
+the step diagnostics keep the range of the last sweep), and builds the
+couplings of the Newton system in their -1/dx-scaled form directly: 1/dx
+and 1/dx^2 are folded into the scaling of the face velocity and the alpha
+slope, and the diagonal is built from the couplings. Those scalings are
+0-d arrays, which a ufunc takes as operands without the conversion it
+makes of a Python float on every call, with the same bits. Where the
+unclamped alpha is below 0, as at every upwind sweep of the benchmark runs,
+so is every face velocity: the upwinded values are then a view of the right
+side, and the Jacobian takes the whole velocity there instead of splitting
+it; other sweeps upwind face by face. The README gives the measured cost of
+a sweep and of its parts; gttrf and gttrs are bound by LAPACK's per-row
+recurrence, not by the wrapper's checks.
 
 w clamps alpha to +-M e^{lambda T} with the paper's a-priori level
 M = max |alpha(x, phi0)|; on bounded runs it never activates and the scheme
-integrates the unclipped equation. `solve` works out M, lambda and T once
-per run and the solution carries them, for `cutoff_excess` and the
-a-priori checks to read; the clamp and the maximum principle grow their
-levels by one rule, `_grown`, which keeps a level of 0 at 0.
-The convergence-order check `mms_convergence_study` runs one fixed
-manufactured problem and takes no settings.
+integrates the unclipped equation. Each run works out M, lambda and T once
+and the solution carries them, for `cutoff_excess` and the a-priori checks
+to read; the clamp and the maximum principle grow their levels by one rule,
+`_grown`, which keeps a level of 0 at 0.
+
+`solve` samples phi0 = -u''/u' on the grid and hands it to `_integrate`,
+the one stepper entry from given cell values. The convergence-order check
+`mms_convergence_study` runs one fixed manufactured problem through it,
+with the problem's source, and takes no settings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._lapack import dgttrf, dgttrs
 from .alpha import alpha_field
 from .model import (DecisionSet, ModelError, PortfolioModel, SpatialGrid,
-                    TabulatedPhi0, UtilitySpec, phi0_profile)
+                    UtilitySpec, phi0_profile)
 
 __all__ = [
     "SolverError",
@@ -107,15 +105,15 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class PDEConfig:
-    """Discretization and inner-iteration controls for one run. dirichlet
-    holds the (left, right) wall values, None selects the mirror boundary."""
+    """Discretization and inner-iteration controls for one run, the settings
+    of a run document's pde section. dirichlet holds the (left, right) wall
+    values, None selects the mirror boundary."""
 
     grid: SpatialGrid
     t_final: float
     n_steps: int
     picard_tol: float = 1e-10
     picard_max: int = 100
-    mms_source: Callable | None = None
     dirichlet: tuple | None = None
     upwind: bool = False
 
@@ -260,17 +258,18 @@ class _Geometry:
     of the buffers that a sweep reads are made here once: the (left, right)
     face views [:-1] and [1:] of each n + 2 buffer and of the face flux, the
     interior bands [1:-1] of the two couplings and the parts [1:] and [:-1]
-    of them that the diagonal sums."""
+    of them that the diagonal sums. source is the run's source(x, tau)
+    added to the step residual, None for the unforced equation."""
 
     __slots__ = ("dx", "h", "inv_dx2", "neg_inv_dx2", "inv_dtau", "centers",
                  "xe", "inflow_term", "sign", "offsets", "clamp", "_pe",
                  "_pe_cells", "alpha", "slope", "cell", "face", "lower",
                  "upper", "diag", "rhs", "pe_faces", "alpha_faces",
                  "slope_faces", "cell_faces", "flux_faces", "bands",
-                 "diag_parts")
+                 "diag_parts", "source")
 
     def __init__(self, model: PortfolioModel, config: PDEConfig,
-                 cutoff: CutoffBounds):
+                 cutoff: CutoffBounds, source=None):
         grid = config.grid
         n, self.dx = grid.n_cells, grid.dx
         inv_dx = 1.0 / grid.dx
@@ -288,6 +287,7 @@ class _Geometry:
             gl, gr = config.dirichlet
             self.sign, self.offsets = -1.0, (2.0 * gl, 2.0 * gr)
         self.clamp = (cutoff.lower, cutoff.upper)
+        self.source = source
         self._pe, self.alpha, self.slope, self.cell = np.empty((4, n + 2))
         self._pe_cells = self._pe[1:-1]
         self.face, self.lower, self.upper = np.empty((3, n + 1))
@@ -328,13 +328,13 @@ def solve_banded(factors, rhs):
     return dgttrs(*factors, rhs, "N", True)[0]
 
 
-def _fixed_residual(config, geom, phi_prev, tau_next):
+def _fixed_residual(geom, phi_prev, tau_next):
     """The part of the step residual that no sweep changes, phi_prev / dtau
-    plus the manufactured source at tau_next, and the source's integral."""
+    plus the run's source at tau_next, and the source's integral."""
     fixed = phi_prev * geom.inv_dtau
-    if config.mms_source is None:
+    if geom.source is None:
         return fixed, 0.0
-    src = np.asarray(config.mms_source(geom.centers, tau_next), dtype=float)
+    src = np.asarray(geom.source(geom.centers, tau_next), dtype=float)
     fixed += src
     return fixed, float(np.sum(src) * geom.dx)
 
@@ -485,7 +485,7 @@ def _advance(model, config, geom, phi_prev, phi_iter, tau_next, step_index,
     tolerance drops the factors, so the next sweep factors its own. Returns
     the step's diagnostics and the jacobian to store: that of its sweep
     when the step took one, else None."""
-    fixed, src_int = _fixed_residual(config, geom, phi_prev, tau_next)
+    fixed, src_int = _fixed_residual(geom, phi_prev, tau_next)
     factored = 0
     for it in range(1, config.picard_max + 1):
         factored += jacobian is None
@@ -537,8 +537,14 @@ def _resolve_cutoff(model, config, phi0):
 def solve(model: PortfolioModel, utility: UtilitySpec,
           config: PDEConfig) -> SolutionField:
     """Integrate the Cauchy problem from phi0 = -u''/u' to t_final."""
+    # phi0_profile is looked up at call time: the traced benchmark wraps it
+    return _integrate(model, config, phi0_profile(utility, config.grid))
+
+
+def _integrate(model, config, phi0, source=None) -> SolutionField:
+    """Integrate from the cell values phi0 to t_final, with source(x, tau),
+    when given, added to the equation's right-hand side."""
     grid = config.grid
-    phi0 = phi0_profile(utility, grid)
     tau = np.linspace(0.0, config.t_final, config.n_steps + 1)
     phi = np.empty((config.n_steps + 1, grid.n_cells))
     phi[0] = phi0
@@ -547,7 +553,7 @@ def solve(model: PortfolioModel, utility: UtilitySpec,
     # and a sweep that overflows ends in the non-finite update SolverError
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = _resolve_cutoff(model, config, phi0)
-        geom = _Geometry(model, config, bounds)
+        geom = _Geometry(model, config, bounds, source)
         for k, tau_next in enumerate(tau[1:].tolist()):
             d, jacobian = _advance(model, config, geom, phi[k],
                                    _predict(phi, k), tau_next, k, jacobian)
@@ -609,10 +615,8 @@ def _mms_table(runs):
     for n, steps in runs:
         grid = SpatialGrid(-_MMS_X_MAX, _MMS_X_MAX, n)
         phi0, source, exact = singleton_mms(grid)
-        cfg = PDEConfig(grid=grid, t_final=_MMS_T_FINAL, n_steps=steps,
-                        mms_source=source)
-        util = TabulatedPhi0(grid.centers, phi0, truncation_gamma=None)
-        sol = solve(_MMS_MODEL, util, cfg)
+        cfg = PDEConfig(grid=grid, t_final=_MMS_T_FINAL, n_steps=steps)
+        sol = _integrate(_MMS_MODEL, cfg, phi0, source)
         err = float(np.max(np.abs(sol.phi[-1]
                                   - exact(grid.centers, _MMS_T_FINAL))))
         table["n_cells"].append(n)

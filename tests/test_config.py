@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riccati_hjb import config
 from riccati_hjb.analysis import monotonicity_certificate
 from riccati_hjb.config import (
     ConfigError,
@@ -389,6 +390,31 @@ class TestDefaultsDeclaredOnce:
         assert build_pde(base_doc()) == PDEConfig(
             grid=SpatialGrid(sec["x_min"], sec["x_max"], sec["n_cells"]),
             t_final=sec["t_final"], n_steps=sec["n_steps"])
+
+    def test_pde_config_holds_only_the_document_settings(self, monkeypatch):
+        # every key of a full pde section reaches PDEConfig, and PDEConfig
+        # has no field that a document cannot set
+        passed = {}
+
+        def recording(**kwargs):
+            passed.update(kwargs)
+            return PDEConfig(**kwargs)
+
+        monkeypatch.setattr(config, "PDEConfig", recording)
+        doc = base_doc()
+        doc["pde"].update(picard_tol=1e-8, picard_max=7, upwind=True,
+                          boundary={"left": 1.0, "right": 2.0})
+        build_pde(doc)
+        settings = {"t_final", "n_steps", "picard_tol", "picard_max",
+                    "dirichlet", "upwind"}
+        assert set(passed) == {"grid"} | settings
+        assert {f.name for f in dataclasses.fields(PDEConfig)} == set(passed)
+
+    def test_pde_config_takes_no_source(self):
+        grid = SpatialGrid(-1.0, 1.0, 8)
+        with pytest.raises(TypeError, match="mms_source"):
+            PDEConfig(grid=grid, t_final=1.0, n_steps=4,
+                      mms_source=lambda x, tau: x)
 
     @pytest.mark.parametrize("kind, cls", [
         ("dara", DaraUtility), ("arctan", ArctanUtility),

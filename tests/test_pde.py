@@ -6,7 +6,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -423,9 +425,9 @@ class TestConservation:
     def test_mass_balance_with_source(self, singleton_model):
         grid = SpatialGrid(-4.0, 4.0, 60)
         phi0, source, _ = singleton_mms(grid)
-        util = TabulatedPhi0(grid.centers, phi0)
-        cfg = PDEConfig(grid=grid, t_final=0.5, n_steps=20, mms_source=source)
-        assert_mass_balance(solve(singleton_model, util, cfg), cfg)
+        cfg = PDEConfig(grid=grid, t_final=0.5, n_steps=20)
+        assert_mass_balance(pde._integrate(singleton_model, cfg, phi0, source),
+                            cfg)
 
     # dtau >= 0.1 keeps dx / dtau <= 16, which scales the rounding of the
     # summed change: over 9000 seeded draws of these ranges the balance
@@ -493,7 +495,7 @@ class TestNewtonSweeps:
         geom = pde._Geometry(model, cfg, sol.bounds)
         prev, u = sol.phi[4], sol.phi[5]
         tau = float(sol.tau_values[5])
-        fixed, _ = pde._fixed_residual(cfg, geom, prev, tau)
+        fixed, _ = pde._fixed_residual(geom, prev, tau)
 
         def correction(level):
             # delta lives in the run's buffer, which the next sweep refills
@@ -600,7 +602,7 @@ class TestStoredFactors:
         cfg, sol = reused_run
         geom = pde._Geometry(paper_model, cfg, sol.bounds)
         tau_1 = float(sol.tau_values[1])
-        fixed, _ = pde._fixed_residual(cfg, geom, sol.phi[0], tau_1)
+        fixed, _ = pde._fixed_residual(geom, sol.phi[0], tau_1)
         *_, stale = pde._sweep(paper_model, cfg, geom, fixed,
                                sol.phi[0].copy(), tau_1)
         k, tau = 50, float(sol.tau_values[51])
@@ -790,7 +792,7 @@ class TestPredictor:
         assert np.mean(sweeps) <= 1.9
 
 
-def face_by_face_sweep(model, cfg, clamp, prev, phi, tau):
+def face_by_face_sweep(model, cfg, clamp, prev, phi, tau, source=None):
     """Independent reference of one Newton sweep in plain Python: the step
     residual R_i = (G_{i+1/2} - G_{i-1/2}) / dx - (phi_i - prev_i) / dtau +
     source_i of the total face fluxes G = d_x alpha - advective flux, its
@@ -835,8 +837,8 @@ def face_by_face_sweep(model, cfg, clamp, prev, phi, tau):
         d_right.append(slope[j + 1] / dx - d_adv[1])
 
     src = [0.0] * n
-    if cfg.mms_source is not None:
-        src = np.asarray(cfg.mms_source(cfg.grid.centers, tau)).tolist()
+    if source is not None:
+        src = np.asarray(source(cfg.grid.centers, tau)).tolist()
     # J delta = R with J = -dR/dphi; cell i is extended cell i + 1
     rhs = [(flux[i + 1] - flux[i]) / dx - (phi[i] - prev[i]) / dtau + src[i]
            for i in range(n)]
@@ -865,10 +867,11 @@ class TestSweepAgainstFaceReference:
     # phi = 20; an engaged clamp cuts alpha at its median magnitude, a free
     # one sits at infinity
     @staticmethod
-    def check(model, cfg, clamp, low, high):
+    def check(model, cfg, clamp, low, high, source=None):
         """Compare one sweep with the face-by-face reference at five random
-        iterates with phi_prev in [low, high], to 1e-12; returns the alpha
-        range and the face velocities of the reference at each."""
+        iterates with phi_prev in [low, high], under the given source, to
+        1e-12; returns the alpha range and the face velocities of the
+        reference at each."""
         grid = cfg.grid
         rng = np.random.default_rng(7)
         seen = []
@@ -881,13 +884,14 @@ class TestSweepAgainstFaceReference:
                 cutoff = pde.CutoffBounds(m=float(np.median(np.abs(a))),
                                           lam=0.0, horizon=1.0)
                 assert np.any(np.abs(a) > cutoff.upper)
-            geom = pde._Geometry(model, cfg, cutoff)
+            geom = pde._Geometry(model, cfg, cutoff, source)
             tau = 0.35
-            fixed, src_int = pde._fixed_residual(cfg, geom, prev, tau)
+            fixed, src_int = pde._fixed_residual(geom, prev, tau)
             delta, alpha_range, fluxes, _ = pde._sweep(model, cfg, geom,
                                                        fixed, phi, tau)
             ref_delta, ref_range, ref_fluxes, ref_src, velocities = \
-                face_by_face_sweep(model, cfg, cutoff, prev, phi, tau)
+                face_by_face_sweep(model, cfg, cutoff, prev, phi, tau,
+                                   source)
             scale = np.max(np.abs(ref_delta))
             assert np.max(np.abs(delta - ref_delta)) <= 1e-12 * scale
             assert alpha_range == pytest.approx(ref_range, rel=1e-12)
@@ -906,11 +910,11 @@ class TestSweepAgainstFaceReference:
                                boundary, clamp, source):
         grid = SpatialGrid(-4.0, 4.0, 24)
         cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=20, upwind=upwind,
-                        dirichlet=walls(boundary, 30.0, 10.0),
-                        mms_source=((lambda x, tau: (1.0 + tau) * np.cos(x))
-                                    if source else None))
+                        dirichlet=walls(boundary, 30.0, 10.0))
+        forcing = ((lambda x, tau: (1.0 + tau) * np.cos(x)) if source
+                   else None)
         for _, velocities in self.check(finite_breakpoints_model, cfg,
-                                        clamp, 5.0, 40.0):
+                                        clamp, 5.0, 40.0, forcing):
             if upwind:
                 assert min(velocities) < 0.0 < max(velocities)
 
@@ -1080,6 +1084,135 @@ class TestTravellingViscousShock:
             assert np.sum(error * np.sign(grid.centers - centre)) > 0.0
 
 
+class TestSteadyTwoAssetProfile:
+    # the nonlinear case of the steady oracle: two assets on the simplex
+    # have alpha = A - B/u + C u on the interior piece and a line on a
+    # vertex piece, so every piece is alpha = p + q u + r/u. A steady state
+    # carries one total face flux, alpha' u_x - alpha u = -c, so x(u) is
+    # the integral of alpha'(u) / (alpha(u) u - c), a rational function
+    # with a closed form on each piece, joined at the breakpoint phi_lo;
+    # c is fixed by the domain's length. The runs start on the profile,
+    # with its end values as the walls, as in the one-asset steady shock.
+    # Max errors at 50, 100, 200, 400 and 800 cells:
+    #   paper model, 9 -> 6 on [-0.25, 0.25] (a wall layer about 0.025
+    #   wide, c 1.6e-10 above the flux at 6): centered 0.315 ... 1.76e-3,
+    #   orders 1.73, 1.86, 1.93, 1.96; upwind 0.206 ... 2.12e-2, orders
+    #   0.68, 0.79, 0.88, 0.94;
+    #   finite_breakpoints_model, 6 -> 0.5 on [-0.5, 0.5], across
+    #   phi_lo = 5/3, where alpha'' jumps: centered 2.78e-2 ... 1.23e-4,
+    #   orders 1.90, 1.95, 1.98, 1.99; upwind 0.107 ... 7.99e-3, orders
+    #   0.87, 0.93, 0.96, 0.98.
+    # The bounds sit about 15 % above the 800-cell errors.
+    CELLS = (50, 100, 200, 400, 800)
+
+    @staticmethod
+    def piece_integral(p, q, r, c, u):
+        """An antiderivative in u of alpha'(u) / (alpha(u) u - c) for
+        alpha = p + q u + r/u and u > 0. With Q = q u^2 + p u + r - c the
+        integrand is (q u^2 - r) / (u^2 Q) = a/u + b/u^2 + (g u + d)/Q."""
+        k = r - c                        # Q(0)
+        b = -r / k
+        a = -b * p / k
+        g, d = -a * q, q - a * p - b * q
+        disc = p * p - 4.0 * q * k
+        if disc > 0.0:
+            # the root of larger magnitude first keeps the other exact
+            # when q is small
+            s = math.sqrt(disc)
+            big = -0.5 * (p + math.copysign(s, p))
+            r1, r2 = big / q, k / big
+            over_q = np.log(np.abs((u - r1) / (u - r2))) / (q * (r1 - r2))
+        else:
+            s = math.sqrt(-disc)
+            over_q = 2.0 / s * np.arctan((2.0 * q * u + p) / s)
+        # g u + d = (g / 2q) Q' + d - g p / 2q, with g / 2q = -a / 2
+        return (a * np.log(u) - b / u
+                - 0.5 * a * np.log(np.abs(q * u * u + p * u + k))
+                + (d + 0.5 * a * p) * over_q)
+
+    @classmethod
+    def x_of_u(cls, form, c, u):
+        """The integral up to each u of the array u, continuous across
+        phi_lo, below which the vertex line of the minus piece holds."""
+        inner = (form.a_const, form.c_const, -form.b_const)
+        x = cls.piece_integral(*inner, c, u)
+        below = u <= form.phi_lo
+        if np.any(below):
+            line, lo = (form.d_minus, form.e_minus, 0.0), form.phi_lo
+            x[below] = (cls.piece_integral(*line, c, u[below])
+                        + cls.piece_integral(*inner, c, lo)
+                        - cls.piece_integral(*line, c, lo))
+        return x
+
+    @classmethod
+    def steady_profile(cls, model, left, right, x_min, x_max):
+        """The exact steady profile from `left` at x_min to `right` < left
+        at x_max as a function of the cell centres, and its c."""
+        form = closed_form_n2(model)
+        assert left < form.phi_hi
+        ends = np.array([left, right])
+
+        def excess(c):
+            x = cls.x_of_u(form, c, ends)
+            return x[1] - x[0] - (x_max - x_min)
+
+        # u_x < 0 needs alpha u < c on [right, left]: the length grows
+        # without bound as c falls to the largest flux there
+        u = np.linspace(right, left, 1001)
+        top = float(np.max(form.evaluate(u) * u))
+        c = scipy.optimize.brentq(excess, top + 1e-13 * abs(top), top + 1.0,
+                                  xtol=1e-300)
+        start = cls.x_of_u(form, c, ends)[0]
+
+        def values(centers):
+            # bisection on the decreasing x(u) at every centre
+            lo, hi = np.full_like(centers, right), np.full_like(centers, left)
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                beyond = x_min + cls.x_of_u(form, c, mid) - start > centers
+                lo, hi = np.where(beyond, mid, lo), np.where(beyond, hi, mid)
+            return 0.5 * (lo + hi)
+
+        return values, c
+
+    @pytest.mark.parametrize("name, left, right, half, crosses, bounds", [
+        ("paper_model", 9.0, 6.0, 0.25, False, (2.0e-3, 2.5e-2)),
+        ("finite_breakpoints_model", 6.0, 0.5, 0.5, True, (1.5e-4, 9.5e-3)),
+    ], ids=["paper", "breakpoints"])
+    @pytest.mark.parametrize("upwind, order", [(False, 2.0), (True, 1.0)],
+                             ids=["central", "upwind"])
+    def test_order_against_the_exact_profile(self, request, name, left,
+                                             right, half, crosses, bounds,
+                                             upwind, order):
+        model = request.getfixturevalue(name)
+        form = closed_form_n2(model)
+        values, c = self.steady_profile(model, left, right, -half, half)
+        # the closed form against quadrature, up to the profile's middle
+        mid = 0.5 * (left + right)
+
+        def integrand(u):
+            slope = (form.b_const / u**2 + form.c_const if u > form.phi_lo
+                     else form.e_minus)
+            return slope / (form.evaluate(u) * u - c)
+
+        split = [form.phi_lo] if crosses else None
+        ref = scipy.integrate.quad(integrand, left, mid, points=split,
+                                   epsabs=0.0, epsrel=1e-13)[0]
+        x = self.x_of_u(form, c, np.array([left, mid]))
+        assert x[1] - x[0] == pytest.approx(ref, rel=1e-11)
+        errors = []
+        for n in self.CELLS:
+            grid = SpatialGrid(-half, half, n)
+            exact = values(grid.centers)
+            assert (exact.min() < form.phi_lo < exact.max()) == crosses
+            cfg = PDEConfig(grid=grid, t_final=3000.0, n_steps=30,
+                            upwind=upwind, dirichlet=(left, right))
+            phi = pde._integrate(model, cfg, exact).phi[-1]
+            errors.append(np.max(np.abs(phi - exact)))
+        assert abs(np.log2(errors[-2] / errors[-1]) - order) <= 0.1
+        assert errors[-1] <= bounds[upwind]
+
+
 @pytest.fixture(scope="module")
 def inflow_model():
     return PortfolioModel(np.array([MU_S, MU_B]), two_asset_sigma(),
@@ -1177,11 +1310,10 @@ class TestSolverErrors:
         # a non-finite source reaches the correction through the residual;
         # the step must stop at once, not sweep on to a stall
         grid = SpatialGrid(-4.0, 4.0, 16)
-        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=4,
-                        mms_source=lambda x, tau: np.full_like(x, bad))
-        util = TabulatedPhi0(grid.centers, np.ones(16))
+        cfg = PDEConfig(grid=grid, t_final=1.0, n_steps=4)
         with pytest.raises(SolverError) as err:
-            solve(singleton_model, util, cfg)
+            pde._integrate(singleton_model, cfg, np.ones(16),
+                           lambda x, tau: np.full_like(x, bad))
         assert str(err.value) == "non-finite update at tau=0.25"
 
     def test_overflowing_sweep_is_solver_error(self):
