@@ -21,8 +21,9 @@ script with ``--produce OUT``) writes into OUT:
 The two trees must hold the same files. A ``manifest.json`` is compared as
 JSON without its ``timings_s``, the arrays of an ``.npz`` bit for bit, and
 every other file (the CSVs, ``verify.json``, the run documents) byte for
-byte. The script prints the first difference and exits 1, or prints the
-number of files compared and exits 0.
+byte. The script prints one line for each file that differs or is on one
+side only, and exits 1; or it prints the number of files compared and
+exits 0.
 """
 
 from __future__ import annotations
@@ -130,24 +131,25 @@ def _byte_difference(a: Path, b: Path):
     return f"bytes differ at offset {i} (line {line})"
 
 
-def first_difference(parent: Path, change: Path):
-    """The first difference between the two output trees, or None."""
-    names, other = _files(parent), _files(change)
-    if names != other:
-        only = sorted(set(names) ^ set(other))[0]
-        side = "parent" if only in names else "change"
-        return f"{only}: only in the {side} outputs"
-    for name in names:
+def differences(parent: Path, change: Path) -> list:
+    """One line for each file in which the two output trees differ, in
+    name order; empty when they are the same."""
+    names, other = set(_files(parent)), set(_files(change))
+    found = []
+    for name in sorted(names | other):
         a, b = parent / name, change / name
-        if a.name == "manifest.json":
+        if name not in names or name not in other:
+            side = "parent" if name in names else "change"
+            problem = f"only in the {side} outputs"
+        elif a.name == "manifest.json":
             problem = _manifest_difference(a, b)
         elif a.suffix == ".npz":
             problem = _array_difference(a, b)
         else:
             problem = _byte_difference(a, b)
         if problem:
-            return f"{name}: {problem}"
-    return None
+            found.append(f"{name}: {problem}")
+    return found
 
 
 def main(argv=None) -> int:
@@ -159,10 +161,11 @@ def main(argv=None) -> int:
         trees = (Path(tmp) / "parent", Path(tmp) / "change")
         for root, out in zip((args.parent, args.change), trees):
             run_side(root, out)
-        problem = first_difference(*trees)
+        found = differences(*trees)
         count = len(_files(trees[0]))
-    if problem:
-        print(f"outputs differ: {problem}")
+    if found:
+        print("\n".join(found))
+        print(f"outputs differ: {len(found)} of {count} files")
         return 1
     print(f"outputs identical: {count} files")
     return 0

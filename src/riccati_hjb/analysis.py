@@ -1,7 +1,8 @@
 """Discrete functional-analytic checks: the strong monotonicity certificate
 for the diffusion function, the fixed-point contraction horizon, the energy
-estimate of a run and its refined twin, the grid-convergence record of the
-same pair, and pointwise bound verification.
+estimate of a coarse run and a fine one on twice its cells and steps (in
+`verify`, the run's twin on half of each and the run), the grid-convergence
+record of the same pair, and pointwise bound verification.
 
 The verification bundle is the three checks that can fail: monotonicity,
 maximum-principle and energy-estimate. Each is a CheckReport of the two
@@ -190,8 +191,10 @@ def _energy(solution: SolutionField, model: PortfolioModel) -> dict:
 
 def energy_estimate_report(coarse: SolutionField, fine: SolutionField,
                            model: PortfolioModel) -> CheckReport:
-    """Energy check of a run and its refined twin (twice the cells and the
-    steps): ratio_fine <= 1.10 * ratio_coarse.
+    """Energy check of a coarse run and a fine one on twice its cells and
+    steps: ratio_fine <= 1.10 * ratio_coarse. `verify` passes its twin on
+    half the cells and half the steps as the coarse run and the run itself
+    as the fine one.
 
     The estimate's constant is not pinned down analytically, so the check
     asks that the ratio of the energy to the data terms stay bounded under
@@ -211,8 +214,9 @@ def energy_estimate_report(coarse: SolutionField, fine: SolutionField,
 
 
 def grid_convergence(coarse: SolutionField, fine: SolutionField) -> dict:
-    """Coarse-minus-fine difference of a run and its refined twin (twice the
-    cells and the steps), with the fine run restricted to the coarse grid:
+    """Coarse-minus-fine difference of a coarse run and a fine one on twice
+    its cells and steps (in `verify`, the twin on half the cells and half
+    the steps and the run), with the fine run restricted to the coarse grid:
     the mean of each cell pair, exact for finite volumes, at every other
     level. Reports its max and L1 norm (dx sum |d|) at the horizon, the x of
     the horizon max, the max over all levels with its tau and x, and the

@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 # size cap, so that a run too large to allocate is a config error: the
 # stored field of phi, (n_steps + 1) * n_cells values (80 MB; verify's
-# refined run stores about four times as many)
+# twin on half the cells and half the steps stores a quarter as many)
 MAX_FIELD_VALUES = 10**7
 
 # the keys each utility kind reads besides kind and truncation_gamma

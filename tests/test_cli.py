@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import inspect
 import json
 import os
@@ -11,12 +13,15 @@ import pytest
 import scipy
 
 from riccati_hjb import (PDEConfig, SpatialGrid, alpha, cli, pde,
-                         contraction_budget, grid_convergence, solve)
+                         contraction_budget, energy_estimate_report,
+                         grid_convergence, solve)
 from riccati_hjb.analysis import monotonicity_certificate
 from riccati_hjb.config import load_run
 from riccati_hjb.pde import mms_convergence_study
 from riccati_hjb.cli import main
 from two_asset_data import MU_S, MU_B, two_asset_sigma
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, *, utility=None, pde=None, model_extra=None,
@@ -626,24 +631,76 @@ class TestVerify:
         assert "INFO contraction-budget" in stdout
         assert "PASS contraction-budget" not in stdout
 
+    @staticmethod
+    def run_and_twin(config_path):
+        """The model, the run of the document at config_path and its twin
+        on half the cells and half the steps, each solved on its own."""
+        _, model, utility, pde_cfg, _ = load_run(config_path)
+        twin_cfg = PDEConfig(
+            grid=SpatialGrid(pde_cfg.grid.x_min, pde_cfg.grid.x_max,
+                             pde_cfg.grid.n_cells // 2),
+            t_final=pde_cfg.t_final, n_steps=pde_cfg.n_steps // 2,
+            upwind=pde_cfg.upwind)
+        return (model, solve(model, utility, pde_cfg),
+                solve(model, utility, twin_cfg))
+
     def test_grid_convergence_is_info(self, tmp_path, config_path, capsys):
-        # the record compares the run with the energy check's refined twin;
-        # it reports numbers and no pass/fail
+        # the record compares the energy check's twin on half the cells and
+        # half the steps with the run; it reports numbers and no pass/fail
         out = tmp_path / "v"
         assert main(["verify", "--config", str(config_path),
                      "--out", str(out)]) == 0
         payload = json.loads((out / "verify.json").read_text())
-        _, model, utility, pde_cfg, _ = load_run(config_path)
-        fine_cfg = PDEConfig(
-            grid=SpatialGrid(pde_cfg.grid.x_min, pde_cfg.grid.x_max,
-                             2 * pde_cfg.grid.n_cells),
-            t_final=pde_cfg.t_final, n_steps=2 * pde_cfg.n_steps,
-            upwind=pde_cfg.upwind)
-        assert payload["info"]["grid-convergence"] == grid_convergence(
-            solve(model, utility, pde_cfg), solve(model, utility, fine_cfg))
+        _, run, twin = self.run_and_twin(config_path)
+        assert payload["info"]["grid-convergence"] == grid_convergence(twin,
+                                                                       run)
         stdout = capsys.readouterr().out
         assert "INFO grid-convergence" in stdout
         assert "PASS grid-convergence" not in stdout
+
+    def test_twin_is_the_coarse_member(self, tmp_path, config_path):
+        # swapped members would pass every verdict as well, so the report
+        # must be the one of (twin, run) in that order, number for number
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        energy = payload["checks"]["energy-estimate"]
+        cells, steps = SMALL_PDE["n_cells"], SMALL_PDE["n_steps"]
+        assert (energy["context"]["coarse"]["n_cells"],
+                energy["context"]["coarse"]["n_steps"]) == (cells // 2,
+                                                            steps // 2)
+        assert (energy["context"]["fine"]["n_cells"],
+                energy["context"]["fine"]["n_steps"]) == (cells, steps)
+        model, run, twin = self.run_and_twin(config_path)
+        assert energy == dataclasses.asdict(
+            energy_estimate_report(twin, run, model))
+
+    def test_manifest_splits_the_time(self, tmp_path, config_path):
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"verify", "run", "twin", "checks"}
+        assert all(t > 0.0 for t in timings.values())
+        assert timings["run"] + timings["twin"] + timings["checks"] <= \
+            timings["verify"]
+
+    @pytest.mark.parametrize("name", ["stocks_bonds", "three_funds",
+                                      "constant_nine"])
+    def test_example_documents_pass(self, tmp_path, name):
+        # the documents of scripts/run_examples.py: every check passes
+        spec = importlib.util.spec_from_file_location(
+            "run_examples", REPO / "scripts" / "run_examples.py")
+        examples = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(examples)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(examples.DOCUMENTS[name]))
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload["passed"]
+        assert all(c["passed"] for c in payload["checks"].values())
 
     def test_adversarial_boundary_fails(self, tmp_path):
         pde = dict(SMALL_PDE)
@@ -744,7 +801,7 @@ class TestVerify:
     ], ids=["tiny-variance", "long-horizon"])
     def test_budget_beyond_the_float_range(self, tmp_path, model_extra,
                                            utility, t_final, code, t0):
-        pde = {**SMALL_PDE, "n_cells": 8, "n_steps": 1, "t_final": t_final}
+        pde = {**SMALL_PDE, "n_cells": 16, "n_steps": 2, "t_final": t_final}
         cfg = write_config(tmp_path / "far.json", utility=utility,
                            pde=pde, model_extra=model_extra)
         out = tmp_path / "x"
@@ -756,6 +813,9 @@ class TestVerify:
         assert t0 is None or budget["t0"] == t0
         energy = payload["checks"]["energy-estimate"]
         assert energy["passed"] == (code == 0)
+        # the long horizon's time integral is beyond the float range
+        assert (energy["context"]["fine"]["int_l2_sq"] == np.inf) == (
+            code == 1)
 
     @staticmethod
     def twin_error(tmp_path, capsys, pde):
@@ -768,22 +828,33 @@ class TestVerify:
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
         return code, capsys.readouterr().err, out.exists()
 
-    def test_twin_step_out_of_range_exits_config(self, tmp_path, capsys):
-        # the run's 1/dtau is finite, the refined twin's overflows: a bad
-        # setting, named by its keys and checked before the run is solved
-        pde = {"n_cells": 40, "t_final": 4e-308, "n_steps": 5}
-        assert self.twin_error(tmp_path, capsys, pde) == (
-            2, "configuration error: pde.t_final, pde.n_steps: verify's "
-               "refined twin on twice the steps: time step t_final / n_steps "
-               "= 4.000e-309 is out of range: 1/dtau is not finite\n", False)
+    def test_odd_step_count_exits_config(self, tmp_path, capsys):
+        # the twin has half the steps: an odd count is a bad setting, named
+        # by its key and checked before the run is solved
+        assert self.twin_error(tmp_path, capsys, {"n_steps": 5}) == (
+            2, "configuration error: pde.n_steps: verify's twin on half the "
+               "cells and half the steps needs an even n_steps, got 5\n",
+            False)
+
+    def test_odd_cell_count_exits_config(self, tmp_path, capsys):
+        assert self.twin_error(tmp_path, capsys, {"n_cells": 81}) == (
+            2, "configuration error: pde.n_cells: verify's twin on half the "
+               "cells and half the steps needs an even n_cells, got 81\n",
+            False)
 
     def test_twin_grid_out_of_range_exits_config(self, tmp_path, capsys):
-        # the run's 1/dx^2 is finite, the refined twin's overflows
-        pde = {"x_min": 0.0, "x_max": 1e-153, "n_cells": 8}
+        # the run's 1/dx^2 is a normal float, the twin's doubled dx takes it
+        # below the smallest one
+        pde = {"x_min": 0.0, "x_max": 4e155}
         assert self.twin_error(tmp_path, capsys, pde) == (
-            2, "configuration error: pde.n_cells: verify's refined twin on "
-               "twice the cells: cell width 6.250e-155 is out of range: dx "
-               "must be finite and 1/dx^2 a finite normal float\n", False)
+            2, "configuration error: pde.n_cells: verify's twin on half the "
+               "cells: cell width 1.000e+154 is out of range: dx must be "
+               "finite and 1/dx^2 a finite normal float\n", False)
+
+    def test_twin_below_eight_cells_exits_config(self, tmp_path, capsys):
+        assert self.twin_error(tmp_path, capsys, {"n_cells": 14}) == (
+            2, "configuration error: pde.n_cells: verify's twin on half the "
+               "cells: need at least 8 cells, got 7\n", False)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),
@@ -859,7 +930,8 @@ class TestModelInput:
                                                   command, model_extra,
                                                   utility, code, message):
         cfg = write_config(tmp_path / "extreme.json", utility=utility,
-                           pde={**SMALL_PDE, "n_cells": 40, "n_steps": 5},
+                           pde={**SMALL_PDE, "n_cells": 40, "n_steps": 4,
+                                "t_final": 0.8},
                            model_extra=model_extra)
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == code
@@ -879,7 +951,8 @@ class TestModelInput:
         cov = {"volatilities": [1e154, 1e154],
                "correlation": [[1.0, -0.1151], [-0.1151, 1.0]]}
         cfg = write_config(tmp_path / "huge.json", utility=DARA_UTIL,
-                           pde={**SMALL_PDE, "n_cells": 8, "n_steps": 1},
+                           pde={**SMALL_PDE, "n_cells": 16, "n_steps": 2,
+                                "t_final": 2.0},
                            model_extra={"covariance": cov})
         out = tmp_path / "x"
         assert main([command, "--config", str(cfg),
@@ -932,11 +1005,10 @@ class TestMms:
 
 class TestExamplesScript:
     def test_writes_every_artifact(self, tmp_path):
-        repo = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         out = tmp_path / "examples"
         run = subprocess.run(
-            [sys.executable, str(repo / "scripts" / "run_examples.py"),
+            [sys.executable, str(REPO / "scripts" / "run_examples.py"),
              "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
